@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("solve", help="solve one matrix file to optimality")
     p.add_argument("--input", required=True, help="matrix file to solve")
     p.add_argument("--cores", type=int, default=None,
-                   help=f"worker count (default {DEFAULT_CORES}, or ${CORES_ENV}; capped at hardware)")
+                   help=f"chunks per row (default {DEFAULT_CORES}, or ${CORES_ENV}; capped at hardware)")
     p.add_argument("--na", type=int, default=DEFAULT_NA, help="meeting row of the two searches")
     p.add_argument("--time-limit", type=float, default=None, help="wall-clock limit in seconds")
     p.add_argument("--output", default=None, help="write a JSON solution file here")

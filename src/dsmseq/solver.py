@@ -1,46 +1,58 @@
-"""Double-ended breadth-first search with per-subset dominance pruning.
+"""Double-ended subset search over rank-addressed array rows.
 
 The search grows schedule prefixes from the front and suffixes from the
-back at the same time.  Within a tree level (a "row", all partial schedules
-of one length) schedules over the same activity set are interchangeable:
-only the cheapest can extend to an optimum, so every row collapses to one
-best node per subset, held in a dense store indexed by subset rank.  Rows
-are expanded by a pool of workers over disjoint chunks of the previous
-row; each worker prunes locally and emits only its occupied (address,
-node) pairs, which a single merge pass folds back into the dense row.
-When both searches reach the meeting row, every prefix is paired with the
-complement-addressed suffix and the cheapest concatenation is the optimum.
+back.  Within a tree level (a "row", all partial schedules of one length)
+schedules over the same activity set are interchangeable: only the cheapest
+can extend to an optimum, so every row collapses to one best schedule per
+subset.  This is the Held-Karp/Bellman subset recursion split in the
+meet-in-the-middle style: when both searches reach the meeting row, every
+prefix is paired with the suffix over its complement and the cheapest
+concatenation is the optimum.
 
-Worker handoff between the two searches happens only at row boundaries and
-is driven by remaining-row bookkeeping, never by wall-clock races, so the
-returned schedule, objective, and every counter are identical for any
-worker count and any valid meeting row.
+Rows are numpy arrays indexed by the lexicographic rank of their activity
+set: the best schedule's value (float64), its lex rank among the row's
+schedules (int32), and back-pointers (parent rank as int32, added activity
+as int8).  Only the winning prefix and suffix are ever rebuilt as tuples.
+A row is expanded with one pass per activity ``a``: every parent lacking
+``a`` yields one child, no child rank occurs twice in a pass, so a
+compare-and-scatter keeps the best child per subset without sorting
+candidates.  ``cn`` splits each row's parents into contiguous chunks whose
+counters report what each would hand to a merge; the chunks run one after
+another on the calling thread, in a fixed round order, so the schedule,
+objective and every counter are identical for any ``cn`` and meeting row.
 
-Prefix values grow by the dependence flowing out of the child's activity
-set, suffix values by the dependence flowing into the parent's set; both
-increments depend only on the sets involved, which is what makes per-subset
-pruning sound.  Value comparisons are raw float less-than with exact ties
-broken toward the lexicographically smaller schedule.
+Prefix values grow by cut(C), the dependence flowing out of the child set
+C to its complement, and suffix values by cut of the complement of the
+parent set, the dependence flowing into it, so one cut table serves both
+directions.  It sums members ascending, each member's outflow over
+non-members ascending, with absent terms added as exact zeros and never
+by differences: the summation order of the scalar loop.  Values equal by
+symmetry therefore tie exactly, and ties go to the lexicographically
+smaller schedule, which is the smaller (parent lex rank, a) going forward,
+where children append ``a``, and the smaller (a, parent lex rank) going
+backward, where they prepend it.
 
 Three ablation switches degrade single strategies while preserving results:
-``no-second-decomposition`` runs each search on a single worker,
-``no-compression`` makes workers hand over their entire dense store instead
-of the occupied entries, and ``no-hash`` replaces subset addressing with
-linear scans that compare activity sets directly.
+``no-second-decomposition`` keeps one chunk per search, ``no-compression``
+counts every chunk as handing over the whole dense row instead of its
+occupied entries, and ``no-hash`` runs the scalar reference kernel, which
+finds similar nodes by linear scans that compare activity sets directly.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InputError, InternalInvariantError, ResourceLimitError
 from .model import Dsm, total_feedback_length
-from .subsets import BinomialTable, rank_sorted
+from .subsets import BinomialTable
 
 __all__ = [
     "FORWARD",
@@ -88,11 +100,14 @@ _REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search knobs: worker count, meeting row, limits, ablation switch.
+    """Search knobs: chunk count, meeting row, limits, ablation switch.
 
-    ``na`` is the prefix length at which the two searches meet; it is
-    clamped into [2, n - 2] so both trees expand at least one row.  The
-    memory cap bounds the slot count of any single row store.
+    ``cn`` is the number of chunks a round's rows are split into, shared
+    between the two searches; chunks run on the calling thread.  ``na`` is
+    the prefix length at which the two searches meet; it is clamped into
+    [2, n - 2] so both trees expand at least one row.  ``memory_cap`` is in
+    bytes: a search whose arrays would need more is refused before any of
+    them is allocated.
     """
 
     cn: int = 8
@@ -104,6 +119,8 @@ class SolverConfig:
 
 @dataclass
 class RowStats:
+    """Counters of one expanded row; ``seconds`` covers this row alone."""
+
     direction: str
     size: int
     workers: int
@@ -126,7 +143,8 @@ class SolveReport:
     """Outcome of one solve: schedule, objective, and per-row counters.
 
     ``na`` of 0 marks the plain-enumeration path taken for n < 4, where the
-    double split is undefined.
+    double split is undefined.  The rows run one at a time, so the forward,
+    backward and combination seconds add up to at most ``total_seconds``.
     """
 
     n: int
@@ -169,7 +187,7 @@ class SolveTimeout(Exception):
 
 
 class _Expired(Exception):
-    """Internal: a worker noticed the deadline mid-chunk."""
+    """Internal: a kernel noticed the deadline mid-row."""
 
 
 class RowStore:
@@ -236,9 +254,9 @@ class _ScanStore:
 
 @dataclass
 class CompressedChunk:
-    """Sparse worker result: the surviving (address, node) pairs plus counters.
+    """Sparse chunk result: the surviving (address, node) pairs plus counters.
 
-    ``transferred_records`` is what the worker hands to the merge step: the
+    ``transferred_records`` is what the chunk hands to the merge step: the
     pair count normally, or the full slot count under ``no-compression``.
     The no-hash variant keys pairs by activity bitmask instead of rank.
     """
@@ -251,18 +269,291 @@ class CompressedChunk:
     comparisons: int
 
 
-class _Search:
-    """Per-solve read-only context shared by all expansion workers."""
+# ---------------------------------------------------------------- array kernel
 
-    __slots__ = ("n", "d", "table", "variant", "deadline")
+_CUT_BLOCK = 2048  # subsets per block of the cut table; bounds its (n, block) scratch
+_MASK = np.dtype(np.int32)  # activity bitmasks and subset ranks, for n <= 30
+_VALUE = np.dtype(np.float64)
+_LEX = np.dtype(np.int32)
+_KEY = np.dtype(np.int64)
+_INTP = np.dtype(np.intp)
+_PARENT = np.dtype(np.int32)
+_ACT = np.dtype(np.int8)
+_MAX_N = 30
+_SOLVE_OBJECTS = 64 * 1024  # bytes; a solve's non-array allocations measured 11-17 KB at n=8..12
 
-    def __init__(
+
+class _SubsetIndex:
+    """Every subset of the n activities as a bitmask, by size, in rank order.
+
+    Activity a is bit n - a, so within one size class a larger mask is the
+    lexicographically smaller set: ``row(k)`` lists the k-subsets in
+    descending mask order, which is ascending ``subsets.rank_subset``, and
+    ``rank[mask]`` is the 0-based rank of ``mask`` within its size class.
+    """
+
+    __slots__ = ("masks", "rank", "_starts")
+
+    def __init__(self, n: int) -> None:
+        count = 1 << n
+        sizes = np.zeros(count, dtype=np.uint8)  # sizes[m] is the popcount of m
+        for b in range(n):
+            np.add(sizes[: 1 << b], 1, out=sizes[1 << b : 2 << b])
+        descending = np.arange(count - 1, -1, -1, dtype=_MASK)
+        sizes = sizes[::-1]
+        self.masks = np.empty(count, dtype=_MASK)
+        self.rank = np.empty(count, dtype=_MASK)
+        self._starts = [0]
+        for size in range(n + 1):
+            row = descending[sizes == size]
+            start = self._starts[-1]
+            self.masks[start : start + len(row)] = row
+            self.rank[row] = np.arange(len(row), dtype=_MASK)
+            self._starts.append(start + len(row))
+        self.masks.flags.writeable = False
+        self.rank.flags.writeable = False
+
+    def row(self, size: int) -> np.ndarray:
+        return self.masks[self._starts[size] : self._starts[size + 1]]
+
+
+@lru_cache(maxsize=8)
+def _subset_index(n: int) -> _SubsetIndex:
+    # Built on first use for each n, then shared read-only.
+    return _SubsetIndex(n)
+
+
+def _cut(d: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """cut(S) for every mask: the dependence of S's members on the activities outside S.
+
+    Sums members ascending, each member's outflow over non-members
+    ascending, each from 0.0, with the terms of absent pairs multiplied by
+    0.0: bit for bit the order of the scalar loop, so equal sets of terms
+    give equal values.
+    """
+    n = len(d)
+    shifts = np.arange(n - 1, -1, -1)[:, None]  # row u - 1 holds activity u's bit
+    out = np.empty(len(masks), dtype=_VALUE)
+    for start in range(0, len(masks), _CUT_BLOCK):
+        block = masks[start : start + _CUT_BLOCK]
+        inside = ((block >> shifts) & 1).astype(_VALUE)
+        outside = 1.0 - inside
+        outflow = np.zeros_like(inside)  # outflow[u - 1] sums d[u][v] over v outside
+        term = np.empty_like(inside)
+        for v in range(n):
+            np.multiply(d[:, v : v + 1], outside[v], out=term)
+            outflow += term
+        total = out[start : start + len(block)]
+        total[:] = 0.0
+        for u in range(n):
+            total += inside[u] * outflow[u]
+    return out
+
+
+def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
+    """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes.
+
+    The larger of the subset index's build and the search.  The search
+    holds the index (two ints per subset of the n activities), every row's
+    back-pointers, both searches' newest rows, and the widest expansion's
+    working arrays: per parent its int64 lex copy, suffix gain and one
+    activity pass's index, value, key and flag arrays; per child the value,
+    tie key, sort order, reached flag and lex rank; the cut table and the
+    cut's block scratch.  A fixed allowance covers the report, the row
+    statistics and the other small interpreter objects of a solve.
+    """
+    subsets = 1 << n
+    # popcounts and size flags; descending, grouped and ranked masks; one size class and its ranks
+    build = subsets * (2 + 5 * _MASK.itemsize)
+    index = subsets * 2 * _MASK.itemsize
+    row = _VALUE.itemsize + _LEX.itemsize
+    pointer = _PARENT.itemsize + _ACT.itemsize
+    per_parent = _KEY.itemsize + 2 * _VALUE.itemsize
+    per_pass = 3 * _INTP.itemsize + 2 * _KEY.itemsize + 4 * _VALUE.itemsize + 4
+    per_child = _VALUE.itemsize + _KEY.itemsize + 1 + _LEX.itemsize + _INTP.itemsize
+    newest = row * (table.c(n, na) + table.c(n, n - na))
+    pointers = 0
+    widest = 0
+    for direction, last in ((FORWARD, na), (BACKWARD, n - na)):
+        for size in range(2, last + 1):
+            parents = table.c(n, size - 1)
+            children = table.c(n, size)
+            cut = children if direction == FORWARD else parents
+            pointers += children * pointer
+            widest = max(
+                widest,
+                parents * (per_parent + per_pass)
+                + children * per_child
+                + cut * _VALUE.itemsize
+                + 4 * n * min(cut, _CUT_BLOCK) * _VALUE.itemsize,
+            )
+    return _SOLVE_OBJECTS + max(build, index + pointers + newest + widest)
+
+
+@dataclass
+class _Row:
+    """One search's newest row: per subset rank, the best schedule's value and lex rank."""
+
+    size: int
+    value: np.ndarray
+    lex: np.ndarray
+
+
+@dataclass
+class _Children:
+    value: np.ndarray
+    key: np.ndarray
+    parent: np.ndarray
+    act: np.ndarray
+    expanded: int
+    transferred: list[int]
+
+
+class _ArraySearch:
+    """The array kernel, with both searches' newest rows and every row's back-pointers."""
+
+    def __init__(self, dsm: Dsm, table: BinomialTable, variant: str, deadline: float | None) -> None:
+        n = dsm.n
+        self.n = n
+        self.d = np.array(dsm.d, dtype=_VALUE)
+        self.table = table
+        self.dense = variant == VARIANT_NO_COMPRESSION
+        self.deadline = deadline
+        self.index = _subset_index(n)
+        singles = np.arange(n, dtype=_LEX)  # lone activity a has rank a - 1, in both orders
+        self.rows = {
+            FORWARD: _Row(1, _cut(self.d, self.index.row(1)), singles),
+            BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), singles),
+        }
+        self.pointers: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {FORWARD: [], BACKWARD: []}
+
+    def expand(
         self,
-        dsm: Dsm,
-        table: BinomialTable,
-        variant: str,
-        deadline: float | None,
-    ) -> None:
+        direction: str,
+        size: int,
+        masks: np.ndarray,
+        value: np.ndarray,
+        lex: np.ndarray,
+        parts: Sequence[tuple[int, int]],
+    ) -> _Children:
+        """Grow parents (masks, value, lex) by every activity they lack; keep the best child per subset.
+
+        ``size`` is the child size; ``lex`` ranks the parents' schedules
+        among themselves.  A child beats the incumbent of its subset on a
+        lower value, or on an equal value and a smaller key: (parent lex, a)
+        going forward, (a, parent lex) going backward, which is the
+        lexicographic order of the child schedules.  ``parts`` are
+        contiguous parent ranges expanded one after another into the same
+        arrays, which equals merging their separate results; each reports
+        the child ranks it reached, or the whole row under no-compression.
+        """
+        n = self.n
+        d = self.d
+        index = self.index
+        capacity = self.table.c(n, size)
+        forward = direction == FORWARD
+        if forward:
+            gain = _cut(d, index.row(size))  # by child rank
+            base = value
+        else:
+            # every child of a suffix gains the inflow into the parent's set
+            base = value + _cut(d, ((1 << n) - 1) ^ masks)
+        best = np.full(capacity, np.inf)
+        key = np.full(capacity, np.iinfo(_KEY).max, dtype=_KEY)
+        parent = np.zeros(capacity, dtype=_PARENT)
+        act = np.zeros(capacity, dtype=_ACT)
+        lex = lex.astype(_KEY)
+        stride = len(masks)  # backward keys a * stride + lex order by a first
+        transferred: list[int] = []
+        expanded = 0
+        for start, stop in parts:
+            positions = np.arange(start, stop)
+            reached = None if self.dense else np.zeros(capacity, dtype=bool)
+            for a in range(1, n + 1):
+                if self.deadline is not None and time.monotonic() >= self.deadline:
+                    raise _Expired()
+                bit = 1 << (n - a)
+                free = positions[(masks[start:stop] & bit) == 0]
+                child = index.rank[masks[free] | bit]
+                if forward:
+                    v = base[free] + gain[child]
+                    k = lex[free] * (n + 1) + a
+                else:
+                    v = base[free]
+                    k = lex[free] + a * stride
+                incumbent = best[child]
+                better = (v < incumbent) | ((v == incumbent) & (k < key[child]))
+                won = child[better]
+                best[won] = v[better]
+                key[won] = k[better]
+                parent[won] = free[better]
+                act[won] = a
+                if reached is not None:
+                    reached[child] = True
+                expanded += len(free)
+            transferred.append(capacity if reached is None else int(np.count_nonzero(reached)))
+        return _Children(best, key, parent, act, expanded, transferred)
+
+    def grow(self, direction: str, workers: int) -> RowStats:
+        row = self.rows[direction]
+        size = row.size + 1
+        capacity = self.table.c(self.n, size)
+        parts = [b for b in _part_bounds(len(row.value), workers) if b[0] < b[1]]
+        children = self.expand(direction, size, self.index.row(row.size), row.value, row.lex, parts)
+        survivors = int(np.count_nonzero(children.value < np.inf))
+        if survivors != capacity:
+            raise InternalInvariantError(
+                f"{direction} row {size} holds {survivors} subsets, "
+                f"expected C({self.n},{size}) = {capacity}"
+            )
+        lex = np.empty(capacity, dtype=_LEX)
+        lex[np.argsort(children.key)] = np.arange(capacity, dtype=_LEX)
+        self.rows[direction] = _Row(size, children.value, lex)
+        self.pointers[direction].append((children.parent, children.act))
+        return RowStats(
+            direction=direction,
+            size=size,
+            workers=workers,
+            chunks=len(parts),
+            expanded=children.expanded,
+            pruned=children.expanded - survivors,
+            survivors=survivors,
+            transferred_records=sum(children.transferred),
+            comparisons=0,
+            seconds=0.0,
+        )
+
+    def _trace(self, direction: str, i: int) -> list[int]:
+        """Activities of entry ``i`` of the newest row, the most recently added first."""
+        acts = []
+        for parent, act in reversed(self.pointers[direction]):
+            acts.append(int(act[i]))
+            i = int(parent[i])
+        acts.append(i + 1)
+        return acts
+
+    def pair(self) -> tuple[float, tuple[int, ...], int]:
+        prefixes = self.rows[FORWARD]
+        suffixes = self.rows[BACKWARD]
+        # the complement of the prefix set at rank i has rank C - 1 - i
+        fl = prefixes.value + suffixes.value[::-1]
+        ties = np.arange(len(fl))[fl == fl.min()]
+        lex = prefixes.lex[ties]
+        i = int(ties[lex == lex.min()][0])
+        prefix = self._trace(FORWARD, i)[::-1]
+        suffix = self._trace(BACKWARD, len(fl) - 1 - i)
+        return float(fl[i]), tuple(prefix + suffix), 0
+
+
+# ---------------------------------------------------------------- scalar reference kernel
+
+
+class _Search:
+    """Per-solve read-only context of the scalar kernel."""
+
+    __slots__ = ("n", "d", "deadline")
+
+    def __init__(self, dsm: Dsm, deadline: float | None) -> None:
         n = dsm.n
         # 1-based copy so hot loops skip the id arithmetic; row/col 0 unused.
         padded = [(0.0,) * (n + 1)]
@@ -270,101 +561,28 @@ class _Search:
             padded.append((0.0,) + tuple(row))
         self.n = n
         self.d = tuple(padded)
-        self.table = table
-        self.variant = variant
         self.deadline = deadline
 
 
-def seed_rows(dsm: Dsm) -> tuple[RowStore, RowStore]:
-    """Build both length-1 rows.
-
-    A lone prefix activity already owes its dependence on everything still
-    unscheduled, one position away each; a lone suffix activity owes
-    nothing yet.  Singleton sets rank to their own id.
-    """
-    n = dsm.n
-    forward = RowStore(n, 1, n)
-    backward = RowStore(n, 1, n)
-    for a in range(1, n + 1):
-        row = dsm.d[a - 1]
-        fv = 0.0
-        for j in range(n):
-            fv += row[j]
-        forward.install(a, (fv, (a,)))
-        backward.install(a, (0.0, (a,)))
-    return forward, backward
-
-
-def _seed_scan_rows(dsm: Dsm) -> tuple[_ScanStore, _ScanStore]:
-    n = dsm.n
-    forward = _ScanStore(n, 1)
-    backward = _ScanStore(n, 1)
-    for a in range(1, n + 1):
-        row = dsm.d[a - 1]
-        fv = 0.0
-        for j in range(n):
-            fv += row[j]
-        forward.install(1 << a, (fv, (a,)))
-        backward.install(1 << a, (0.0, (a,)))
-    return forward, backward
-
-
-def partition_row(row: RowStore | _ScanStore, workers: int) -> list[list]:
-    """Split the row's entries into ``workers`` contiguous, near-equal parts.
-
-    Part sizes differ by at most one; when there are fewer entries than
-    workers the trailing parts come back empty.
-    """
-    if workers < 1:
-        raise InputError(f"worker count must be at least 1, got {workers}")
-    items = row.entries()
-    base, extra = divmod(len(items), workers)
-    parts: list[list] = []
-    start = 0
-    for i in range(workers):
-        size = base + (1 if i < extra else 0)
-        parts.append(items[start : start + size])
-        start += size
-    return parts
-
-
 def _expand_chunk(ctx: _Search, direction: str, size: int, parents: Sequence) -> CompressedChunk:
-    """Grow each parent by every unused activity, keeping the best node per subset.
+    """Scalar reference kernel: grow (mask, node) parents by every unused activity.
 
     ``size`` is the child row size; parents are one shorter.  Child prefix
     values add the dependence flowing out of the child's set, child suffix
     values add the dependence flowing into the parent's set (shared by all
-    of its children).
+    of its children).  Children land in a scan store, which finds similar
+    nodes by comparing activity masks one by one.
     """
     n = ctx.n
     d = ctx.d
-    table = ctx.table
     deadline = ctx.deadline
     forward = direction == FORWARD
-    scan = ctx.variant == VARIANT_NO_HASH
-    dense = ctx.variant == VARIANT_NO_COMPRESSION
+    store = _ScanStore(n, size)
 
-    store: _ScanStore | None = None
-    slots: list[Node | None] | None = None
-    best: dict[int, Node] = {}
-    if scan:
-        store = _ScanStore(n, size)
-    elif dense:
-        slots = [None] * table.c(n, size)
-
-    # Increments are pure sums of nonnegative terms in a set-canonical order
-    # (never differences), so a mathematically-zero value is exactly 0.0 and
-    # equal-by-symmetry values tie exactly; the dominance rule then resolves
-    # them identically whatever the meeting row or chunking.
     expanded = 0
-    for parent in parents:
+    for parent_mask, (fv_parent, acts) in parents:
         if deadline is not None and time.monotonic() >= deadline:
             raise _Expired()
-        if scan:
-            parent_mask, (fv_parent, acts) = parent
-        else:
-            fv_parent, acts = parent
-            parent_mask = 0
         member = [False] * (n + 1)
         for u in acts:
             member[u] = True
@@ -381,11 +599,10 @@ def _expand_chunk(ctx: _Search, direction: str, size: int, parents: Sequence) ->
                 gain += acc
             fv_child = fv_parent + gain
         for a in unused:
-            position = bisect_left(sorted_ids, a)
-            child_ids = sorted_ids.copy()
-            child_ids.insert(position, a)
             if forward:
                 # Outflow of the child set {parent + a} to its complement.
+                child_ids = sorted_ids.copy()
+                child_ids.insert(bisect_left(sorted_ids, a), a)
                 child_comp = [v for v in unused if v != a]
                 outflow = 0.0
                 for u in child_ids:
@@ -394,59 +611,147 @@ def _expand_chunk(ctx: _Search, direction: str, size: int, parents: Sequence) ->
                     for v in child_comp:
                         acc += du[v]
                     outflow += acc
-                fv = fv_parent + outflow
-                child = acts + (a,)
+                node = (fv_parent + outflow, acts + (a,))
             else:
-                fv = fv_child
-                child = (a,) + acts
-            node = (fv, child)
+                node = (fv_child, (a,) + acts)
             expanded += 1
-            if scan:
-                assert store is not None
-                store.install(parent_mask | (1 << a), node)
-                continue
-            ha = rank_sorted(child_ids, n, table)
-            if dense:
-                assert slots is not None
-                current = slots[ha - 1]
-                if current is None or node < current:
-                    slots[ha - 1] = node
-            else:
-                current = best.get(ha)
-                if current is None or node < current:
-                    best[ha] = node
+            store.install(parent_mask | (1 << a), node)
 
-    if scan:
-        assert store is not None
-        return CompressedChunk(
-            direction=direction,
-            size=size,
-            triples=store.entries(),
-            expanded=expanded,
-            transferred_records=store.occupied,
-            comparisons=store.comparisons,
-        )
-    if dense:
-        assert slots is not None
-        triples = [(i + 1, node) for i, node in enumerate(slots) if node is not None]
-        # The whole dense store is what gets handed over, occupied or not.
-        return CompressedChunk(
-            direction=direction,
-            size=size,
-            triples=triples,
-            expanded=expanded,
-            transferred_records=len(slots),
-            comparisons=0,
-        )
-    triples = sorted(best.items())
     return CompressedChunk(
         direction=direction,
         size=size,
-        triples=triples,
+        triples=store.entries(),
         expanded=expanded,
-        transferred_records=len(triples),
-        comparisons=0,
+        transferred_records=store.occupied,
+        comparisons=store.comparisons,
     )
+
+
+def _mask_of(acts: Sequence[int]) -> int:
+    mask = 0
+    for a in acts:
+        mask |= 1 << a
+    return mask
+
+
+def _merge_scan(store: _ScanStore, chunks: Sequence[CompressedChunk]) -> _ScanStore:
+    for chunk in chunks:
+        for mask, node in chunk.triples:
+            store.install(mask, node)
+    return store
+
+
+class _ScanSearch:
+    """The no-hash variant: both searches' newest rows as scan stores."""
+
+    def __init__(self, dsm: Dsm, table: BinomialTable, variant: str, deadline: float | None) -> None:
+        self.ctx = _Search(dsm, deadline)
+        self.table = table
+        self.stores: dict[str, _ScanStore] = {}
+        for direction, row in zip((FORWARD, BACKWARD), seed_rows(dsm)):
+            store = _ScanStore(dsm.n, 1)
+            store.items = [(1 << a, node) for a, node in enumerate(row.entries(), start=1)]
+            self.stores[direction] = store
+
+    def grow(self, direction: str, workers: int) -> RowStats:
+        n = self.ctx.n
+        size = self.stores[direction].size + 1
+        parts = [part for part in partition_row(self.stores[direction], workers) if part]
+        chunks = [_expand_chunk(self.ctx, direction, size, part) for part in parts]
+        merged = _merge_scan(_ScanStore(n, size), chunks)
+        capacity = self.table.c(n, size)
+        if merged.occupied != capacity:
+            raise InternalInvariantError(
+                f"{direction} row {size} holds {merged.occupied} subsets, "
+                f"expected C({n},{size}) = {capacity}"
+            )
+        self.stores[direction] = merged
+        expanded = sum(c.expanded for c in chunks)
+        return RowStats(
+            direction=direction,
+            size=size,
+            workers=workers,
+            chunks=len(parts),
+            expanded=expanded,
+            pruned=expanded - merged.occupied,
+            survivors=merged.occupied,
+            transferred_records=sum(c.transferred_records for c in chunks),
+            # merge scans count too
+            comparisons=sum(c.comparisons for c in chunks) + merged.comparisons,
+            seconds=0.0,
+        )
+
+    def pair(self) -> tuple[float, tuple[int, ...], int]:
+        comparisons = 0
+        best_fl: float | None = None
+        best_seq: tuple[int, ...] | None = None
+        full_mask = ((1 << self.ctx.n) - 1) << 1
+        suffix_items = self.stores[BACKWARD].items
+        for prefix_mask, (fv_a, acts_a) in self.stores[FORWARD].items:
+            wanted = full_mask ^ prefix_mask
+            for suffix_mask, (fv_b, acts_b) in suffix_items:
+                comparisons += 1
+                if suffix_mask == wanted:
+                    fl = fv_a + fv_b
+                    if best_fl is None or fl < best_fl:
+                        best_fl = fl
+                        best_seq = acts_a + acts_b
+                    elif fl == best_fl:
+                        candidate = acts_a + acts_b
+                        assert best_seq is not None
+                        if candidate < best_seq:
+                            best_seq = candidate
+                    break
+            else:
+                raise InternalInvariantError(
+                    f"no suffix found for prefix set mask {prefix_mask:#x}"
+                )
+        assert best_fl is not None and best_seq is not None
+        return best_fl, best_seq, comparisons
+
+
+# ---------------------------------------------------------------- public row helpers
+
+
+def seed_rows(dsm: Dsm) -> tuple[RowStore, RowStore]:
+    """Build both length-1 rows.
+
+    A lone prefix activity already owes its dependence on everything still
+    unscheduled, one position away each; a lone suffix activity owes
+    nothing yet.  Singleton sets rank to their own id.
+    """
+    n = dsm.n
+    forward = RowStore(n, 1, n)
+    backward = RowStore(n, 1, n)
+    values = _cut(np.array(dsm.d, dtype=_VALUE), 1 << (n - 1 - np.arange(n)))
+    for a in range(1, n + 1):
+        forward.install(a, (float(values[a - 1]), (a,)))
+        backward.install(a, (0.0, (a,)))
+    return forward, backward
+
+
+def _part_bounds(count: int, workers: int) -> list[tuple[int, int]]:
+    """``workers`` contiguous [start, stop) ranges over ``count`` entries, sizes differing by one at most."""
+    base, extra = divmod(count, workers)
+    bounds = []
+    start = 0
+    for i in range(workers):
+        stop = start + base + (1 if i < extra else 0)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
+def partition_row(row: RowStore | _ScanStore, workers: int) -> list[list]:
+    """Split the row's entries into ``workers`` contiguous, near-equal parts.
+
+    Part sizes differ by at most one; when there are fewer entries than
+    workers the trailing parts come back empty.
+    """
+    if workers < 1:
+        raise InputError(f"worker count must be at least 1, got {workers}")
+    items = row.entries()
+    return [items[start:stop] for start, stop in _part_bounds(len(items), workers)]
 
 
 def expand_and_prune_chunk(
@@ -457,7 +762,11 @@ def expand_and_prune_chunk(
     table: BinomialTable | None = None,
     variant: str = VARIANT_FULL,
 ) -> CompressedChunk:
-    """Expand one chunk of same-length parents and prune it to one node per subset."""
+    """Expand one chunk of same-length parents and prune it to one node per subset.
+
+    Runs the kernel ``solve`` runs for ``variant``: the nodes are converted
+    to arrays and the surviving children back to nodes, in address order.
+    """
     if direction not in (FORWARD, BACKWARD):
         raise InputError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
     if variant not in VARIANTS:
@@ -467,24 +776,43 @@ def expand_and_prune_chunk(
     lengths = {len(acts) for _, acts in parents}
     if len(lengths) != 1:
         raise InputError("parents of one chunk must all have the same length")
-    if table is None or table.n_max < dsm.n:
-        table = BinomialTable(dsm.n)
-    ctx = _Search(dsm, table, variant, None)
+    size = lengths.pop() + 1
+    n = dsm.n
     if variant == VARIANT_NO_HASH:
         masked = [(_mask_of(acts), (fv, acts)) for fv, acts in parents]
-        return _expand_chunk(ctx, direction, lengths.pop() + 1, masked)
-    return _expand_chunk(ctx, direction, lengths.pop() + 1, parents)
-
-
-def _mask_of(acts: Sequence[int]) -> int:
-    mask = 0
-    for a in acts:
-        mask |= 1 << a
-    return mask
+        return _expand_chunk(_Search(dsm, None), direction, size, masked)
+    if table is None or table.n_max < n:
+        table = BinomialTable(n)
+    search = _ArraySearch(dsm, table, variant, None)
+    masks = (1 << (n - np.array([acts for _, acts in parents]))).sum(axis=1).astype(_MASK)
+    values = np.array([fv for fv, _ in parents], dtype=_VALUE)
+    order = sorted(range(len(parents)), key=lambda i: parents[i][1])
+    lex = np.empty(len(parents), dtype=_LEX)
+    lex[order] = np.arange(len(parents), dtype=_LEX)
+    children = search.expand(direction, size, masks, values, lex, [(0, len(parents))])
+    ranks = np.flatnonzero(children.value < np.inf)
+    survivors = zip(
+        ranks.tolist(),
+        children.value[ranks].tolist(),
+        [parents[i][1] for i in children.parent[ranks].tolist()],
+        children.act[ranks].tolist(),
+    )
+    if direction == FORWARD:
+        triples = [(rank + 1, (fv, acts + (a,))) for rank, fv, acts, a in survivors]
+    else:
+        triples = [(rank + 1, (fv, (a,) + acts)) for rank, fv, acts, a in survivors]
+    return CompressedChunk(
+        direction=direction,
+        size=size,
+        triples=triples,
+        expanded=children.expanded,
+        transferred_records=children.transferred[0],
+        comparisons=0,
+    )
 
 
 def restore_and_merge(row: RowStore, chunks: Sequence[CompressedChunk]) -> RowStore:
-    """Fold worker chunks into the merged row; lower value wins per address.
+    """Fold chunk results into the merged row; lower value wins per address.
 
     The min rule is associative and commutative over totally ordered nodes,
     so the merged row is independent of chunk arrival order.
@@ -500,20 +828,16 @@ def restore_and_merge(row: RowStore, chunks: Sequence[CompressedChunk]) -> RowSt
     return row
 
 
-def _merge_scan(store: _ScanStore, chunks: Sequence[CompressedChunk]) -> _ScanStore:
-    for chunk in chunks:
-        for mask, node in chunk.triples:
-            store.install(mask, node)
-    return store
+# ---------------------------------------------------------------- solve
 
 
 def _round_allocation(variant: str, cn: int, fwd_left: int, bwd_left: int) -> tuple[int, int]:
-    """Workers for each search this round, from remaining-row bookkeeping.
+    """Chunks for each search this round, from remaining-row bookkeeping.
 
-    While both searches have rows left each gets half the workers, an odd
+    While both searches have rows left each gets half the chunks, an odd
     spare going to the one with more rows remaining (forward on ties); a
     finished search hands everything to the other.  The single-decomposition
-    variant pins each search to one worker.
+    variant pins each search to one chunk.
     """
     if variant == VARIANT_NO_SECOND_DECOMPOSITION:
         return (1 if fwd_left else 0), (1 if bwd_left else 0)
@@ -553,15 +877,15 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     """Find the optimal schedule and return it with counters and timings.
 
     Runs the prefix search up to the meeting row and the suffix search down
-    to it, each row partitioned over workers, then pairs every prefix with
-    its complement-addressed suffix and keeps the cheapest concatenation.
-    The reported objective re-evaluates the returned schedule with the
+    to it, row by row in rounds, then pairs every prefix with its
+    complement-addressed suffix and keeps the cheapest concatenation.  The
+    reported objective re-evaluates the returned schedule with the
     canonical evaluator, and the paired value is required to agree with it
     to within 1e-9 relative.
 
     Raises SolveTimeout once the wall-clock limit passes (counters survive
-    in the exception, no schedule does) and ResourceLimitError when some
-    row would need more slots than the configured cap.
+    in the exception, no schedule does) and ResourceLimitError when the
+    search's arrays would need more bytes than the configured cap.
     """
     config = config or SolverConfig()
     if config.cn < 1:
@@ -595,144 +919,56 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
 
     deepest = max(na, n - na)
     worst_size = max(range(2, deepest + 1), key=lambda s: table.c(n, s))
-    if table.c(n, worst_size) > config.memory_cap:
+    widest = f"row {worst_size} needs C({n},{worst_size}) = {table.c(n, worst_size)} subsets"
+    if n > _MAX_N:
+        raise ResourceLimitError(f"{widest}; subset masks are int32, which limits n to {_MAX_N}")
+    needed = _search_bytes(n, na, table)
+    if needed > config.memory_cap:
         raise ResourceLimitError(
-            f"row {worst_size} needs C({n},{worst_size}) = {table.c(n, worst_size)} slots, "
-            f"over the cap of {config.memory_cap}"
+            f"{widest} and the search {needed} bytes, over the cap of {config.memory_cap} bytes"
         )
 
     variant = config.variant
-    scan = variant == VARIANT_NO_HASH
-    ctx = _Search(dsm, table, variant, deadline)
-    if scan:
-        fwd_store, bwd_store = _seed_scan_rows(dsm)
-    else:
-        fwd_store, bwd_store = seed_rows(dsm)
+    search_type = _ScanSearch if variant == VARIANT_NO_HASH else _ArraySearch
+    search = search_type(dsm, table, variant, deadline)
 
     rows: list[RowStats] = []
-    forward_seconds = 0.0
-    backward_seconds = 0.0
-    fwd_size, fwd_last = 1, na
-    bwd_size, bwd_last = 1, n - na
+    seconds = {FORWARD: 0.0, BACKWARD: 0.0}
+    sizes = {FORWARD: 1, BACKWARD: 1}
+    last = {FORWARD: na, BACKWARD: n - na}
 
     def partial_report() -> SolveReport:
         return SolveReport(
             n=n, cn=config.cn, na=na, variant=variant,
             sequence=None, objective=None, rows=rows,
-            forward_seconds=forward_seconds, backward_seconds=backward_seconds,
+            forward_seconds=seconds[FORWARD], backward_seconds=seconds[BACKWARD],
             total_seconds=time.perf_counter() - started, timed_out=True,
         )
 
-    with ThreadPoolExecutor(max_workers=config.cn) as pool:
-        while fwd_size < fwd_last or bwd_size < bwd_last:
-            if expired():
-                raise SolveTimeout(partial_report())
-            fwd_share, bwd_share = _round_allocation(
-                variant, config.cn, fwd_last - fwd_size, bwd_last - bwd_size
-            )
-            round_started = time.perf_counter()
-            batches = []
-            if fwd_share > 0 and fwd_size < fwd_last:
-                batches.append((FORWARD, fwd_store, fwd_size + 1, fwd_share))
-            if bwd_share > 0 and bwd_size < bwd_last:
-                batches.append((BACKWARD, bwd_store, bwd_size + 1, bwd_share))
-            submitted = []
-            for direction, store, child_size, workers in batches:
-                parts = [part for part in partition_row(store, workers) if part]
-                futures = [
-                    pool.submit(_expand_chunk, ctx, direction, child_size, part)
-                    for part in parts
-                ]
-                submitted.append((direction, child_size, workers, futures))
-            for direction, child_size, workers, futures in submitted:
-                try:
-                    chunks = [future.result() for future in futures]
-                except _Expired:
-                    raise SolveTimeout(partial_report()) from None
-                capacity = table.c(n, child_size)
-                merged: RowStore | _ScanStore
-                if scan:
-                    merged = _merge_scan(_ScanStore(n, child_size), chunks)
-                else:
-                    merged = restore_and_merge(RowStore(n, child_size, capacity), chunks)
-                if merged.occupied != capacity:
-                    raise InternalInvariantError(
-                        f"{direction} row {child_size} holds {merged.occupied} subsets, "
-                        f"expected C({n},{child_size}) = {capacity}"
-                    )
-                expanded = sum(c.expanded for c in chunks)
-                comparisons = sum(c.comparisons for c in chunks)
-                if scan:
-                    comparisons += merged.comparisons  # merge scans count too
-                stats = RowStats(
-                    direction=direction,
-                    size=child_size,
-                    workers=workers,
-                    chunks=len(futures),
-                    expanded=expanded,
-                    pruned=expanded - merged.occupied,
-                    survivors=merged.occupied,
-                    transferred_records=sum(c.transferred_records for c in chunks),
-                    comparisons=comparisons,
-                    seconds=time.perf_counter() - round_started,
-                )
-                rows.append(stats)
-                if direction == FORWARD:
-                    fwd_store, fwd_size = merged, child_size
-                    forward_seconds += stats.seconds
-                else:
-                    bwd_store, bwd_size = merged, child_size
-                    backward_seconds += stats.seconds
+    while sizes[FORWARD] < last[FORWARD] or sizes[BACKWARD] < last[BACKWARD]:
+        if expired():
+            raise SolveTimeout(partial_report())
+        shares = _round_allocation(
+            variant, config.cn, last[FORWARD] - sizes[FORWARD], last[BACKWARD] - sizes[BACKWARD]
+        )
+        for direction, workers in zip((FORWARD, BACKWARD), shares):
+            if workers == 0:
+                continue
+            row_started = time.perf_counter()
+            try:
+                stats = search.grow(direction, workers)
+            except _Expired:
+                raise SolveTimeout(partial_report()) from None
+            stats.seconds = time.perf_counter() - row_started
+            rows.append(stats)
+            seconds[direction] += stats.seconds
+            sizes[direction] = stats.size
 
     if expired():
         raise SolveTimeout(partial_report())
 
     combination_started = time.perf_counter()
-    combination_comparisons = 0
-    best_fl: float | None = None
-    best_seq: tuple[int, ...] | None = None
-    if scan:
-        assert isinstance(fwd_store, _ScanStore) and isinstance(bwd_store, _ScanStore)
-        full_mask = ((1 << n) - 1) << 1
-        suffix_items = bwd_store.items
-        for prefix_mask, (fv_a, acts_a) in fwd_store.items:
-            wanted = full_mask ^ prefix_mask
-            for suffix_mask, (fv_b, acts_b) in suffix_items:
-                combination_comparisons += 1
-                if suffix_mask == wanted:
-                    fl = fv_a + fv_b
-                    if best_fl is None or fl < best_fl:
-                        best_fl = fl
-                        best_seq = acts_a + acts_b
-                    elif fl == best_fl:
-                        candidate = acts_a + acts_b
-                        assert best_seq is not None
-                        if candidate < best_seq:
-                            best_seq = candidate
-                    break
-            else:
-                raise InternalInvariantError(
-                    f"no suffix found for prefix set mask {prefix_mask:#x}"
-                )
-    else:
-        assert isinstance(fwd_store, RowStore) and isinstance(bwd_store, RowStore)
-        capacity = table.c(n, na)
-        prefix_slots = fwd_store.slots
-        suffix_slots = bwd_store.slots
-        for ha in range(1, capacity + 1):
-            prefix_node = prefix_slots[ha - 1]
-            suffix_node = suffix_slots[capacity - ha]  # complement address, zero-based
-            assert prefix_node is not None and suffix_node is not None
-            fl = prefix_node[0] + suffix_node[0]
-            if best_fl is None or fl < best_fl:
-                best_fl = fl
-                best_seq = prefix_node[1] + suffix_node[1]
-            elif fl == best_fl:
-                candidate = prefix_node[1] + suffix_node[1]
-                assert best_seq is not None
-                if candidate < best_seq:
-                    best_seq = candidate
-    assert best_fl is not None and best_seq is not None
+    best_fl, best_seq, combination_comparisons = search.pair()
 
     objective = total_feedback_length(dsm, best_seq)
     if abs(best_fl - objective) > _REL_TOL * max(1.0, abs(objective)):
@@ -749,8 +985,8 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
         sequence=best_seq,
         objective=objective,
         rows=rows,
-        forward_seconds=forward_seconds,
-        backward_seconds=backward_seconds,
+        forward_seconds=seconds[FORWARD],
+        backward_seconds=seconds[BACKWARD],
         combination_seconds=finished - combination_started,
         total_seconds=finished - started,
         combination_comparisons=combination_comparisons,

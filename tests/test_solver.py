@@ -1,4 +1,9 @@
+import math
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmseq import (
     BACKWARD,
@@ -8,6 +13,7 @@ from dsmseq import (
     VARIANT_NO_HASH,
     VARIANT_NO_SECOND_DECOMPOSITION,
     BinomialTable,
+    Dsm,
     InputError,
     InternalInvariantError,
     ResourceLimitError,
@@ -27,6 +33,8 @@ from dsmseq import (
     suffix_feedback_value,
     unrank_subset,
 )
+
+from dsmseq.solver import _search_bytes, _subset_index
 
 REL = 1e-9
 
@@ -280,7 +288,8 @@ def test_timeout_at_start():
 
 
 def test_timeout_mid_search_keeps_counters():
-    dsm = generate_instance(13, 0.5, 4)
+    # n=18 takes several times the limit, so the deadline passes mid-search
+    dsm = generate_instance(18, 0.5, 4)
     with pytest.raises(SolveTimeout) as err:
         solve(dsm, SolverConfig(cn=2, time_limit=0.05))
     report = err.value.report
@@ -292,6 +301,45 @@ def test_memory_cap():
     dsm = generate_instance(10, 0.5, 4)
     with pytest.raises(ResourceLimitError, match=r"C\(10,5\) = 252"):
         solve(dsm, SolverConfig(cn=2, memory_cap=100))
+
+
+def test_memory_cap_counts_bytes():
+    n, na = 16, 5
+    table = BinomialTable(n)
+    estimate = _search_bytes(n, na, table)
+    dsm = generate_instance(n, 0.5, 4)
+    _subset_index.cache_clear()  # so the solve pays for the index build too
+    tracemalloc.start()
+    try:
+        solve(dsm, SolverConfig(cn=1, na=na), table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate <= 2 * peak
+    # one byte short is refused before any array exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"C\(16,8\) = 12870"):
+            solve(dsm, SolverConfig(cn=1, na=na, memory_cap=estimate - 1), table=table)
+        assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_memory_cap_admits_n_22():
+    table = BinomialTable(22)
+    cap = SolverConfig().memory_cap
+    assert all(_search_bytes(22, na, table) <= cap for na in range(2, 21))
+
+
+def test_phase_timings_add_up():
+    report = solve(generate_instance(12, 0.5, 9), SolverConfig(cn=2, na=5))
+    phases = report.forward_seconds + report.backward_seconds + report.combination_seconds
+    assert phases <= report.total_seconds
+    for direction, total in ((FORWARD, report.forward_seconds), (BACKWARD, report.backward_seconds)):
+        rows = [row.seconds for row in report.rows if row.direction == direction]
+        assert all(seconds > 0 for seconds in rows)
+        assert sum(rows) == pytest.approx(total, rel=REL)
 
 
 def test_config_validation(dsm4):
@@ -329,3 +377,55 @@ def test_single_decomposition_uses_one_worker_per_direction():
     assert all(row.workers == 1 for row in report.rows)
     full = solve(dsm, SolverConfig(cn=8, na=4))
     assert report.sequence == full.sequence and report.objective == full.objective
+
+
+# ---------------------------------------------------------------- exact ties
+
+
+@st.composite
+def _tie_heavy_dsm(draw):
+    """n <= 8 with degrees in {0, 0.5, 1}, half of them symmetric: full of exact ties."""
+    n = draw(st.integers(min_value=4, max_value=8))
+    symmetric = draw(st.booleans())
+    degree = st.sampled_from((0.0, 0.5, 1.0))
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i < j or (i > j and not symmetric):
+                rows[i][j] = draw(degree)
+            elif i > j:
+                rows[i][j] = rows[j][i]
+    return Dsm.from_rows(rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dsm=_tie_heavy_dsm(), cn=st.integers(min_value=1, max_value=3), na=st.integers(min_value=2, max_value=6))
+def test_tie_heavy_sequences_match_brute_force(dsm, cn, na):
+    report = solve(dsm, SolverConfig(cn=cn, na=na))
+    seq, objective = brute_force_optimum(dsm)
+    assert report.sequence == seq
+    assert report.objective == objective
+
+
+def _quantised(dsm, levels):
+    """Rate every nonzero degree by the part of (0, 1] it falls in and replace it by that level."""
+    return Dsm.from_rows(
+        [[levels[math.ceil(v * len(levels)) - 1] if v else 0.0 for v in row] for row in dsm.d]
+    )
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("levels", [(0.25, 0.5, 0.75), (0.5, 1.0)])
+def test_array_kernel_matches_scalar_reference_on_ties(n, levels):
+    dsm = _quantised(generate_instance(n, 0.6, 500 + n), levels)
+    table = BinomialTable(n)
+    for cn in (1, 2, 3):
+        full = solve(dsm, SolverConfig(cn=cn, na=5), table=table)
+        scalar = solve(dsm, SolverConfig(cn=cn, na=5, variant=VARIANT_NO_HASH), table=table)
+        assert full.sequence == scalar.sequence
+        assert full.objective == scalar.objective
+        counters = [
+            [(r.direction, r.size, r.chunks, r.expanded, r.survivors) for r in report.rows]
+            for report in (full, scalar)
+        ]
+        assert counters[0] == counters[1]

@@ -23,11 +23,14 @@ objective and every counter are identical for any ``cn`` and meeting row.
 
 Prefix values grow by cut(C), the dependence flowing out of the child set
 C to its complement, and suffix values by cut of the complement of the
-parent set, the dependence flowing into it, so one cut table serves both
-directions.  It sums members ascending, each member's outflow over
-non-members ascending, with absent terms added as exact zeros and never
-by differences: the summation order of the scalar loop.  Values equal by
-symmetry therefore tie exactly, and ties go to the lexicographically
+parent set, the dependence flowing into it.  So one cut table, built once
+per solve over all 2**n subsets, serves both directions, and every row
+reads it by mask.  It sums members ascending, each member's outflow over
+non-members ascending, from 0.0 and never by differences: the summation
+order of the scalar loop, so values equal by symmetry tie exactly.  Each
+outflow extends the outflow into the same set without its largest
+activity, so the whole table costs O(n 2**n) additions where summing each
+cut afresh would cost O(n**2 2**n).  Ties go to the lexicographically
 smaller schedule, which is the smaller (parent lex rank, a) going forward,
 where children append ``a``, and the smaller (a, parent lex rank) going
 backward, where they prepend it.
@@ -271,7 +274,6 @@ class CompressedChunk:
 
 # ---------------------------------------------------------------- array kernel
 
-_CUT_BLOCK = 2048  # subsets per block of the cut table; bounds its (n, block) scratch
 _MASK = np.dtype(np.int32)  # activity bitmasks and subset ranks, for n <= 30
 _VALUE = np.dtype(np.float64)
 _LEX = np.dtype(np.int32)
@@ -323,49 +325,55 @@ def _subset_index(n: int) -> _SubsetIndex:
     return _SubsetIndex(n)
 
 
-def _cut(d: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """cut(S) for every mask: the dependence of S's members on the activities outside S.
+def _cut_table(d: np.ndarray, deadline: float | None = None) -> np.ndarray:
+    """cut(S) for all 2**n masks S: the dependence of S's members on the activities outside S.
 
     Sums members ascending, each member's outflow over non-members
-    ascending, each from 0.0, with the terms of absent pairs multiplied by
-    0.0: bit for bit the order of the scalar loop, so equal sets of terms
-    give equal values.
+    ascending, each from 0.0: bit for bit the order of the scalar loop, so
+    equal sets of terms give equal values.  For each member u, fold[T] is
+    u's outflow into the set T, built as fold[T minus its largest activity]
+    plus d[u][largest]; the largest activity is T's lowest bit, so each
+    activity v fills the masks whose lowest bit is v's from those without
+    it.  fold[full ^ S] is fold reversed, so u's term is one strided add
+    over the masks that hold u.  Holds the table and one fold.
     """
     n = len(d)
-    shifts = np.arange(n - 1, -1, -1)[:, None]  # row u - 1 holds activity u's bit
-    out = np.empty(len(masks), dtype=_VALUE)
-    for start in range(0, len(masks), _CUT_BLOCK):
-        block = masks[start : start + _CUT_BLOCK]
-        inside = ((block >> shifts) & 1).astype(_VALUE)
-        outside = 1.0 - inside
-        outflow = np.zeros_like(inside)  # outflow[u - 1] sums d[u][v] over v outside
-        term = np.empty_like(inside)
+    total = np.zeros(1 << n, dtype=_VALUE)
+    fold = np.empty(1 << n, dtype=_VALUE)
+    outflow = fold[::-1]  # outflow[S] = fold[full ^ S]
+    for u in range(n):
+        if deadline is not None and time.monotonic() >= deadline:
+            raise _Expired()
+        fold[0] = 0.0
         for v in range(n):
-            np.multiply(d[:, v : v + 1], outside[v], out=term)
-            outflow += term
-        total = out[start : start + len(block)]
-        total[:] = 0.0
-        for u in range(n):
-            total += inside[u] * outflow[u]
-    return out
+            # masks over activities 1..v+1 whose largest is v + 1 (bit n - 1 - v)
+            grid = fold.reshape(1 << v, 2, 1 << (n - 1 - v))
+            np.add(grid[:, 0, 0], d[u, v], out=grid[:, 1, 0])
+        # masks holding u (bit n - 1 - u)
+        held = total.reshape(1 << u, 2, 1 << (n - 1 - u))[:, 1, :]
+        held += outflow.reshape(1 << u, 2, 1 << (n - 1 - u))[:, 1, :]
+    return total
 
 
 def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
     """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes.
 
     The larger of the subset index's build and the search.  The search
-    holds the index (two ints per subset of the n activities), every row's
-    back-pointers, both searches' newest rows, and the widest expansion's
-    working arrays: per parent its int64 lex copy, suffix gain and one
-    activity pass's index, value, key and flag arrays; per child the value,
-    tie key, sort order, reached flag and lex rank; the cut table and the
-    cut's block scratch.  A fixed allowance covers the report, the row
-    statistics and the other small interpreter objects of a solve.
+    holds the index (two ints per subset of the n activities) and the cut
+    table (a float per subset).  Its build also holds a fold as large as
+    the table; the rows come after it: every row's back-pointers, both
+    searches' newest rows, and the widest expansion's working arrays: per
+    parent its int64 lex copy, suffix gain and one activity pass's index,
+    value, key and flag arrays; per child the value, tie key, sort order,
+    reached flag and lex rank; the row's cuts.  A fixed allowance covers
+    the report, the row statistics and the other small interpreter objects
+    of a solve.
     """
     subsets = 1 << n
     # popcounts and size flags; descending, grouped and ranked masks; one size class and its ranks
     build = subsets * (2 + 5 * _MASK.itemsize)
     index = subsets * 2 * _MASK.itemsize
+    cuts = subsets * _VALUE.itemsize
     row = _VALUE.itemsize + _LEX.itemsize
     pointer = _PARENT.itemsize + _ACT.itemsize
     per_parent = _KEY.itemsize + 2 * _VALUE.itemsize
@@ -384,10 +392,9 @@ def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
                 widest,
                 parents * (per_parent + per_pass)
                 + children * per_child
-                + cut * _VALUE.itemsize
-                + 4 * n * min(cut, _CUT_BLOCK) * _VALUE.itemsize,
+                + cut * _VALUE.itemsize,
             )
-    return _SOLVE_OBJECTS + max(build, index + pointers + newest + widest)
+    return _SOLVE_OBJECTS + max(build, index + cuts + max(cuts, pointers + newest + widest))
 
 
 @dataclass
@@ -415,14 +422,14 @@ class _ArraySearch:
     def __init__(self, dsm: Dsm, table: BinomialTable, variant: str, deadline: float | None) -> None:
         n = dsm.n
         self.n = n
-        self.d = np.array(dsm.d, dtype=_VALUE)
         self.table = table
         self.dense = variant == VARIANT_NO_COMPRESSION
         self.deadline = deadline
         self.index = _subset_index(n)
+        self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline)
         singles = np.arange(n, dtype=_LEX)  # lone activity a has rank a - 1, in both orders
         self.rows = {
-            FORWARD: _Row(1, _cut(self.d, self.index.row(1)), singles),
+            FORWARD: _Row(1, self.cut[self.index.row(1)], singles),
             BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), singles),
         }
         self.pointers: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {FORWARD: [], BACKWARD: []}
@@ -448,16 +455,15 @@ class _ArraySearch:
         the child ranks it reached, or the whole row under no-compression.
         """
         n = self.n
-        d = self.d
         index = self.index
         capacity = self.table.c(n, size)
         forward = direction == FORWARD
         if forward:
-            gain = _cut(d, index.row(size))  # by child rank
+            gain = self.cut[index.row(size)]  # by child rank
             base = value
         else:
             # every child of a suffix gains the inflow into the parent's set
-            base = value + _cut(d, ((1 << n) - 1) ^ masks)
+            base = value + self.cut[((1 << n) - 1) ^ masks]
         best = np.full(capacity, np.inf)
         key = np.full(capacity, np.iinfo(_KEY).max, dtype=_KEY)
         parent = np.zeros(capacity, dtype=_PARENT)
@@ -723,7 +729,7 @@ def seed_rows(dsm: Dsm) -> tuple[RowStore, RowStore]:
     n = dsm.n
     forward = RowStore(n, 1, n)
     backward = RowStore(n, 1, n)
-    values = _cut(np.array(dsm.d, dtype=_VALUE), 1 << (n - 1 - np.arange(n)))
+    values = _cut_table(np.array(dsm.d, dtype=_VALUE))[1 << (n - 1 - np.arange(n))]
     for a in range(1, n + 1):
         forward.install(a, (float(values[a - 1]), (a,)))
         backward.install(a, (0.0, (a,)))
@@ -885,7 +891,9 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
 
     Raises SolveTimeout once the wall-clock limit passes (counters survive
     in the exception, no schedule does) and ResourceLimitError when the
-    search's arrays would need more bytes than the configured cap.
+    search's arrays would need more bytes than the configured cap.  Each
+    finished row is logged at INFO to this module's logger: direction,
+    size, survivors, the row's seconds and the seconds since the start.
     """
     config = config or SolverConfig()
     if config.cn < 1:
@@ -928,10 +936,10 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
             f"{widest} and the search {needed} bytes, over the cap of {config.memory_cap} bytes"
         )
 
-    variant = config.variant
-    search_type = _ScanSearch if variant == VARIANT_NO_HASH else _ArraySearch
-    search = search_type(dsm, table, variant, deadline)
+    import logging  # on first use, so that importing the package does not load logging
 
+    log = logging.getLogger(__name__)
+    variant = config.variant
     rows: list[RowStats] = []
     seconds = {FORWARD: 0.0, BACKWARD: 0.0}
     sizes = {FORWARD: 1, BACKWARD: 1}
@@ -944,6 +952,12 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
             forward_seconds=seconds[FORWARD], backward_seconds=seconds[BACKWARD],
             total_seconds=time.perf_counter() - started, timed_out=True,
         )
+
+    search_type = _ScanSearch if variant == VARIANT_NO_HASH else _ArraySearch
+    try:
+        search = search_type(dsm, table, variant, deadline)
+    except _Expired:
+        raise SolveTimeout(partial_report()) from None
 
     while sizes[FORWARD] < last[FORWARD] or sizes[BACKWARD] < last[BACKWARD]:
         if expired():
@@ -963,6 +977,10 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
             rows.append(stats)
             seconds[direction] += stats.seconds
             sizes[direction] = stats.size
+            log.info(
+                "%s row %d: %d survivors in %.3f s, %.3f s elapsed",
+                direction, stats.size, stats.survivors, stats.seconds, time.perf_counter() - started,
+            )
 
     if expired():
         raise SolveTimeout(partial_report())

@@ -1,6 +1,9 @@
+import logging
 import math
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +37,7 @@ from dsmseq import (
     unrank_subset,
 )
 
-from dsmseq.solver import _search_bytes, _subset_index
+from dsmseq.solver import _cut_table, _search_bytes, _subset_index
 
 REL = 1e-9
 
@@ -297,6 +300,22 @@ def test_timeout_mid_search_keeps_counters():
     assert report.nodes_expanded >= 0  # counters survive
 
 
+def test_timeout_while_building_the_cut_table():
+    # n=22's cut table alone takes several times the limit; the subset index is built beforehand
+    _subset_index(22)
+    dsm = generate_instance(22, 0.5, 4)
+    try:
+        started = time.perf_counter()
+        with pytest.raises(SolveTimeout) as err:
+            solve(dsm, SolverConfig(cn=1, time_limit=0.05))
+        assert time.perf_counter() - started < 0.3
+    finally:
+        _subset_index.cache_clear()
+    report = err.value.report
+    assert report.timed_out and report.sequence is None
+    assert report.rows == []
+
+
 def test_memory_cap():
     dsm = generate_instance(10, 0.5, 4)
     with pytest.raises(ResourceLimitError, match=r"C\(10,5\) = 252"):
@@ -340,6 +359,20 @@ def test_phase_timings_add_up():
         rows = [row.seconds for row in report.rows if row.direction == direction]
         assert all(seconds > 0 for seconds in rows)
         assert sum(rows) == pytest.approx(total, rel=REL)
+
+
+def test_solve_logs_each_row(caplog):
+    with caplog.at_level(logging.INFO, logger="dsmseq.solver"):
+        report = solve(generate_instance(10, 0.5, 9), SolverConfig(cn=2, na=4))
+    records = [r for r in caplog.records if r.name == "dsmseq.solver"]
+    assert len(records) == len(report.rows) == 8
+    elapsed = 0.0
+    for record, row in zip(records, report.rows):
+        assert record.levelno == logging.INFO
+        assert record.args[:4] == (row.direction, row.size, row.survivors, row.seconds)
+        assert record.args[4] >= max(elapsed, row.seconds)
+        elapsed = record.args[4]
+        assert row.direction in record.getMessage()
 
 
 def test_config_validation(dsm4):
@@ -429,3 +462,46 @@ def test_array_kernel_matches_scalar_reference_on_ties(n, levels):
             for report in (full, scalar)
         ]
         assert counters[0] == counters[1]
+
+
+# ---------------------------------------------------------------- cut table
+
+
+def _cut_by_definition(d: list[list[float]], mask: int) -> float:
+    """cut(S) summed as a double loop: members ascending, each one's outflow over non-members ascending."""
+    n = len(d)
+    members = [u for u in range(n) if mask >> (n - 1 - u) & 1]
+    others = [v for v in range(n) if not mask >> (n - 1 - v) & 1]
+    total = 0.0
+    for u in members:
+        outflow = 0.0
+        for v in others:
+            outflow += d[u][v]
+        total += outflow
+    return total
+
+
+def _cut_matrices() -> dict[str, Dsm]:
+    matrices = {}
+    for n in range(2, 11):
+        real = generate_instance(n, 0.7, 40 + n)
+        matrices[f"real-{n}"] = real
+        matrices[f"quarters-{n}"] = _quantised(real, (0.25, 0.5, 0.75, 1.0))
+        matrices[f"thirds-{n}"] = _quantised(real, (1 / 3, 2 / 3, 1.0))
+    matrices["zero"] = Dsm.from_rows([[0.0] * 5 for _ in range(5)])
+    signed = [list(row) for row in generate_instance(6, 0.8, 7).d]
+    signed[1][4] = signed[3][0] = -0.0
+    matrices["negative-zero"] = Dsm.from_rows(signed)
+    return matrices
+
+
+_CUT_MATRICES = _cut_matrices()
+
+
+@pytest.mark.parametrize("name", list(_CUT_MATRICES))
+def test_cut_table_keeps_the_summation_order(name):
+    # bit for bit, so a table summed in any other order fails on the real and thirds matrices
+    d = [list(row) for row in _CUT_MATRICES[name].d]
+    expected = np.array([_cut_by_definition(d, mask) for mask in range(1 << len(d))])
+    table = _cut_table(np.array(d))
+    assert table.view(np.int64).tolist() == expected.view(np.int64).tolist()

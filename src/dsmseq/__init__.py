@@ -8,8 +8,6 @@ a brute-force oracle for cross-checking, and a benchmark harness.
 """
 
 from .bench import (
-    AblationResult,
-    CellResult,
     GridSpec,
     ablation_run,
     format_grid_report,
@@ -29,7 +27,6 @@ from .generate import generate_instance
 from .model import (
     Dsm,
     OrderVars,
-    SplitDecomposition,
     prefix_feedback_value,
     quadratic_objective,
     sequence_to_order_vars,
@@ -45,9 +42,7 @@ from .solver import (
     VARIANT_NO_COMPRESSION,
     VARIANT_NO_HASH,
     VARIANT_NO_SECOND_DECOMPOSITION,
-    VARIANTS,
     CompressedChunk,
-    RowStats,
     RowStore,
     SolveReport,
     SolverConfig,
@@ -64,10 +59,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AblationResult",
     "BACKWARD",
     "BinomialTable",
-    "CellResult",
     "CompressedChunk",
     "ConstraintViolation",
     "Dsm",
@@ -78,14 +71,11 @@ __all__ = [
     "OrderVars",
     "ParseError",
     "ResourceLimitError",
-    "RowStats",
     "RowStore",
     "Solution",
     "SolveReport",
     "SolverConfig",
     "SolveTimeout",
-    "SplitDecomposition",
-    "VARIANTS",
     "VARIANT_FULL",
     "VARIANT_NO_COMPRESSION",
     "VARIANT_NO_HASH",

@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 from .errors import InputError
 from .generate import generate_instance
-from .solver import (
-    VARIANT_FULL,
-    VARIANTS,
-    SolveReport,
-    SolverConfig,
-    SolveTimeout,
-    solve,
-)
+from .solver import VARIANT_FULL, SolveReport, SolverConfig, SolveTimeout, solve
 from .subsets import BinomialTable
 
 __all__ = [
@@ -47,8 +40,8 @@ class GridSpec:
     instances_per_cell: int = 10
     seed_base: int = 1
     time_limit: float | None = None
-    cn: int = 8
-    na: int = 5
+    cn: int = SolverConfig.cn
+    na: int = SolverConfig.na
     variant: str = VARIANT_FULL
     keep_reports: bool = False
 
@@ -62,8 +55,11 @@ class GridSpec:
         for density in self.density_list:
             if not 0.0 <= density <= 1.0:
                 raise InputError(f"density {density!r} outside [0, 1]")
-        if self.variant not in VARIANTS:
-            raise InputError(f"unknown variant {self.variant!r}")
+        self.config()  # checks the solver fields
+
+    def config(self) -> SolverConfig:
+        """The solver configuration every cell runs with."""
+        return SolverConfig(cn=self.cn, na=self.na, time_limit=self.time_limit, variant=self.variant)
 
 
 @dataclass
@@ -115,9 +111,7 @@ def run_grid(spec: GridSpec) -> list[CellResult]:
             n=n, density=density, seeds=seeds, objectives=objectives,
             times=times, timeout_count=0,
         )
-        config = SolverConfig(
-            cn=spec.cn, na=spec.na, time_limit=spec.time_limit, variant=spec.variant
-        )
+        config = spec.config()
         for instance_index in range(spec.instances_per_cell):
             seed = spec.seed_base + cell_index * spec.instances_per_cell + instance_index
             seeds.append(seed)
@@ -176,10 +170,9 @@ def ablation_run(spec: GridSpec, variant: str) -> AblationResult:
     whether they did, along with full per-instance reports for counter
     comparisons.  Passing ``full`` pairs the solver against itself.
     """
-    if variant not in VARIANTS:
-        raise InputError(f"variant must be one of {list(VARIANTS)}, got {variant!r}")
+    variant_spec = replace(spec, variant=variant, keep_reports=True)  # refuses an unknown variant before any solve
     full_cells = run_grid(replace(spec, variant=VARIANT_FULL, keep_reports=True))
-    variant_cells = run_grid(replace(spec, variant=variant, keep_reports=True))
+    variant_cells = run_grid(variant_spec)
     matches = all(
         full.objectives == degraded.objectives
         for full, degraded in zip(full_cells, variant_cells)
@@ -210,33 +203,19 @@ def format_grid_report(cells: list[CellResult], title: str = "benchmark grid") -
     return "\n".join(lines)
 
 
+def _plain_fields(record: GridSpec | CellResult, skip: str) -> dict:
+    """The record's dataclass fields except ``skip``, in declaration order, tuples as lists."""
+    payload = {}
+    for f in fields(record):
+        if f.name != skip:
+            value = getattr(record, f.name)
+            payload[f.name] = list(value) if isinstance(value, tuple) else value
+    return payload
+
+
 def grid_report_payload(spec: GridSpec, cells: list[CellResult]) -> dict:
-    """Machine-readable mirror of the cell results (reports omitted)."""
+    """Machine-readable mirror of the spec and the cell results (reports omitted)."""
     return {
-        "spec": {
-            "n_list": list(spec.n_list),
-            "density_list": list(spec.density_list),
-            "instances_per_cell": spec.instances_per_cell,
-            "seed_base": spec.seed_base,
-            "time_limit": spec.time_limit,
-            "cn": spec.cn,
-            "na": spec.na,
-            "variant": spec.variant,
-        },
-        "cells": [
-            {
-                "n": cell.n,
-                "density": cell.density,
-                "seeds": cell.seeds,
-                "objectives": cell.objectives,
-                "times": cell.times,
-                "timeout_count": cell.timeout_count,
-                "mean_time": cell.mean_time,
-                "expanded": cell.expanded,
-                "pruned": cell.pruned,
-                "transferred_records": cell.transferred_records,
-                "similar_comparisons": cell.similar_comparisons,
-            }
-            for cell in cells
-        ],
+        "spec": _plain_fields(spec, "keep_reports"),
+        "cells": [{**_plain_fields(cell, "reports"), "mean_time": cell.mean_time} for cell in cells],
     }

@@ -20,7 +20,7 @@ from .dsmio import Solution, read_dsm, write_dsm, write_solution
 from .errors import InputError, InternalInvariantError, ResourceLimitError
 from .generate import generate_instance
 from .oracle import MAX_BRUTE_FORCE_N, brute_force_optimum
-from .solver import VARIANT_FULL, VARIANTS, SolverConfig, SolveTimeout, solve
+from .solver import VARIANT_FULL, VARIANTS, SolverConfig, SolveTimeout, meeting_row, solve
 from .subsets import BinomialTable, complement_address, rank_subset, unrank_subset
 
 EXIT_OK = 0
@@ -30,8 +30,8 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 CORES_ENV = "DSMSEQ_CORES"
-DEFAULT_CORES = 8
-DEFAULT_NA = 5
+DEFAULT_CORES = SolverConfig.cn
+DEFAULT_NA = SolverConfig.na
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,30 +52,24 @@ def _resolve_cores(flag_value: int | None) -> int:
                 raise InputError(f"{CORES_ENV} must be an integer, got {env!r}") from None
         else:
             cores = DEFAULT_CORES
-    if cores < 1:
-        raise InputError(f"core count must be at least 1, got {cores}")
     return min(cores, os.cpu_count() or 1)
 
 
-def _clamped_na(na: int, n: int) -> int:
-    if n < 4:
-        return na
-    low, high = 2, n - 2
-    if na < low or na > high:
-        clamped = min(max(na, low), high)
+def _warn_if_na_clamped(na: int, n: int) -> None:
+    # n < 4 is solved by enumeration, which has no meeting row
+    clamped = meeting_row(na, n)
+    if n >= 4 and clamped != na:
+        low, high = meeting_row(0, n), meeting_row(n, n)
         print(
             f"warning: --na {na} outside [{low}, {high}] for {n} activities, using {clamped}",
             file=sys.stderr,
         )
-        return clamped
-    return na
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     dsm = read_dsm(args.input)
-    cores = _resolve_cores(args.cores)
-    na = _clamped_na(args.na, dsm.n)
-    config = SolverConfig(cn=cores, na=na, time_limit=args.time_limit)
+    config = SolverConfig(cn=_resolve_cores(args.cores), na=args.na, time_limit=args.time_limit)
+    _warn_if_na_clamped(args.na, dsm.n)
     report = solve(dsm, config)
     assert report.sequence is not None and report.objective is not None
     print(f"objective {report.objective:.6g}")
@@ -85,9 +79,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"transferred {report.transferred_records}"
     )
     print(
-        f"time {report.total_seconds:.6g}s (forward {report.forward_seconds:.6g}s, "
-        f"backward {report.backward_seconds:.6g}s, combination {report.combination_seconds:.6g}s) "
-        f"cores {cores} na {report.na}"
+        f"time {report.total_seconds:.6g}s (setup {report.setup_seconds:.6g}s, "
+        f"forward {report.forward_seconds:.6g}s, backward {report.backward_seconds:.6g}s, "
+        f"combination {report.combination_seconds:.6g}s) cores {config.cn} na {report.na}"
     )
     if args.output:
         solution = Solution(
@@ -97,7 +91,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             time_ms=report.total_seconds * 1000.0,
             nodes_expanded=report.nodes_expanded,
             nodes_pruned=report.nodes_pruned,
-            cores_used=cores,
+            cores_used=config.cn,
             na=report.na,
         )
         write_solution(solution, args.output)
@@ -126,7 +120,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"verification enumerates every schedule and is limited to "
             f"n <= {MAX_BRUTE_FORCE_N}, got {dsm.n}"
         )
-    config = SolverConfig(cn=_resolve_cores(args.cores), na=_clamped_na(args.na, dsm.n))
+    config = SolverConfig(cn=_resolve_cores(args.cores), na=args.na)
+    _warn_if_na_clamped(args.na, dsm.n)
     report = solve(dsm, config)
     oracle_seq, oracle_obj = brute_force_optimum(dsm)
     if report.sequence == oracle_seq and report.objective == oracle_obj:
@@ -143,15 +138,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_INTERNAL
 
 
-def _parse_ids(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, what: str, kind: type = int) -> tuple:
+    """Comma- or space-separated ``kind`` values; InputError if one does not parse or there are none."""
     try:
-        return tuple(int(part) for part in text.replace(",", " ").split())
+        values = tuple(kind(part) for part in text.replace(",", " ").split())
     except ValueError:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise InputError(f"{what} expects comma-separated {noun}, got {text!r}") from None
+    if not values:
+        raise InputError(f"{what} is empty")
+    return values
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    ids = _parse_ids(args.subset)
+    ids = _parse_list(args.subset, "--subset")
     table = BinomialTable(args.n)
     ha = rank_subset(ids, args.n, table)
     if args.complement:
@@ -172,30 +172,10 @@ def cmd_unrank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.replace(",", " ").split())
-    except ValueError:
-        raise InputError(f"{what} expects comma-separated integers, got {text!r}") from None
-    if not values:
-        raise InputError(f"{what} is empty")
-    return values
-
-
-def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.replace(",", " ").split())
-    except ValueError:
-        raise InputError(f"{what} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise InputError(f"{what} is empty")
-    return values
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     spec = GridSpec(
-        n_list=_parse_int_list(args.n_list, "--n-list"),
-        density_list=_parse_float_list(args.densities, "--densities"),
+        n_list=_parse_list(args.n_list, "--n-list"),
+        density_list=_parse_list(args.densities, "--densities", float),
         instances_per_cell=args.instances,
         seed_base=args.seed_base,
         time_limit=args.time_limit,

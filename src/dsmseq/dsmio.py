@@ -8,7 +8,7 @@ significant digits so write-then-read round-trips bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import InputError, ParseError
@@ -92,17 +92,7 @@ def read_solution(path: str | Path) -> Solution:
         raise ParseError(f"not valid JSON: {exc.msg}", str(path), exc.lineno) from None
     if not isinstance(payload, dict):
         raise ParseError("expected a JSON object", str(path))
-    fields = (
-        "n",
-        "objective",
-        "sequence",
-        "time_ms",
-        "nodes_expanded",
-        "nodes_pruned",
-        "cores_used",
-        "na",
-    )
-    missing = [f for f in fields if f not in payload]
+    missing = [f.name for f in fields(Solution) if f.name not in payload]
     if missing:
         raise ParseError(f"missing fields: {', '.join(missing)}", str(path))
     try:

@@ -40,12 +40,10 @@ __all__ = [
 class Dsm:
     """Square matrix of dependence degrees in [0, 1] with a zero diagonal.
 
-    Immutable after construction, so instances are safe to share across
-    worker threads without synchronization.
+    Immutable after construction.
     """
 
     d: tuple[tuple[float, ...], ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.d)
@@ -61,19 +59,14 @@ class Dsm:
                     )
             if row[i] != 0.0:
                 raise InputError(f"diagonal entry d[{i + 1}][{i + 1}] must be 0, got {row[i]!r}")
-        if self.labels is not None and len(self.labels) != n:
-            raise InputError(f"got {len(self.labels)} labels for {n} activities")
 
     @property
     def n(self) -> int:
         return len(self.d)
 
     @classmethod
-    def from_rows(
-        cls, rows: Iterable[Iterable[float]], labels: Iterable[str] | None = None
-    ) -> "Dsm":
-        d = tuple(tuple(float(v) for v in row) for row in rows)
-        return cls(d, tuple(labels) if labels is not None else None)
+    def from_rows(cls, rows: Iterable[Iterable[float]]) -> "Dsm":
+        return cls(tuple(tuple(float(v) for v in row) for row in rows))
 
 
 def check_sequence(seq: Sequence[int], n: int) -> None:

@@ -70,6 +70,7 @@ __all__ = [
     "SolveTimeout",
     "RowStats",
     "SolveReport",
+    "meeting_row",
     "RowStore",
     "CompressedChunk",
     "seed_rows",
@@ -107,10 +108,10 @@ class SolverConfig:
 
     ``cn`` is the number of chunks a round's rows are split into, shared
     between the two searches; chunks run on the calling thread.  ``na`` is
-    the prefix length at which the two searches meet; it is clamped into
-    [2, n - 2] so both trees expand at least one row.  ``memory_cap`` is in
-    bytes: a search whose arrays would need more is refused before any of
-    them is allocated.
+    the prefix length at which the two searches meet; ``solve`` clamps it
+    with ``meeting_row``.  ``memory_cap`` is in bytes: a search whose arrays
+    would need more is refused before any of them is allocated.  A ``cn``
+    below 1 or an unknown ``variant`` raises InputError.
     """
 
     cn: int = 8
@@ -118,6 +119,20 @@ class SolverConfig:
     time_limit: float | None = None
     memory_cap: int = 2**31
     variant: str = VARIANT_FULL
+
+    def __post_init__(self) -> None:
+        if self.cn < 1:
+            raise InputError(f"worker count must be at least 1, got {self.cn}")
+        if self.variant not in VARIANTS:
+            raise InputError(f"unknown variant {self.variant!r}")
+
+
+def meeting_row(na: int, n: int) -> int:
+    """The meeting row ``solve`` uses for ``na`` and n >= 4 activities: ``na`` clamped into [2, n - 2].
+
+    Both searches then expand at least one row.
+    """
+    return min(max(na, 2), n - 2)
 
 
 @dataclass
@@ -146,8 +161,10 @@ class SolveReport:
     """Outcome of one solve: schedule, objective, and per-row counters.
 
     ``na`` of 0 marks the plain-enumeration path taken for n < 4, where the
-    double split is undefined.  The rows run one at a time, so the forward,
-    backward and combination seconds add up to at most ``total_seconds``.
+    double split is undefined.  ``setup_seconds`` covers building the
+    search (the cut table, or the scalar kernel's seed rows).  The phases
+    run one at a time, so the setup, forward, backward and combination
+    seconds add up to at most ``total_seconds``.
     """
 
     n: int
@@ -157,6 +174,7 @@ class SolveReport:
     sequence: tuple[int, ...] | None
     objective: float | None
     rows: list[RowStats] = field(default_factory=list)
+    setup_seconds: float = 0.0
     forward_seconds: float = 0.0
     backward_seconds: float = 0.0
     combination_seconds: float = 0.0
@@ -261,7 +279,7 @@ class CompressedChunk:
 
     ``transferred_records`` is what the chunk hands to the merge step: the
     pair count normally, or the full slot count under ``no-compression``.
-    The no-hash variant keys pairs by activity bitmask instead of rank.
+    The scalar reference kernel keys pairs by activity bitmask instead of rank.
     """
 
     direction: str
@@ -507,11 +525,6 @@ class _ArraySearch:
         parts = [b for b in _part_bounds(len(row.value), workers) if b[0] < b[1]]
         children = self.expand(direction, size, self.index.row(row.size), row.value, row.lex, parts)
         survivors = int(np.count_nonzero(children.value < np.inf))
-        if survivors != capacity:
-            raise InternalInvariantError(
-                f"{direction} row {size} holds {survivors} subsets, "
-                f"expected C({self.n},{size}) = {capacity}"
-            )
         lex = np.empty(capacity, dtype=_LEX)
         lex[np.argsort(children.key)] = np.arange(capacity, dtype=_LEX)
         self.rows[direction] = _Row(size, children.value, lex)
@@ -633,13 +646,6 @@ def _expand_chunk(ctx: _Search, direction: str, size: int, parents: Sequence) ->
     )
 
 
-def _mask_of(acts: Sequence[int]) -> int:
-    mask = 0
-    for a in acts:
-        mask |= 1 << a
-    return mask
-
-
 def _merge_scan(store: _ScanStore, chunks: Sequence[CompressedChunk]) -> _ScanStore:
     for chunk in chunks:
         for mask, node in chunk.triples:
@@ -652,7 +658,6 @@ class _ScanSearch:
 
     def __init__(self, dsm: Dsm, table: BinomialTable, variant: str, deadline: float | None) -> None:
         self.ctx = _Search(dsm, deadline)
-        self.table = table
         self.stores: dict[str, _ScanStore] = {}
         for direction, row in zip((FORWARD, BACKWARD), seed_rows(dsm)):
             store = _ScanStore(dsm.n, 1)
@@ -665,12 +670,6 @@ class _ScanSearch:
         parts = [part for part in partition_row(self.stores[direction], workers) if part]
         chunks = [_expand_chunk(self.ctx, direction, size, part) for part in parts]
         merged = _merge_scan(_ScanStore(n, size), chunks)
-        capacity = self.table.c(n, size)
-        if merged.occupied != capacity:
-            raise InternalInvariantError(
-                f"{direction} row {size} holds {merged.occupied} subsets, "
-                f"expected C({n},{size}) = {capacity}"
-            )
         self.stores[direction] = merged
         expanded = sum(c.expanded for c in chunks)
         return RowStats(
@@ -723,15 +722,19 @@ def seed_rows(dsm: Dsm) -> tuple[RowStore, RowStore]:
     """Build both length-1 rows.
 
     A lone prefix activity already owes its dependence on everything still
-    unscheduled, one position away each; a lone suffix activity owes
-    nothing yet.  Singleton sets rank to their own id.
+    unscheduled, one position away each, summed from 0.0 in ascending order
+    as the cut table sums it; a lone suffix activity owes nothing yet.
+    Singleton sets rank to their own id.
     """
     n = dsm.n
     forward = RowStore(n, 1, n)
     backward = RowStore(n, 1, n)
-    values = _cut_table(np.array(dsm.d, dtype=_VALUE))[1 << (n - 1 - np.arange(n))]
-    for a in range(1, n + 1):
-        forward.install(a, (float(values[a - 1]), (a,)))
+    for a, row in enumerate(dsm.d, start=1):
+        outflow = 0.0
+        for v, degree in enumerate(row, start=1):
+            if v != a:
+                outflow += degree
+        forward.install(a, (outflow, (a,)))
         backward.install(a, (0.0, (a,)))
     return forward, backward
 
@@ -766,17 +769,14 @@ def expand_and_prune_chunk(
     direction: str,
     *,
     table: BinomialTable | None = None,
-    variant: str = VARIANT_FULL,
 ) -> CompressedChunk:
     """Expand one chunk of same-length parents and prune it to one node per subset.
 
-    Runs the kernel ``solve`` runs for ``variant``: the nodes are converted
-    to arrays and the surviving children back to nodes, in address order.
+    Runs the array kernel ``solve`` runs: the nodes are converted to arrays
+    and the surviving children back to nodes, in address order.
     """
     if direction not in (FORWARD, BACKWARD):
         raise InputError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}")
     if not parents:
         raise InputError("chunk has no parent nodes")
     lengths = {len(acts) for _, acts in parents}
@@ -784,12 +784,9 @@ def expand_and_prune_chunk(
         raise InputError("parents of one chunk must all have the same length")
     size = lengths.pop() + 1
     n = dsm.n
-    if variant == VARIANT_NO_HASH:
-        masked = [(_mask_of(acts), (fv, acts)) for fv, acts in parents]
-        return _expand_chunk(_Search(dsm, None), direction, size, masked)
     if table is None or table.n_max < n:
         table = BinomialTable(n)
-    search = _ArraySearch(dsm, table, variant, None)
+    search = _ArraySearch(dsm, table, VARIANT_FULL, None)
     masks = (1 << (n - np.array([acts for _, acts in parents]))).sum(axis=1).astype(_MASK)
     values = np.array([fv for fv, _ in parents], dtype=_VALUE)
     order = sorted(range(len(parents)), key=lambda i: parents[i][1])
@@ -896,10 +893,6 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     size, survivors, the row's seconds and the seconds since the start.
     """
     config = config or SolverConfig()
-    if config.cn < 1:
-        raise InputError(f"worker count must be at least 1, got {config.cn}")
-    if config.variant not in VARIANTS:
-        raise InputError(f"unknown variant {config.variant!r}")
     n = dsm.n
 
     started = time.perf_counter()
@@ -921,7 +914,7 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
             )
         return _solve_by_enumeration(dsm, config, started)
 
-    na = min(max(config.na, 2), n - 2)
+    na = meeting_row(config.na, n)
     if table is None or table.n_max < n:
         table = BinomialTable(n)
 
@@ -948,16 +941,20 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     def partial_report() -> SolveReport:
         return SolveReport(
             n=n, cn=config.cn, na=na, variant=variant,
-            sequence=None, objective=None, rows=rows,
+            sequence=None, objective=None, rows=rows, setup_seconds=setup_seconds,
             forward_seconds=seconds[FORWARD], backward_seconds=seconds[BACKWARD],
             total_seconds=time.perf_counter() - started, timed_out=True,
         )
 
     search_type = _ScanSearch if variant == VARIANT_NO_HASH else _ArraySearch
+    setup_started = time.perf_counter()
     try:
         search = search_type(dsm, table, variant, deadline)
     except _Expired:
-        raise SolveTimeout(partial_report()) from None
+        search = None
+    setup_seconds = time.perf_counter() - setup_started
+    if search is None:
+        raise SolveTimeout(partial_report())
 
     while sizes[FORWARD] < last[FORWARD] or sizes[BACKWARD] < last[BACKWARD]:
         if expired():
@@ -974,6 +971,12 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
             except _Expired:
                 raise SolveTimeout(partial_report()) from None
             stats.seconds = time.perf_counter() - row_started
+            capacity = table.c(n, stats.size)
+            if stats.survivors != capacity:
+                raise InternalInvariantError(
+                    f"{direction} row {stats.size} holds {stats.survivors} subsets, "
+                    f"expected C({n},{stats.size}) = {capacity}"
+                )
             rows.append(stats)
             seconds[direction] += stats.seconds
             sizes[direction] = stats.size
@@ -1003,6 +1006,7 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
         sequence=best_seq,
         objective=objective,
         rows=rows,
+        setup_seconds=setup_seconds,
         forward_seconds=seconds[FORWARD],
         backward_seconds=seconds[BACKWARD],
         combination_seconds=finished - combination_started,

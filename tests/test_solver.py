@@ -26,10 +26,12 @@ from dsmseq import (
     best_prefix_value,
     best_suffix_value,
     brute_force_optimum,
+    complement_address,
     expand_and_prune_chunk,
     generate_instance,
     partition_row,
     prefix_feedback_value,
+    rank_subset,
     restore_and_merge,
     seed_rows,
     solve,
@@ -353,7 +355,11 @@ def test_default_memory_cap_admits_n_22():
 
 def test_phase_timings_add_up():
     report = solve(generate_instance(12, 0.5, 9), SolverConfig(cn=2, na=5))
-    phases = report.forward_seconds + report.backward_seconds + report.combination_seconds
+    assert report.setup_seconds > 0
+    phases = (
+        report.setup_seconds + report.forward_seconds + report.backward_seconds
+        + report.combination_seconds
+    )
     assert phases <= report.total_seconds
     for direction, total in ((FORWARD, report.forward_seconds), (BACKWARD, report.backward_seconds)):
         rows = [row.seconds for row in report.rows if row.direction == direction]
@@ -505,3 +511,24 @@ def test_cut_table_keeps_the_summation_order(name):
     expected = np.array([_cut_by_definition(d, mask) for mask in range(1 << len(d))])
     table = _cut_table(np.array(d))
     assert table.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    n = len(d)
+    seeded = np.array([fv for fv, _ in seed_rows(_CUT_MATRICES[name])[0].entries()])
+    singletons = expected[1 << (n - 1 - np.arange(n))]
+    assert seeded.view(np.int64).tolist() == singletons.view(np.int64).tolist()
+
+
+def test_subset_index_agrees_with_rank_and_complement_address():
+    # the array kernel ranks subsets by mask; the Node-tuple helpers' addresses follow these formulas
+    for n in range(1, 13):
+        table = BinomialTable(n)
+        index = _subset_index(n)
+        full = (1 << n) - 1
+        for size in range(1, n + 1):
+            capacity = table.c(n, size)
+            for i, mask in enumerate(index.row(size).tolist()):
+                members = [a for a in range(1, n + 1) if mask >> (n - a) & 1]
+                assert index.rank[mask] == i == rank_subset(members, n, table) - 1
+                if size < n:
+                    # pair() reads the suffix of prefix rank i at C - 1 - i
+                    assert index.rank[full ^ mask] == capacity - 1 - i
+                    assert complement_address(i + 1, n, size, table) == capacity - i

@@ -43,7 +43,6 @@ class GridSpec:
     cn: int = SolverConfig.cn
     na: int = SolverConfig.na
     variant: str = VARIANT_FULL
-    keep_reports: bool = False
 
     def __post_init__(self) -> None:
         if not self.n_list:
@@ -131,8 +130,7 @@ def run_grid(spec: GridSpec) -> list[CellResult]:
             cell.pruned += report.nodes_pruned
             cell.transferred_records += report.transferred_records
             cell.similar_comparisons += report.similar_comparisons
-            if spec.keep_reports:
-                cell.reports.append(report)
+            cell.reports.append(report)
         cell.timeout_count = timeout_count
         results.append(cell)
     return results
@@ -170,8 +168,8 @@ def ablation_run(spec: GridSpec, variant: str) -> AblationResult:
     whether they did, along with full per-instance reports for counter
     comparisons.  Passing ``full`` pairs the solver against itself.
     """
-    variant_spec = replace(spec, variant=variant, keep_reports=True)  # refuses an unknown variant before any solve
-    full_cells = run_grid(replace(spec, variant=VARIANT_FULL, keep_reports=True))
+    variant_spec = replace(spec, variant=variant)  # refuses an unknown variant before any solve
+    full_cells = run_grid(replace(spec, variant=VARIANT_FULL))
     variant_cells = run_grid(variant_spec)
     matches = all(
         full.objectives == degraded.objectives
@@ -203,7 +201,7 @@ def format_grid_report(cells: list[CellResult], title: str = "benchmark grid") -
     return "\n".join(lines)
 
 
-def _plain_fields(record: GridSpec | CellResult, skip: str) -> dict:
+def _plain_fields(record: GridSpec | CellResult, skip: str = "") -> dict:
     """The record's dataclass fields except ``skip``, in declaration order, tuples as lists."""
     payload = {}
     for f in fields(record):
@@ -216,6 +214,6 @@ def _plain_fields(record: GridSpec | CellResult, skip: str) -> dict:
 def grid_report_payload(spec: GridSpec, cells: list[CellResult]) -> dict:
     """Machine-readable mirror of the spec and the cell results (reports omitted)."""
     return {
-        "spec": _plain_fields(spec, "keep_reports"),
+        "spec": _plain_fields(spec),
         "cells": [{**_plain_fields(cell, "reports"), "mean_time": cell.mean_time} for cell in cells],
     }

@@ -4,7 +4,9 @@ Everything here enumerates candidate orderings outright and re-evaluates
 them from their defining sums; none of the incremental bookkeeping used by
 the search code is shared, so these results are an independent check on it.
 Enumeration is lexicographic and ties keep the first ordering seen, which
-matches the solver's tie rule.
+matches the solver's tie rule.  ``solve`` itself calls ``brute_force_optimum``
+for n < 4, where there is no split to search, so this module must not
+import the solver.
 """
 
 from __future__ import annotations

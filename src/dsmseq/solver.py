@@ -17,9 +17,13 @@ A row is expanded with one pass per activity ``a``: every parent lacking
 ``a`` yields one child, no child rank occurs twice in a pass, so a
 compare-and-scatter keeps the best child per subset without sorting
 candidates.  ``cn`` splits each row's parents into contiguous chunks whose
-counters report what each would hand to a merge; the chunks run one after
-another on the calling thread, in a fixed round order, so the schedule,
-objective and every counter are identical for any ``cn`` and meeting row.
+counters report what each would hand to a merge.  The chunks are counted
+in the same single pass over the whole row, so ``cn`` costs no time: every
+parent carries the label of its chunk, a child's parents arrive in
+descending rank as ``a`` grows, so their labels never go back up, and each
+change of label is one more chunk handing that child over.  Rows run in a
+fixed round order on the calling thread, so the schedule, objective and
+every counter are identical for any ``cn`` and meeting row.
 
 Prefix values grow by cut(C), the dependence flowing out of the child set
 C to its complement, and suffix values by cut of the complement of the
@@ -48,13 +52,13 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, InternalInvariantError, ResourceLimitError
 from .model import Dsm, total_feedback_length
+from .oracle import brute_force_optimum
 from .subsets import BinomialTable
 
 __all__ = [
@@ -107,7 +111,8 @@ class SolverConfig:
     """Search knobs: chunk count, meeting row, limits, ablation switch.
 
     ``cn`` is the number of chunks a round's rows are split into, shared
-    between the two searches; chunks run on the calling thread.  ``na`` is
+    between the two searches; it changes the chunk counters, not the work
+    done, which is one pass per activity over each whole row.  ``na`` is
     the prefix length at which the two searches meet; ``solve`` clamps it
     with ``meeting_row``.  ``memory_cap`` is in bytes: a search whose arrays
     would need more is refused before any of them is allocated.  A ``cn``
@@ -160,11 +165,11 @@ class RowStats:
 class SolveReport:
     """Outcome of one solve: schedule, objective, and per-row counters.
 
-    ``na`` of 0 marks the plain-enumeration path taken for n < 4, where the
-    double split is undefined.  ``setup_seconds`` covers building the
-    search (the cut table, or the scalar kernel's seed rows).  The phases
-    run one at a time, so the setup, forward, backward and combination
-    seconds add up to at most ``total_seconds``.
+    ``na`` of 0 marks n < 4, where the double split is undefined and the
+    brute-force oracle enumerates every schedule.  ``setup_seconds`` covers
+    building the search (the cut table, or the scalar kernel's seed rows).
+    The phases run one at a time, so the setup, forward, backward and
+    combination seconds add up to at most ``total_seconds``.
     """
 
     n: int
@@ -208,7 +213,7 @@ class SolveTimeout(Exception):
 
 
 class _Expired(Exception):
-    """Internal: a kernel noticed the deadline mid-row."""
+    """Internal: the deadline passed; ``solve`` turns it into SolveTimeout in one place."""
 
 
 class RowStore:
@@ -247,10 +252,9 @@ class _ScanStore:
     comparing set masks and tallies the comparisons it performs.
     """
 
-    __slots__ = ("n", "size", "items", "comparisons")
+    __slots__ = ("size", "items", "comparisons")
 
-    def __init__(self, n: int, size: int) -> None:
-        self.n = n
+    def __init__(self, size: int) -> None:
         self.size = size
         self.items: list[tuple[int, Node]] = []
         self.comparisons = 0
@@ -275,11 +279,10 @@ class _ScanStore:
 
 @dataclass
 class CompressedChunk:
-    """Sparse chunk result: the surviving (address, node) pairs plus counters.
+    """Sparse chunk result: the surviving (rank address, node) pairs plus counters.
 
-    ``transferred_records`` is what the chunk hands to the merge step: the
-    pair count normally, or the full slot count under ``no-compression``.
-    The scalar reference kernel keys pairs by activity bitmask instead of rank.
+    ``transferred_records`` is what the chunk hands to the merge step: its
+    pair count.
     """
 
     direction: str
@@ -299,6 +302,7 @@ _KEY = np.dtype(np.int64)
 _INTP = np.dtype(np.intp)
 _PARENT = np.dtype(np.int32)
 _ACT = np.dtype(np.int8)
+_LABEL = np.dtype(np.int32)  # chunk of a parent, last chunk seen by a child
 _MAX_N = 30
 _SOLVE_OBJECTS = 64 * 1024  # bytes; a solve's non-array allocations measured 11-17 KB at n=8..12
 
@@ -381,11 +385,11 @@ def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
     table (a float per subset).  Its build also holds a fold as large as
     the table; the rows come after it: every row's back-pointers, both
     searches' newest rows, and the widest expansion's working arrays: per
-    parent its int64 lex copy, suffix gain and one activity pass's index,
-    value, key and flag arrays; per child the value, tie key, sort order,
-    reached flag and lex rank; the row's cuts.  A fixed allowance covers
-    the report, the row statistics and the other small interpreter objects
-    of a solve.
+    parent its int64 lex copy, chunk label, suffix gain and one activity
+    pass's index, value, key and flag arrays; per child the value, tie key,
+    sort order, last chunk label and lex rank; the row's cuts.  A fixed
+    allowance covers the report, the row statistics and the other small
+    interpreter objects of a solve.
     """
     subsets = 1 << n
     # popcounts and size flags; descending, grouped and ranked masks; one size class and its ranks
@@ -394,9 +398,9 @@ def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
     cuts = subsets * _VALUE.itemsize
     row = _VALUE.itemsize + _LEX.itemsize
     pointer = _PARENT.itemsize + _ACT.itemsize
-    per_parent = _KEY.itemsize + 2 * _VALUE.itemsize
+    per_parent = _KEY.itemsize + _LABEL.itemsize + 2 * _VALUE.itemsize
     per_pass = 3 * _INTP.itemsize + 2 * _KEY.itemsize + 4 * _VALUE.itemsize + 4
-    per_child = _VALUE.itemsize + _KEY.itemsize + 1 + _LEX.itemsize + _INTP.itemsize
+    per_child = _VALUE.itemsize + _KEY.itemsize + _LABEL.itemsize + _LEX.itemsize + _INTP.itemsize
     newest = row * (table.c(n, na) + table.c(n, n - na))
     pointers = 0
     widest = 0
@@ -431,7 +435,7 @@ class _Children:
     parent: np.ndarray
     act: np.ndarray
     expanded: int
-    transferred: list[int]
+    transferred: int
 
 
 class _ArraySearch:
@@ -459,7 +463,7 @@ class _ArraySearch:
         masks: np.ndarray,
         value: np.ndarray,
         lex: np.ndarray,
-        parts: Sequence[tuple[int, int]],
+        chunks: int,
     ) -> _Children:
         """Grow parents (masks, value, lex) by every activity they lack; keep the best child per subset.
 
@@ -467,10 +471,13 @@ class _ArraySearch:
         among themselves.  A child beats the incumbent of its subset on a
         lower value, or on an equal value and a smaller key: (parent lex, a)
         going forward, (a, parent lex) going backward, which is the
-        lexicographic order of the child schedules.  ``parts`` are
-        contiguous parent ranges expanded one after another into the same
-        arrays, which equals merging their separate results; each reports
-        the child ranks it reached, or the whole row under no-compression.
+        lexicographic order of the child schedules.  ``transferred`` counts
+        what ``chunks`` contiguous ranges of the parents, a whole row in
+        rank order, hand to a merge: the children each range reaches, which
+        for one range is the row's capacity, or the capacity per range under
+        no-compression.  Each parent is labelled with its range; a child's
+        parents arrive in descending rank as ``a`` grows, so every change of
+        the label it last saw is one more range reaching it.
         """
         n = self.n
         index = self.index
@@ -488,42 +495,45 @@ class _ArraySearch:
         act = np.zeros(capacity, dtype=_ACT)
         lex = lex.astype(_KEY)
         stride = len(masks)  # backward keys a * stride + lex order by a first
-        transferred: list[int] = []
+        labelled = chunks > 1 and not self.dense
+        if labelled:
+            sizes = [stop - start for start, stop in _part_bounds(len(masks), chunks)]
+            label = np.repeat(np.arange(chunks, dtype=_LABEL), sizes)
+            seen = np.full(capacity, -1, dtype=_LABEL)
+        transferred = 0 if labelled else chunks * capacity
         expanded = 0
-        for start, stop in parts:
-            positions = np.arange(start, stop)
-            reached = None if self.dense else np.zeros(capacity, dtype=bool)
-            for a in range(1, n + 1):
-                if self.deadline is not None and time.monotonic() >= self.deadline:
-                    raise _Expired()
-                bit = 1 << (n - a)
-                free = positions[(masks[start:stop] & bit) == 0]
-                child = index.rank[masks[free] | bit]
-                if forward:
-                    v = base[free] + gain[child]
-                    k = lex[free] * (n + 1) + a
-                else:
-                    v = base[free]
-                    k = lex[free] + a * stride
-                incumbent = best[child]
-                better = (v < incumbent) | ((v == incumbent) & (k < key[child]))
-                won = child[better]
-                best[won] = v[better]
-                key[won] = k[better]
-                parent[won] = free[better]
-                act[won] = a
-                if reached is not None:
-                    reached[child] = True
-                expanded += len(free)
-            transferred.append(capacity if reached is None else int(np.count_nonzero(reached)))
+        for a in range(1, n + 1):
+            if self.deadline is not None and time.monotonic() >= self.deadline:
+                raise _Expired()
+            bit = 1 << (n - a)
+            free = np.flatnonzero((masks & bit) == 0)
+            child = index.rank[masks[free] | bit].astype(_INTP)  # intp indexes faster than int32
+            if forward:
+                v = base[free] + gain[child]
+                k = lex[free] * (n + 1) + a
+            else:
+                v = base[free]
+                k = lex[free] + a * stride
+            incumbent = best[child]
+            better = (v < incumbent) | ((v == incumbent) & (k < key[child]))
+            won = child[better]
+            best[won] = v[better]
+            key[won] = k[better]
+            parent[won] = free[better]
+            act[won] = a
+            if labelled:
+                arriving = label[free]
+                transferred += int(np.count_nonzero(seen[child] != arriving))
+                seen[child] = arriving
+            expanded += len(free)
         return _Children(best, key, parent, act, expanded, transferred)
 
     def grow(self, direction: str, workers: int) -> RowStats:
         row = self.rows[direction]
         size = row.size + 1
         capacity = self.table.c(self.n, size)
-        parts = [b for b in _part_bounds(len(row.value), workers) if b[0] < b[1]]
-        children = self.expand(direction, size, self.index.row(row.size), row.value, row.lex, parts)
+        chunks = min(workers, len(row.value))
+        children = self.expand(direction, size, self.index.row(row.size), row.value, row.lex, chunks)
         survivors = int(np.count_nonzero(children.value < np.inf))
         lex = np.empty(capacity, dtype=_LEX)
         lex[np.argsort(children.key)] = np.arange(capacity, dtype=_LEX)
@@ -533,11 +543,11 @@ class _ArraySearch:
             direction=direction,
             size=size,
             workers=workers,
-            chunks=len(parts),
+            chunks=chunks,
             expanded=children.expanded,
             pruned=children.expanded - survivors,
             survivors=survivors,
-            transferred_records=sum(children.transferred),
+            transferred_records=children.transferred,
             comparisons=0,
             seconds=0.0,
         )
@@ -567,12 +577,10 @@ class _ArraySearch:
 # ---------------------------------------------------------------- scalar reference kernel
 
 
-class _Search:
-    """Per-solve read-only context of the scalar kernel."""
+class _ScanSearch:
+    """The no-hash variant: both searches' newest rows as scan stores."""
 
-    __slots__ = ("n", "d", "deadline")
-
-    def __init__(self, dsm: Dsm, deadline: float | None) -> None:
+    def __init__(self, dsm: Dsm, table: BinomialTable, variant: str, deadline: float | None) -> None:
         n = dsm.n
         # 1-based copy so hot loops skip the id arithmetic; row/col 0 unused.
         padded = [(0.0,) * (n + 1)]
@@ -581,97 +589,77 @@ class _Search:
         self.n = n
         self.d = tuple(padded)
         self.deadline = deadline
-
-
-def _expand_chunk(ctx: _Search, direction: str, size: int, parents: Sequence) -> CompressedChunk:
-    """Scalar reference kernel: grow (mask, node) parents by every unused activity.
-
-    ``size`` is the child row size; parents are one shorter.  Child prefix
-    values add the dependence flowing out of the child's set, child suffix
-    values add the dependence flowing into the parent's set (shared by all
-    of its children).  Children land in a scan store, which finds similar
-    nodes by comparing activity masks one by one.
-    """
-    n = ctx.n
-    d = ctx.d
-    deadline = ctx.deadline
-    forward = direction == FORWARD
-    store = _ScanStore(n, size)
-
-    expanded = 0
-    for parent_mask, (fv_parent, acts) in parents:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise _Expired()
-        member = [False] * (n + 1)
-        for u in acts:
-            member[u] = True
-        sorted_ids = sorted(acts)
-        unused = [v for v in range(1, n + 1) if not member[v]]
-        if not forward:
-            # Inflow into the parent suffix set, identical for every child.
-            gain = 0.0
-            for u in unused:
-                du = d[u]
-                acc = 0.0
-                for v in sorted_ids:
-                    acc += du[v]
-                gain += acc
-            fv_child = fv_parent + gain
-        for a in unused:
-            if forward:
-                # Outflow of the child set {parent + a} to its complement.
-                child_ids = sorted_ids.copy()
-                child_ids.insert(bisect_left(sorted_ids, a), a)
-                child_comp = [v for v in unused if v != a]
-                outflow = 0.0
-                for u in child_ids:
-                    du = d[u]
-                    acc = 0.0
-                    for v in child_comp:
-                        acc += du[v]
-                    outflow += acc
-                node = (fv_parent + outflow, acts + (a,))
-            else:
-                node = (fv_child, (a,) + acts)
-            expanded += 1
-            store.install(parent_mask | (1 << a), node)
-
-    return CompressedChunk(
-        direction=direction,
-        size=size,
-        triples=store.entries(),
-        expanded=expanded,
-        transferred_records=store.occupied,
-        comparisons=store.comparisons,
-    )
-
-
-def _merge_scan(store: _ScanStore, chunks: Sequence[CompressedChunk]) -> _ScanStore:
-    for chunk in chunks:
-        for mask, node in chunk.triples:
-            store.install(mask, node)
-    return store
-
-
-class _ScanSearch:
-    """The no-hash variant: both searches' newest rows as scan stores."""
-
-    def __init__(self, dsm: Dsm, table: BinomialTable, variant: str, deadline: float | None) -> None:
-        self.ctx = _Search(dsm, deadline)
         self.stores: dict[str, _ScanStore] = {}
         for direction, row in zip((FORWARD, BACKWARD), seed_rows(dsm)):
-            store = _ScanStore(dsm.n, 1)
+            store = _ScanStore(1)
             store.items = [(1 << a, node) for a, node in enumerate(row.entries(), start=1)]
             self.stores[direction] = store
 
+    def expand(self, direction: str, size: int, parents: Sequence) -> tuple[_ScanStore, int]:
+        """Scalar reference kernel: grow (mask, node) parents by every unused activity.
+
+        ``size`` is the child row size; parents are one shorter.  Child prefix
+        values add the dependence flowing out of the child's set, child suffix
+        values add the dependence flowing into the parent's set (shared by all
+        of its children).  Children land in a scan store, which finds similar
+        nodes by comparing activity masks one by one; it is returned with the
+        number of children made.
+        """
+        n = self.n
+        d = self.d
+        deadline = self.deadline
+        forward = direction == FORWARD
+        store = _ScanStore(size)
+
+        expanded = 0
+        for parent_mask, (fv_parent, acts) in parents:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise _Expired()
+            sorted_ids = sorted(acts)
+            unused = [v for v in range(1, n + 1) if not parent_mask >> v & 1]
+            if not forward:
+                # Inflow into the parent suffix set, identical for every child.
+                gain = 0.0
+                for u in unused:
+                    du = d[u]
+                    acc = 0.0
+                    for v in sorted_ids:
+                        acc += du[v]
+                    gain += acc
+                fv_child = fv_parent + gain
+            for a in unused:
+                if forward:
+                    # Outflow of the child set {parent + a} to its complement.
+                    child_ids = sorted_ids.copy()
+                    child_ids.insert(bisect_left(sorted_ids, a), a)
+                    child_comp = [v for v in unused if v != a]
+                    outflow = 0.0
+                    for u in child_ids:
+                        du = d[u]
+                        acc = 0.0
+                        for v in child_comp:
+                            acc += du[v]
+                        outflow += acc
+                    node = (fv_parent + outflow, acts + (a,))
+                else:
+                    node = (fv_child, (a,) + acts)
+                expanded += 1
+                store.install(parent_mask | (1 << a), node)
+        return store, expanded
+
     def grow(self, direction: str, workers: int) -> RowStats:
-        n = self.ctx.n
         size = self.stores[direction].size + 1
         parts = [part for part in partition_row(self.stores[direction], workers) if part]
-        chunks = [_expand_chunk(self.ctx, direction, size, part) for part in parts]
-        merged = _merge_scan(_ScanStore(n, size), chunks)
+        merged = _ScanStore(size)
+        expanded = transferred = comparisons = 0
+        for part in parts:
+            store, count = self.expand(direction, size, part)
+            for mask, node in store.items:
+                merged.install(mask, node)
+            expanded += count
+            transferred += store.occupied
+            comparisons += store.comparisons
         self.stores[direction] = merged
-        expanded = sum(c.expanded for c in chunks)
         return RowStats(
             direction=direction,
             size=size,
@@ -680,39 +668,32 @@ class _ScanSearch:
             expanded=expanded,
             pruned=expanded - merged.occupied,
             survivors=merged.occupied,
-            transferred_records=sum(c.transferred_records for c in chunks),
+            transferred_records=transferred,
             # merge scans count too
-            comparisons=sum(c.comparisons for c in chunks) + merged.comparisons,
+            comparisons=comparisons + merged.comparisons,
             seconds=0.0,
         )
 
     def pair(self) -> tuple[float, tuple[int, ...], int]:
         comparisons = 0
-        best_fl: float | None = None
-        best_seq: tuple[int, ...] | None = None
-        full_mask = ((1 << self.ctx.n) - 1) << 1
+        best: Node | None = None
+        full_mask = ((1 << self.n) - 1) << 1
         suffix_items = self.stores[BACKWARD].items
         for prefix_mask, (fv_a, acts_a) in self.stores[FORWARD].items:
             wanted = full_mask ^ prefix_mask
             for suffix_mask, (fv_b, acts_b) in suffix_items:
                 comparisons += 1
                 if suffix_mask == wanted:
-                    fl = fv_a + fv_b
-                    if best_fl is None or fl < best_fl:
-                        best_fl = fl
-                        best_seq = acts_a + acts_b
-                    elif fl == best_fl:
-                        candidate = acts_a + acts_b
-                        assert best_seq is not None
-                        if candidate < best_seq:
-                            best_seq = candidate
+                    candidate = (fv_a + fv_b, acts_a + acts_b)  # nodes order by value, then schedule
+                    if best is None or candidate < best:
+                        best = candidate
                     break
             else:
                 raise InternalInvariantError(
                     f"no suffix found for prefix set mask {prefix_mask:#x}"
                 )
-        assert best_fl is not None and best_seq is not None
-        return best_fl, best_seq, comparisons
+        assert best is not None
+        return best[0], best[1], comparisons
 
 
 # ---------------------------------------------------------------- public row helpers
@@ -773,7 +754,9 @@ def expand_and_prune_chunk(
     """Expand one chunk of same-length parents and prune it to one node per subset.
 
     Runs the array kernel ``solve`` runs: the nodes are converted to arrays
-    and the surviving children back to nodes, in address order.
+    and the surviving children back to nodes, in address order.  Parents
+    of different lengths, or with an activity id outside 1..n or repeated,
+    raise InputError.
     """
     if direction not in (FORWARD, BACKWARD):
         raise InputError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
@@ -786,13 +769,20 @@ def expand_and_prune_chunk(
     n = dsm.n
     if table is None or table.n_max < n:
         table = BinomialTable(n)
+    ids = np.array([acts for _, acts in parents])
+    if ((ids < 1) | (ids > n)).any():
+        raise InputError(f"activity ids must lie in 1..{n}")
+    bits = 1 << (n - ids)
+    masks = bits.sum(axis=1)
+    if (np.bitwise_or.reduce(bits, axis=1) != masks).any():
+        raise InputError("a parent repeats an activity")
+    masks = masks.astype(_MASK)
     search = _ArraySearch(dsm, table, VARIANT_FULL, None)
-    masks = (1 << (n - np.array([acts for _, acts in parents]))).sum(axis=1).astype(_MASK)
     values = np.array([fv for fv, _ in parents], dtype=_VALUE)
     order = sorted(range(len(parents)), key=lambda i: parents[i][1])
     lex = np.empty(len(parents), dtype=_LEX)
     lex[order] = np.arange(len(parents), dtype=_LEX)
-    children = search.expand(direction, size, masks, values, lex, [(0, len(parents))])
+    children = search.expand(direction, size, masks, values, lex, 1)
     ranks = np.flatnonzero(children.value < np.inf)
     survivors = zip(
         ranks.tolist(),
@@ -809,7 +799,7 @@ def expand_and_prune_chunk(
         size=size,
         triples=triples,
         expanded=children.expanded,
-        transferred_records=children.transferred[0],
+        transferred_records=len(triples),
         comparisons=0,
     )
 
@@ -857,25 +847,6 @@ def _round_allocation(variant: str, cn: int, fwd_left: int, bwd_left: int) -> tu
     return forward_share, backward_share
 
 
-def _solve_by_enumeration(dsm: Dsm, config: SolverConfig, started: float) -> SolveReport:
-    # n < 4 leaves no room for a split; enumerate outright.
-    best: tuple[float, tuple[int, ...]] | None = None
-    for seq in permutations(range(1, dsm.n + 1)):
-        candidate = (total_feedback_length(dsm, seq), seq)
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return SolveReport(
-        n=dsm.n,
-        cn=config.cn,
-        na=0,
-        variant=config.variant,
-        sequence=best[1],
-        objective=best[0],
-        total_seconds=time.perf_counter() - started,
-    )
-
-
 def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable | None = None) -> SolveReport:
     """Find the optimal schedule and return it with counters and timings.
 
@@ -912,7 +883,11 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
                     total_seconds=time.perf_counter() - started, timed_out=True,
                 )
             )
-        return _solve_by_enumeration(dsm, config, started)
+        sequence, objective = brute_force_optimum(dsm)
+        return SolveReport(
+            n=n, cn=config.cn, na=0, variant=config.variant, sequence=sequence, objective=objective,
+            total_seconds=time.perf_counter() - started,
+        )
 
     na = meeting_row(config.na, n)
     if table is None or table.n_max < n:
@@ -938,55 +913,48 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     sizes = {FORWARD: 1, BACKWARD: 1}
     last = {FORWARD: na, BACKWARD: n - na}
 
-    def partial_report() -> SolveReport:
-        return SolveReport(
-            n=n, cn=config.cn, na=na, variant=variant,
-            sequence=None, objective=None, rows=rows, setup_seconds=setup_seconds,
-            forward_seconds=seconds[FORWARD], backward_seconds=seconds[BACKWARD],
-            total_seconds=time.perf_counter() - started, timed_out=True,
-        )
-
     search_type = _ScanSearch if variant == VARIANT_NO_HASH else _ArraySearch
     setup_started = time.perf_counter()
+    setup_seconds: float | None = None  # set once the search is built
     try:
         search = search_type(dsm, table, variant, deadline)
-    except _Expired:
-        search = None
-    setup_seconds = time.perf_counter() - setup_started
-    if search is None:
-        raise SolveTimeout(partial_report())
-
-    while sizes[FORWARD] < last[FORWARD] or sizes[BACKWARD] < last[BACKWARD]:
-        if expired():
-            raise SolveTimeout(partial_report())
-        shares = _round_allocation(
-            variant, config.cn, last[FORWARD] - sizes[FORWARD], last[BACKWARD] - sizes[BACKWARD]
-        )
-        for direction, workers in zip((FORWARD, BACKWARD), shares):
-            if workers == 0:
-                continue
-            row_started = time.perf_counter()
-            try:
-                stats = search.grow(direction, workers)
-            except _Expired:
-                raise SolveTimeout(partial_report()) from None
-            stats.seconds = time.perf_counter() - row_started
-            capacity = table.c(n, stats.size)
-            if stats.survivors != capacity:
-                raise InternalInvariantError(
-                    f"{direction} row {stats.size} holds {stats.survivors} subsets, "
-                    f"expected C({n},{stats.size}) = {capacity}"
-                )
-            rows.append(stats)
-            seconds[direction] += stats.seconds
-            sizes[direction] = stats.size
-            log.info(
-                "%s row %d: %d survivors in %.3f s, %.3f s elapsed",
-                direction, stats.size, stats.survivors, stats.seconds, time.perf_counter() - started,
+        setup_seconds = time.perf_counter() - setup_started
+        while sizes[FORWARD] < last[FORWARD] or sizes[BACKWARD] < last[BACKWARD]:
+            shares = _round_allocation(
+                variant, config.cn, last[FORWARD] - sizes[FORWARD], last[BACKWARD] - sizes[BACKWARD]
             )
-
-    if expired():
-        raise SolveTimeout(partial_report())
+            for direction, workers in zip((FORWARD, BACKWARD), shares):
+                if workers == 0:
+                    continue
+                row_started = time.perf_counter()
+                stats = search.grow(direction, workers)
+                stats.seconds = time.perf_counter() - row_started
+                capacity = table.c(n, stats.size)
+                if stats.survivors != capacity:
+                    raise InternalInvariantError(
+                        f"{direction} row {stats.size} holds {stats.survivors} subsets, "
+                        f"expected C({n},{stats.size}) = {capacity}"
+                    )
+                rows.append(stats)
+                seconds[direction] += stats.seconds
+                sizes[direction] = stats.size
+                log.info(
+                    "%s row %d: %d survivors in %.3f s, %.3f s elapsed",
+                    direction, stats.size, stats.survivors, stats.seconds, time.perf_counter() - started,
+                )
+        if expired():
+            raise _Expired()
+    except _Expired:
+        if setup_seconds is None:
+            setup_seconds = time.perf_counter() - setup_started
+        raise SolveTimeout(
+            SolveReport(
+                n=n, cn=config.cn, na=na, variant=variant,
+                sequence=None, objective=None, rows=rows, setup_seconds=setup_seconds,
+                forward_seconds=seconds[FORWARD], backward_seconds=seconds[BACKWARD],
+                total_seconds=time.perf_counter() - started, timed_out=True,
+            )
+        ) from None
 
     combination_started = time.perf_counter()
     best_fl, best_seq, combination_comparisons = search.pair()

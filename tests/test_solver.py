@@ -108,6 +108,10 @@ def test_expansion_validation(dsm3):
         expand_and_prune_chunk(dsm3, [(0.0, (1,)), (0.0, (1, 2))], FORWARD)
     with pytest.raises(InputError):
         expand_and_prune_chunk(dsm3, [(0.0, (1,))], "sideways")
+    dsm5 = generate_instance(5, 0.5, 1)
+    for parents in ([(0.0, (6,))], [(0.0, (0,))], [(0.0, (1, 1))]):
+        with pytest.raises(InputError):
+            expand_and_prune_chunk(dsm5, parents, FORWARD)
 
 
 # ---------------------------------------------------------------- merge
@@ -300,6 +304,7 @@ def test_timeout_mid_search_keeps_counters():
     report = err.value.report
     assert report.timed_out and report.sequence is None
     assert report.nodes_expanded >= 0  # counters survive
+    assert report.setup_seconds > 0
 
 
 def test_timeout_while_building_the_cut_table():
@@ -316,6 +321,7 @@ def test_timeout_while_building_the_cut_table():
     report = err.value.report
     assert report.timed_out and report.sequence is None
     assert report.rows == []
+    assert report.setup_seconds > 0  # the build's time up to the deadline
 
 
 def test_memory_cap():
@@ -329,14 +335,15 @@ def test_memory_cap_counts_bytes():
     table = BinomialTable(n)
     estimate = _search_bytes(n, na, table)
     dsm = generate_instance(n, 0.5, 4)
-    _subset_index.cache_clear()  # so the solve pays for the index build too
-    tracemalloc.start()
-    try:
-        solve(dsm, SolverConfig(cn=1, na=na), table=table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= estimate <= 2 * peak
+    for cn in (1, 3):  # cn=3 splits rows, so the chunk labels are held too
+        _subset_index.cache_clear()  # so the solve pays for the index build too
+        tracemalloc.start()
+        try:
+            solve(dsm, SolverConfig(cn=cn, na=na), table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate <= 2 * peak
     # one byte short is refused before any array exists
     tracemalloc.start()
     try:
@@ -351,6 +358,8 @@ def test_default_memory_cap_admits_n_22():
     table = BinomialTable(22)
     cap = SolverConfig().memory_cap
     assert all(_search_bytes(22, na, table) <= cap for na in range(2, 21))
+    table = BinomialTable(26)
+    assert all(_search_bytes(26, na, table) > cap for na in range(2, 25))
 
 
 def test_phase_timings_add_up():
@@ -464,7 +473,10 @@ def test_array_kernel_matches_scalar_reference_on_ties(n, levels):
         assert full.sequence == scalar.sequence
         assert full.objective == scalar.objective
         counters = [
-            [(r.direction, r.size, r.chunks, r.expanded, r.survivors) for r in report.rows]
+            [
+                (r.direction, r.size, r.workers, r.chunks, r.expanded, r.survivors, r.transferred_records)
+                for r in report.rows
+            ]
             for report in (full, scalar)
         ]
         assert counters[0] == counters[1]

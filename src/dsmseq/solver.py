@@ -13,17 +13,18 @@ Rows are numpy arrays indexed by the lexicographic rank of their activity
 set: the best schedule's value (float64), its lex rank among the row's
 schedules (int32), and back-pointers (parent rank as int32, added activity
 as int8).  Only the winning prefix and suffix are ever rebuilt as tuples.
-A row is expanded with one pass per activity ``a``: every parent lacking
-``a`` yields one child, no child rank occurs twice in a pass, so a
-compare-and-scatter keeps the best child per subset without sorting
-candidates.  ``cn`` splits each row's parents into contiguous chunks whose
-counters report what each would hand to a merge.  The chunks are counted
-in the same single pass over the whole row, so ``cn`` costs no time: every
-parent carries the label of its chunk, a child's parents arrive in
-descending rank as ``a`` grows, so their labels never go back up, and each
-change of label is one more chunk handing that child over.  Rows run in a
-fixed round order on the calling thread, so the schedule, objective and
-every counter are identical for any ``cn`` and meeting row.
+A row is expanded by pulling: each child of k members reads its k parents,
+one column at a time, and keeps a running best, so no child depends on
+another's work and nothing is scattered.  Column j removes every child's
+j-th lowest mask bit and gathers those parents by rank; only the winners
+get a back-pointer and a tie key.  ``cn`` splits each row's parents into
+contiguous chunks whose counters report what each would hand to a merge.
+The chunks are counted in the same sweep over the whole row, so ``cn``
+costs no time: every parent carries the label of its chunk, and each
+change of label between a child's consecutive parents is one more chunk
+handing that child over.  Rows run in a fixed round order on the calling
+thread, so the schedule, objective and every counter are identical for
+any ``cn`` and meeting row.
 
 Prefix values grow by cut(C), the dependence flowing out of the child set
 C to its complement, and suffix values by cut of the complement of the
@@ -51,7 +52,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -112,7 +112,7 @@ class SolverConfig:
 
     ``cn`` is the number of chunks a round's rows are split into, shared
     between the two searches; it changes the chunk counters, not the work
-    done, which is one pass per activity over each whole row.  ``na`` is
+    done, which is one column sweep over each whole row.  ``na`` is
     the prefix length at which the two searches meet; ``solve`` clamps it
     with ``meeting_row``.  ``memory_cap`` is in bytes: a search whose arrays
     would need more is refused before any of them is allocated.  A ``cn``
@@ -314,11 +314,12 @@ class _SubsetIndex:
     lexicographically smaller set: ``row(k)`` lists the k-subsets in
     descending mask order, which is ascending ``subsets.rank_subset``, and
     ``rank[mask]`` is the 0-based rank of ``mask`` within its size class.
+    The build checks ``deadline`` once per size class.
     """
 
     __slots__ = ("masks", "rank", "_starts")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, deadline: float | None = None) -> None:
         count = 1 << n
         sizes = np.zeros(count, dtype=np.uint8)  # sizes[m] is the popcount of m
         for b in range(n):
@@ -329,6 +330,8 @@ class _SubsetIndex:
         self.rank = np.empty(count, dtype=_MASK)
         self._starts = [0]
         for size in range(n + 1):
+            if deadline is not None and time.monotonic() >= deadline:
+                raise _Expired()
             row = descending[sizes == size]
             start = self._starts[-1]
             self.masks[start : start + len(row)] = row
@@ -341,10 +344,32 @@ class _SubsetIndex:
         return self.masks[self._starts[size] : self._starts[size + 1]]
 
 
-@lru_cache(maxsize=8)
-def _subset_index(n: int) -> _SubsetIndex:
-    # Built on first use for each n, then shared read-only.
-    return _SubsetIndex(n)
+class _IndexCache:
+    """The subset index of n activities, built on first use and then shared read-only.
+
+    Keeps the ``maxsize`` most recently used.  A build that passes its
+    deadline raises _Expired and caches nothing, so the deadline is an
+    argument of the build and no part of the cache key.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self.built: dict[int, _SubsetIndex] = {}  # least recently used first
+
+    def __call__(self, n: int, deadline: float | None = None) -> _SubsetIndex:
+        index = self.built.pop(n, None)
+        if index is None:
+            index = _SubsetIndex(n, deadline)
+        self.built[n] = index
+        if len(self.built) > self.maxsize:
+            del self.built[next(iter(self.built))]
+        return index
+
+    def cache_clear(self) -> None:
+        self.built.clear()
+
+
+_subset_index = _IndexCache(maxsize=8)
 
 
 def _cut_table(d: np.ndarray, deadline: float | None = None) -> np.ndarray:
@@ -384,12 +409,15 @@ def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
     holds the index (two ints per subset of the n activities) and the cut
     table (a float per subset).  Its build also holds a fold as large as
     the table; the rows come after it: every row's back-pointers, both
-    searches' newest rows, and the widest expansion's working arrays: per
-    parent its int64 lex copy, chunk label, suffix gain and one activity
-    pass's index, value, key and flag arrays; per child the value, tie key,
-    sort order, last chunk label and lex rank; the row's cuts.  A fixed
-    allowance covers the report, the row statistics and the other small
-    interpreter objects of a solve.
+    searches' newest rows, and the widest column sweep's arrays.  Per
+    parent those are the row's value and lex, the suffix gain and the
+    chunk label; per child the running best value, its removed bit and
+    its parent's lex, the members left to peel and the bit peeled, the
+    prefix gain, and one column's parent ranks, values, lexes, flags,
+    selection terms and arriving and last chunk labels.  Turning the
+    winners into back-pointers and tie keys afterwards holds less.  A
+    fixed allowance covers the report, the row statistics and the other
+    small interpreter objects of a solve.
     """
     subsets = 1 << n
     # popcounts and size flags; descending, grouped and ranked masks; one size class and its ranks
@@ -398,24 +426,17 @@ def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
     cuts = subsets * _VALUE.itemsize
     row = _VALUE.itemsize + _LEX.itemsize
     pointer = _PARENT.itemsize + _ACT.itemsize
-    per_parent = _KEY.itemsize + _LABEL.itemsize + 2 * _VALUE.itemsize
-    per_pass = 3 * _INTP.itemsize + 2 * _KEY.itemsize + 4 * _VALUE.itemsize + 4
-    per_child = _VALUE.itemsize + _KEY.itemsize + _LABEL.itemsize + _LEX.itemsize + _INTP.itemsize
+    per_parent = row + _VALUE.itemsize + _LABEL.itemsize
+    running = 2 * _VALUE.itemsize + _LEX.itemsize + 3 * _MASK.itemsize
+    column = _VALUE.itemsize + _LEX.itemsize + 3 * _MASK.itemsize + 2 * _LABEL.itemsize + 4
     newest = row * (table.c(n, na) + table.c(n, n - na))
     pointers = 0
     widest = 0
-    for direction, last in ((FORWARD, na), (BACKWARD, n - na)):
+    for last in (na, n - na):
         for size in range(2, last + 1):
-            parents = table.c(n, size - 1)
             children = table.c(n, size)
-            cut = children if direction == FORWARD else parents
             pointers += children * pointer
-            widest = max(
-                widest,
-                parents * (per_parent + per_pass)
-                + children * per_child
-                + cut * _VALUE.itemsize,
-            )
+            widest = max(widest, table.c(n, size - 1) * per_parent + children * (running + column))
     return _SOLVE_OBJECTS + max(build, index + cuts + max(cuts, pointers + newest + widest))
 
 
@@ -434,7 +455,6 @@ class _Children:
     key: np.ndarray
     parent: np.ndarray
     act: np.ndarray
-    expanded: int
     transferred: int
 
 
@@ -447,7 +467,7 @@ class _ArraySearch:
         self.table = table
         self.dense = variant == VARIANT_NO_COMPRESSION
         self.deadline = deadline
-        self.index = _subset_index(n)
+        self.index = _subset_index(n, deadline)
         self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline)
         singles = np.arange(n, dtype=_LEX)  # lone activity a has rank a - 1, in both orders
         self.rows = {
@@ -456,84 +476,109 @@ class _ArraySearch:
         }
         self.pointers: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {FORWARD: [], BACKWARD: []}
 
-    def expand(
-        self,
-        direction: str,
-        size: int,
-        masks: np.ndarray,
-        value: np.ndarray,
-        lex: np.ndarray,
-        chunks: int,
-    ) -> _Children:
-        """Grow parents (masks, value, lex) by every activity they lack; keep the best child per subset.
+    def expand(self, direction: str, size: int, value: np.ndarray, lex: np.ndarray, chunks: int) -> _Children:
+        """Grow the parent row (value, lex by rank) into row ``size``, keeping the best child per subset.
 
-        ``size`` is the child size; ``lex`` ranks the parents' schedules
-        among themselves.  A child beats the incumbent of its subset on a
-        lower value, or on an equal value and a smaller key: (parent lex, a)
-        going forward, (a, parent lex) going backward, which is the
-        lexicographic order of the child schedules.  ``transferred`` counts
-        what ``chunks`` contiguous ranges of the parents, a whole row in
-        rank order, hand to a merge: the children each range reaches, which
-        for one range is the row's capacity, or the capacity per range under
-        no-compression.  Each parent is labelled with its range; a child's
-        parents arrive in descending rank as ``a`` grows, so every change of
-        the label it last saw is one more range reaching it.
+        ``lex`` ranks the parents' schedules among themselves.  The column
+        sweep finds each child's winning parent; only the winners then get
+        their back-pointer, added activity and tie key, the key ordering
+        the children's schedules lexicographically: (parent lex, a) going
+        forward, where children append ``a``, and (a, parent lex) going
+        backward, where they prepend it.
+        """
+        n = self.n
+        best, best_low, best_lex, transferred = self._sweep(direction, size, value, lex, chunks)
+        parent = np.take(self.index.rank, self.index.row(size) ^ best_low)
+        # low bit 1 << (n - a) is 2.0 ** (e - 1) for frexp's exponent e
+        act = (n + 1 - np.frexp(best_low)[1]).astype(_ACT)
+        if direction == FORWARD:
+            key = best_lex.astype(_KEY) * (n + 1) + act
+        else:
+            key = act.astype(_KEY) * len(value) + np.take(lex, parent)
+        return _Children(best, key, parent, act, transferred)
+
+    def _sweep(
+        self, direction: str, size: int, value: np.ndarray, lex: np.ndarray, chunks: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+        """Pull every child of row ``size`` from its ``size`` parents, one column at a time.
+
+        Column j removes each child's j-th lowest bit, its j-th largest
+        activity, and gathers those parents by rank, so no two children
+        share any work.  A candidate beats the child's running
+        best on a lower value or, on an equal value, a lexicographically
+        smaller schedule: the smaller parent lex going forward, where a
+        child's parents all differ, and the smaller ``a`` going backward,
+        where the columns run from the largest ``a`` down.  A parent of
+        value inf and the largest lex never wins; a child whose parents
+        are all such stays at inf.  Returns the running best value, its
+        parent's removed bit and, going forward, its parent's lex, and
+        ``transferred``: what ``chunks`` contiguous ranges of the parents,
+        a whole row in rank order, hand to a merge.  That is the children
+        each range reaches, which for one range is the row's capacity, or
+        the capacity per range under no-compression.  Each parent is
+        labelled with its range, and every change of label between a
+        child's consecutive parents is one more range reaching it.
         """
         n = self.n
         index = self.index
-        capacity = self.table.c(n, size)
+        masks = index.row(size)  # children, by rank
+        capacity = len(masks)
         forward = direction == FORWARD
         if forward:
-            gain = self.cut[index.row(size)]  # by child rank
+            gain = self.cut[masks]
             base = value
         else:
             # every child of a suffix gains the inflow into the parent's set
-            base = value + self.cut[((1 << n) - 1) ^ masks]
-        best = np.full(capacity, np.inf)
-        key = np.full(capacity, np.iinfo(_KEY).max, dtype=_KEY)
-        parent = np.zeros(capacity, dtype=_PARENT)
-        act = np.zeros(capacity, dtype=_ACT)
-        lex = lex.astype(_KEY)
-        stride = len(masks)  # backward keys a * stride + lex order by a first
+            base = value + self.cut[((1 << n) - 1) ^ index.row(size - 1)]
         labelled = chunks > 1 and not self.dense
         if labelled:
-            sizes = [stop - start for start, stop in _part_bounds(len(masks), chunks)]
+            sizes = [stop - start for start, stop in _part_bounds(len(value), chunks)]
             label = np.repeat(np.arange(chunks, dtype=_LABEL), sizes)
-            seen = np.full(capacity, -1, dtype=_LABEL)
-        transferred = 0 if labelled else chunks * capacity
-        expanded = 0
-        for a in range(1, n + 1):
+        transferred = capacity if labelled else chunks * capacity
+        best_lex = None
+        rest = masks.copy()  # members not yet peeled
+        low = np.empty_like(masks)
+        for column in range(size):
             if self.deadline is not None and time.monotonic() >= self.deadline:
                 raise _Expired()
-            bit = 1 << (n - a)
-            free = np.flatnonzero((masks & bit) == 0)
-            child = index.rank[masks[free] | bit].astype(_INTP)  # intp indexes faster than int32
+            np.negative(rest, out=low)
+            low &= rest
+            rest ^= low
+            p = np.take(index.rank, masks ^ low)
+            v = np.take(base, p)
             if forward:
-                v = base[free] + gain[child]
-                k = lex[free] * (n + 1) + a
+                v += gain
+            if column == 0:
+                best, best_low = v, low.copy()
+                if forward:
+                    best_lex = np.take(lex, p)
             else:
-                v = base[free]
-                k = lex[free] + a * stride
-            incumbent = best[child]
-            better = (v < incumbent) | ((v == incumbent) & (k < key[child]))
-            won = child[better]
-            best[won] = v[better]
-            key[won] = k[better]
-            parent[won] = free[better]
-            act[won] = a
+                # x ^= (x ^ y) * better takes y where better holds, without the
+                # branches that make a masked copy several times slower
+                if forward:
+                    lex_p = np.take(lex, p)
+                    better = v < best
+                    better |= (v == best) & (lex_p < best_lex)
+                    best_lex ^= (best_lex ^ lex_p) * better
+                else:
+                    better = v <= best
+                # tied values are equal bits (sums from +0.0 never give -0.0), so this is the winner's
+                np.minimum(best, v, out=best)
+                best_low ^= (best_low ^ low) * better
             if labelled:
-                arriving = label[free]
-                transferred += int(np.count_nonzero(seen[child] != arriving))
-                seen[child] = arriving
-            expanded += len(free)
-        return _Children(best, key, parent, act, expanded, transferred)
+                arriving = np.take(label, p)
+                if column:
+                    transferred += int(np.count_nonzero(arriving != last))
+                last = arriving
+        return best, best_low, best_lex, transferred
 
     def grow(self, direction: str, workers: int) -> RowStats:
         row = self.rows[direction]
         size = row.size + 1
         capacity = self.table.c(self.n, size)
         chunks = min(workers, len(row.value))
-        children = self.expand(direction, size, self.index.row(row.size), row.value, row.lex, chunks)
+        children = self.expand(direction, size, row.value, row.lex, chunks)
+        expanded = capacity * size
         survivors = int(np.count_nonzero(children.value < np.inf))
         lex = np.empty(capacity, dtype=_LEX)
         lex[np.argsort(children.key)] = np.arange(capacity, dtype=_LEX)
@@ -544,8 +589,8 @@ class _ArraySearch:
             size=size,
             workers=workers,
             chunks=chunks,
-            expanded=children.expanded,
-            pruned=children.expanded - survivors,
+            expanded=expanded,
+            pruned=expanded - survivors,
             survivors=survivors,
             transferred_records=children.transferred,
             comparisons=0,
@@ -753,10 +798,11 @@ def expand_and_prune_chunk(
 ) -> CompressedChunk:
     """Expand one chunk of same-length parents and prune it to one node per subset.
 
-    Runs the array kernel ``solve`` runs: the nodes are converted to arrays
-    and the surviving children back to nodes, in address order.  Parents
-    of different lengths, or with an activity id outside 1..n or repeated,
-    raise InputError.
+    Runs the array kernel ``solve`` runs: the nodes are scattered into a
+    whole parent row, where the subsets no parent covers hold value inf and
+    the largest lex so that they never win, and the finite children come
+    back as nodes, in address order.  Parents of different lengths, or with
+    an activity id outside 1..n or repeated, raise InputError.
     """
     if direction not in (FORWARD, BACKWARD):
         raise InputError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
@@ -776,19 +822,29 @@ def expand_and_prune_chunk(
     masks = bits.sum(axis=1)
     if (np.bitwise_or.reduce(bits, axis=1) != masks).any():
         raise InputError("a parent repeats an activity")
-    masks = masks.astype(_MASK)
     search = _ArraySearch(dsm, table, VARIANT_FULL, None)
     values = np.array([fv for fv, _ in parents], dtype=_VALUE)
     order = sorted(range(len(parents)), key=lambda i: parents[i][1])
     lex = np.empty(len(parents), dtype=_LEX)
     lex[order] = np.arange(len(parents), dtype=_LEX)
-    children = search.expand(direction, size, masks, values, lex, 1)
-    ranks = np.flatnonzero(children.value < np.inf)
+    ranks = search.index.rank[masks]
+    # only the best parent over a subset can win any of its children
+    best_first = np.lexsort((lex, values))
+    _, first = np.unique(ranks[best_first], return_index=True)
+    kept = best_first[first]
+    row_value = np.full(table.c(n, size - 1), np.inf)
+    row_lex = np.full(len(row_value), np.iinfo(_LEX).max, dtype=_LEX)
+    owner = np.zeros(len(row_value), dtype=_INTP)  # parent index by rank
+    row_value[ranks[kept]] = values[kept]
+    row_lex[ranks[kept]] = lex[kept]
+    owner[ranks[kept]] = kept
+    children = search.expand(direction, size, row_value, row_lex, 1)
+    finite = np.flatnonzero(children.value < np.inf)
     survivors = zip(
-        ranks.tolist(),
-        children.value[ranks].tolist(),
-        [parents[i][1] for i in children.parent[ranks].tolist()],
-        children.act[ranks].tolist(),
+        finite.tolist(),
+        children.value[finite].tolist(),
+        [parents[i][1] for i in owner[children.parent[finite]].tolist()],
+        children.act[finite].tolist(),
     )
     if direction == FORWARD:
         triples = [(rank + 1, (fv, acts + (a,))) for rank, fv, acts, a in survivors]
@@ -798,7 +854,7 @@ def expand_and_prune_chunk(
         direction=direction,
         size=size,
         triples=triples,
-        expanded=children.expanded,
+        expanded=len(parents) * (n - size + 1),
         transferred_records=len(triples),
         comparisons=0,
     )

@@ -1,12 +1,15 @@
-"""Golden file of what ``solve()`` reports, bit for bit, over a grid of configurations.
+"""Golden files of what ``solve()`` reports, bit for bit, over grids of configurations.
 
-The grid is n in {5, 8, 11}, real and quarter-quantised degrees, cn in
-{1, 2, 3, 8}, na in {2, 5} and every variant.  For each solve the file holds
-the sequence, the objective's hex form, ``combination_comparisons`` and every
-row's counters (all but ``seconds``).  A change to the search that is meant
-to keep results and counters must reproduce it exactly.
+``solve_counters.json`` covers n in {5, 8, 11}, real and quarter-quantised
+degrees, cn in {1, 2, 3, 8}, na in {2, 5} and every variant.
+``solve_counters_large.json`` covers the sizes the benchmark runs: n in
+{14, 16}, real and quarter-quantised degrees, cn in {1, 2}, na in {5, 7}
+and the ``full`` variant.  For each solve a file holds the sequence, the
+objective's hex form, ``combination_comparisons`` and every row's counters
+(all but ``seconds``).  A change to the search that is meant to keep
+results and counters must reproduce both exactly.
 
-Run this module as a script to rewrite the file from the current code:
+Run this module as a script to rewrite both files from the current code:
 
     PYTHONPATH=src python tests/test_solve_counters.py
 """
@@ -17,14 +20,15 @@ from itertools import product
 from pathlib import Path
 
 from dsmseq import BinomialTable, Dsm, SolverConfig, generate_instance, solve
-from dsmseq.solver import VARIANTS
+from dsmseq.solver import VARIANT_FULL, VARIANTS
 
-DATA = Path(__file__).parent / "data" / "solve_counters.json"
+DATA = Path(__file__).parent / "data"
 
-N_VALUES = (5, 8, 11)
-KINDS = ("real", "quarters")
-CN_VALUES = (1, 2, 3, 8)
-NA_VALUES = (2, 5)
+# file name: (n values, degree kinds, cn values, na values, variants)
+GRIDS = {
+    "solve_counters.json": ((5, 8, 11), ("real", "quarters"), (1, 2, 3, 8), (2, 5), VARIANTS),
+    "solve_counters_large.json": ((14, 16), ("real", "quarters"), (1, 2), (5, 7), (VARIANT_FULL,)),
+}
 QUARTERS = (0.25, 0.5, 0.75, 1.0)
 
 
@@ -37,13 +41,14 @@ def _instance(n: int, kind: str) -> Dsm:
     )
 
 
-def record() -> list[dict]:
-    """Solve every configuration of the grid and return what the file stores, in grid order."""
+def record(name: str) -> list[dict]:
+    """Solve every configuration of the named grid and return what its file stores, in grid order."""
+    n_values, kinds, cn_values, na_values, variants = GRIDS[name]
     entries = []
-    for n, kind in product(N_VALUES, KINDS):
+    for n, kind in product(n_values, kinds):
         dsm = _instance(n, kind)
         table = BinomialTable(n)
-        for cn, na, variant in product(CN_VALUES, NA_VALUES, VARIANTS):
+        for cn, na, variant in product(cn_values, na_values, variants):
             report = solve(dsm, SolverConfig(cn=cn, na=na, variant=variant), table=table)
             entries.append(
                 {
@@ -63,16 +68,25 @@ def record() -> list[dict]:
     return entries
 
 
-def test_solve_reproduces_the_recorded_counters():
-    expected = json.loads(DATA.read_text())
-    actual = record()
+def _check(name: str) -> None:
+    expected = json.loads((DATA / name).read_text())
+    actual = record(name)
     assert [e["config"] for e in actual] == [e["config"] for e in expected]
     mismatched = [a["config"] for a, e in zip(actual, expected) if a != e]
     assert not mismatched, f"{len(mismatched)} of {len(expected)} solves differ, first {mismatched[:3]}"
 
 
+def test_solve_reproduces_the_recorded_counters():
+    _check("solve_counters.json")
+
+
+def test_solve_reproduces_the_recorded_counters_at_benchmark_sizes():
+    _check("solve_counters_large.json")
+
+
 if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    lines = ",\n".join(json.dumps(entry, separators=(",", ":")) for entry in record())
-    DATA.write_text(f"[\n{lines}\n]\n")
-    print(f"wrote {DATA}")
+    DATA.mkdir(exist_ok=True)
+    for name in GRIDS:
+        lines = ",\n".join(json.dumps(entry, separators=(",", ":")) for entry in record(name))
+        (DATA / name).write_text(f"[\n{lines}\n]\n")
+        print(f"wrote {DATA / name}")

@@ -101,6 +101,37 @@ def test_expansion_tie_break_is_lexicographic(zero6):
         assert acts == tuple(sorted(acts))  # smallest ordering of each subset
 
 
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+def test_sparse_chunk_keeps_the_best_child_of_its_parents(direction):
+    # every other parent of a full row; quarter degrees make every sum exact and give many ties
+    n = 7
+    dsm = _quantised(generate_instance(n, 0.7, 11), (0.25, 0.5, 0.75, 1.0))
+    table = BinomialTable(n)
+    forward, backward = seed_rows(dsm)
+    row = (forward if direction == FORWARD else backward).entries()
+    for _ in range(2):
+        row = [node for _, node in expand_and_prune_chunk(dsm, row, direction, table=table).triples]
+    # plus two parents over subsets already present, tied in value with the other order
+    parents = row[::2] + [(fv, acts[::-1]) for fv, acts in row[:4:2]]
+    expected = {}  # address: the min (value, schedule) child over that subset
+    for fv, acts in parents:
+        others = [v for v in range(1, n + 1) if v not in acts]
+        for a in others:
+            if direction == FORWARD:
+                child = acts + (a,)  # gains the outflow of the child set
+                gain = sum(dsm.d[u - 1][v - 1] for u in child for v in others if v != a)
+            else:
+                child = (a,) + acts  # gains the inflow into the parent set
+                gain = sum(dsm.d[u - 1][v - 1] for u in others for v in acts)
+            node = (fv + gain, child)
+            address = rank_subset(child, n, table)
+            expected[address] = min(expected.get(address, node), node)
+    chunk = expand_and_prune_chunk(dsm, parents, direction, table=table)
+    assert chunk.expanded == len(parents) * (n - 3)
+    assert [ha for ha, _ in chunk.triples] == sorted(expected)
+    assert dict(chunk.triples) == expected
+
+
 def test_expansion_validation(dsm3):
     with pytest.raises(InputError):
         expand_and_prune_chunk(dsm3, [], FORWARD)
@@ -297,7 +328,7 @@ def test_timeout_at_start():
 
 
 def test_timeout_mid_search_keeps_counters():
-    # n=18 takes several times the limit, so the deadline passes mid-search
+    # n=18 outlasts the limit (0.05-0.09 s on a 2-vCPU VM, index built), so the deadline passes mid-search
     dsm = generate_instance(18, 0.5, 4)
     with pytest.raises(SolveTimeout) as err:
         solve(dsm, SolverConfig(cn=2, time_limit=0.05))
@@ -322,6 +353,23 @@ def test_timeout_while_building_the_cut_table():
     assert report.timed_out and report.sequence is None
     assert report.rows == []
     assert report.setup_seconds > 0  # the build's time up to the deadline
+
+
+def test_timeout_while_building_the_subset_index():
+    # a cold n=22 index build alone takes several times the limit
+    dsm = generate_instance(22, 0.5, 4)
+    _subset_index.cache_clear()
+    try:
+        started = time.perf_counter()
+        with pytest.raises(SolveTimeout) as err:
+            solve(dsm, SolverConfig(cn=1, time_limit=0.05))
+        assert time.perf_counter() - started < 0.3
+        assert not _subset_index.built  # a build cut short is not cached
+    finally:
+        _subset_index.cache_clear()
+    report = err.value.report
+    assert report.timed_out and report.sequence is None
+    assert report.rows == []
 
 
 def test_memory_cap():

@@ -8,6 +8,7 @@ Console numbers print with 6 significant digits; files keep full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -273,10 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call rather than at import, and reused after it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,15 +9,17 @@ meet-in-the-middle style: when both searches reach the meeting row, every
 prefix is paired with the suffix over its complement and the cheapest
 concatenation is the optimum.
 
-Rows are numpy arrays indexed by the lexicographic rank of their activity
-set: the best schedule's value (float64), its lex rank among the row's
-schedules (int32), and back-pointers (parent rank as int32, added activity
-as int8).  Only the winning prefix and suffix are ever rebuilt as tuples.
-A row is expanded by pulling: each child of k members reads its k parents,
-one column at a time, and keeps a running best, so no child depends on
-another's work and nothing is scattered.  Column j removes every child's
-j-th lowest mask bit and gathers those parents by rank; only the winners
-get a back-pointer and a tie key.  ``cn`` splits each row's parents into
+Activity a is bit a - 1 of a set's mask.  Rows are numpy arrays indexed by
+the lexicographic rank of their activity set: the best schedule's value
+(float64), for prefixes its lex rank among the row's schedules (int32), and
+the activity it added (int8) as its back-pointer, the parent being the set
+without that activity.  Only the winning prefix and suffix are ever
+rebuilt as tuples.  A row is expanded by pulling: each child of k members
+reads its k parents, one column at a time, and keeps a running best, so no
+child depends on another's work and nothing is scattered.  Column j
+removes every child's j-th lowest mask bit, its j-th smallest activity,
+and gathers those parents by rank; only the winners get a back-pointer
+and, going forward, a tie key.  ``cn`` splits each row's parents into
 contiguous chunks whose counters report what each would hand to a merge.
 The chunks are counted in the same sweep over the whole row, so ``cn``
 costs no time: every parent carries the label of its chunk, and each
@@ -37,8 +39,9 @@ outflow extends the outflow into the same set without its largest
 activity, so the whole table costs O(n 2**n) additions where summing each
 cut afresh would cost O(n**2 2**n).  Ties go to the lexicographically
 smaller schedule, which is the smaller (parent lex rank, a) going forward,
-where children append ``a``, and the smaller (a, parent lex rank) going
-backward, where they prepend it.
+where children append ``a``, and the smaller ``a`` going backward, where
+they prepend it: a child's parents all differ in ``a``, so suffix rows
+keep no lex rank.
 
 Three ablation switches degrade single strategies while preserving results:
 ``no-second-decomposition`` keeps one chunk per search, ``no-compression``
@@ -52,6 +55,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -216,6 +220,12 @@ class _Expired(Exception):
     """Internal: the deadline passed; ``solve`` turns it into SolveTimeout in one place."""
 
 
+def _check(deadline: float | None) -> None:
+    """Raise _Expired once ``deadline``, a ``time.monotonic`` reading, has passed."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise _Expired()
+
+
 class RowStore:
     """Dense per-row map from subset rank to the best node over that subset."""
 
@@ -300,43 +310,71 @@ _VALUE = np.dtype(np.float64)
 _LEX = np.dtype(np.int32)
 _KEY = np.dtype(np.int64)
 _INTP = np.dtype(np.intp)
-_PARENT = np.dtype(np.int32)
 _ACT = np.dtype(np.int8)
 _LABEL = np.dtype(np.int32)  # chunk of a parent, last chunk seen by a child
 _MAX_N = 30
+_BLOCK = 1 << 20  # masks ranked between two deadline checks of the index build
 _SOLVE_OBJECTS = 64 * 1024  # bytes; a solve's non-array allocations measured 11-17 KB at n=8..12
 
 
 class _SubsetIndex:
     """Every subset of the n activities as a bitmask, by size, in rank order.
 
-    Activity a is bit n - a, so within one size class a larger mask is the
-    lexicographically smaller set: ``row(k)`` lists the k-subsets in
-    descending mask order, which is ascending ``subsets.rank_subset``, and
+    Activity a is bit a - 1.  ``row(k)`` lists the k-subsets in
+    lexicographic order, which is ascending ``subsets.rank_subset``, and
     ``rank[mask]`` is the 0-based rank of ``mask`` within its size class.
-    The build checks ``deadline`` once per size class.
+    Both grow one activity at a time: the subsets of m activities are those
+    of m - 1 moved up one bit, with a new first activity at bit 0, and the
+    k-subsets holding it come first.  So a k-subset 2S + 1 takes the place
+    and the rank of the (k - 1)-subset S, and a k-subset 2S follows all of
+    those, at rank C(m - 1, k - 1) + rank[S].  Each step reads one array in
+    order and writes the next, with no scatter, alternating between the
+    result and a spare half its length.  The build checks ``deadline``
+    before each step and once more at the end, so a build that passes it
+    is never cached.
     """
 
     __slots__ = ("masks", "rank", "_starts")
 
     def __init__(self, n: int, deadline: float | None = None) -> None:
         count = 1 << n
-        sizes = np.zeros(count, dtype=np.uint8)  # sizes[m] is the popcount of m
-        for b in range(n):
-            np.add(sizes[: 1 << b], 1, out=sizes[1 << b : 2 << b])
-        descending = np.arange(count - 1, -1, -1, dtype=_MASK)
-        sizes = sizes[::-1]
         self.masks = np.empty(count, dtype=_MASK)
         self.rank = np.empty(count, dtype=_MASK)
-        self._starts = [0]
-        for size in range(n + 1):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise _Expired()
-            row = descending[sizes == size]
-            start = self._starts[-1]
-            self.masks[start : start + len(row)] = row
-            self.rank[row] = np.arange(len(row), dtype=_MASK)
-            self._starts.append(start + len(row))
+        spare = np.empty(max(count >> 1, 1), dtype=_MASK)
+        # the subsets of m activities sit in the result when n - m is even, else in the spare
+        masks = (self.masks, spare)
+        masks[n % 2][0] = 0
+        starts = [0, 1]  # level[starts[k] : starts[k + 1]] are the k-subsets
+        for m in range(1, n + 1):
+            level, grown = masks[(n - m + 1) % 2], masks[(n - m) % 2]
+            for k in range(m):
+                _check(deadline)
+                first, stop = starts[k], starts[k + 1]
+                # moved up, the k-subsets follow the k-subsets that hold the new activity ...
+                np.left_shift(level[first:stop], 1, out=grown[2 * first : first + stop])
+                # ... and with it they open the (k + 1)-subsets
+                held = grown[first + stop : 2 * stop]
+                np.left_shift(level[first:stop], 1, out=held)
+                held |= 1
+            starts = [0] + [starts[k] + starts[k + 1] for k in range(m)] + [2 * starts[m]]
+        self._starts = starts
+        ranks = (self.rank, spare)
+        ranks[n % 2][0] = 0
+        sizes = np.zeros(max(count >> 1, 1), dtype=np.uint8)  # popcounts below 2 ** (n - 1)
+        for m in range(1, n + 1):
+            half = 1 << (m - 1)
+            level = ranks[(n - m + 1) % 2]
+            grown = ranks[(n - m) % 2][: 2 * half].reshape(half, 2)
+            if m > 1:
+                np.add(sizes[: half >> 1], 1, out=sizes[half >> 1 : half])
+            # rank[2S + 1] is rank[S], and rank[2S] is C(m - 1, |S| - 1) + rank[S]
+            after = np.array([0] + [comb(m - 1, k) for k in range(m - 1)], dtype=_MASK)
+            for first in range(0, half, _BLOCK):
+                _check(deadline)
+                stop = min(first + _BLOCK, half)
+                grown[first:stop, 1] = level[first:stop]
+                np.add(level[first:stop], after[sizes[first:stop]], out=grown[first:stop, 0])
+        _check(deadline)
         self.masks.flags.writeable = False
         self.rank.flags.writeable = False
 
@@ -377,83 +415,100 @@ def _cut_table(d: np.ndarray, deadline: float | None = None) -> np.ndarray:
 
     Sums members ascending, each member's outflow over non-members
     ascending, each from 0.0: bit for bit the order of the scalar loop, so
-    equal sets of terms give equal values.  For each member u, fold[T] is
-    u's outflow into the set T, built as fold[T minus its largest activity]
-    plus d[u][largest]; the largest activity is T's lowest bit, so each
-    activity v fills the masks whose lowest bit is v's from those without
-    it.  fold[full ^ S] is fold reversed, so u's term is one strided add
-    over the masks that hold u.  Holds the table and one fold.
+    equal sets of terms give equal values.  Member u's term is read only by
+    the 2**(n-1) masks that hold u (bit u); dropping bit u numbers them in
+    ascending order, and outflow[i] is u's outflow into the complement of
+    the i-th, which is the complement of i among the other n - 1
+    activities.  It is the outflow into that complement without its largest
+    activity plus d[u][largest].  The complements whose largest activity is
+    the one at bit b of i are those of the 2**b indices just below the top
+    2**b, and without it they are the complements of the top 2**b, in the
+    same order: one contiguous add per other activity.  The term then goes
+    into the held masks in as few calls as their layout allows: bit 0 is
+    every other mask, bits 1-3 are strided complex pairs (complex addition
+    is componentwise, so exact), and above them blocks of 2**u.  Holds the
+    table and one outflow, half as long.
     """
     n = len(d)
-    total = np.zeros(1 << n, dtype=_VALUE)
-    fold = np.empty(1 << n, dtype=_VALUE)
-    outflow = fold[::-1]  # outflow[S] = fold[full ^ S]
+    count = 1 << n
+    total = np.zeros(count, dtype=_VALUE)
+    outflow = np.empty(count >> 1, dtype=_VALUE)
     for u in range(n):
-        if deadline is not None and time.monotonic() >= deadline:
-            raise _Expired()
-        fold[0] = 0.0
-        for v in range(n):
-            # masks over activities 1..v+1 whose largest is v + 1 (bit n - 1 - v)
-            grid = fold.reshape(1 << v, 2, 1 << (n - 1 - v))
-            np.add(grid[:, 0, 0], d[u, v], out=grid[:, 1, 0])
-        # masks holding u (bit n - 1 - u)
-        held = total.reshape(1 << u, 2, 1 << (n - 1 - u))[:, 1, :]
-        held += outflow.reshape(1 << u, 2, 1 << (n - 1 - u))[:, 1, :]
+        _check(deadline)
+        outflow[-1] = 0.0  # into the empty complement
+        others = [v for v in range(n) if v != u]
+        for b, v in enumerate(others):
+            above = len(outflow) - (1 << b)
+            np.add(outflow[above:], d[u, v], out=outflow[above - (1 << b) : above])
+        if u == 0:
+            total[1::2] += outflow
+        elif u <= 3:
+            # a block of 2**(u+1) masks is 2**u pairs, the upper half holding u
+            total_pairs = total.view(np.complex128)
+            outflow_pairs = outflow.view(np.complex128)
+            half = 1 << (u - 1)
+            for pair in range(half):
+                total_pairs[half + pair :: 2 * half] += outflow_pairs[pair::half]
+        else:
+            held = total.reshape(-1, 2, 1 << u)[:, 1, :]
+            held += outflow.reshape(-1, 1 << u)
     return total
 
 
 def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
     """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes.
 
-    The larger of the subset index's build and the search.  The search
-    holds the index (two ints per subset of the n activities) and the cut
-    table (a float per subset).  Its build also holds a fold as large as
-    the table; the rows come after it: every row's back-pointers, both
-    searches' newest rows, and the widest column sweep's arrays.  Per
-    parent those are the row's value and lex, the suffix gain and the
-    chunk label; per child the running best value, its removed bit and
-    its parent's lex, the members left to peel and the bit peeled, the
-    prefix gain, and one column's parent ranks, values, lexes, flags,
-    selection terms and arriving and last chunk labels.  Turning the
-    winners into back-pointers and tie keys afterwards holds less.  A
-    fixed allowance covers the report, the row statistics and the other
-    small interpreter objects of a solve.
+    The larger of the subset index's build and the search.  The build
+    holds the masks and ranks, a spare half as long, the popcounts of that
+    half and one block of rank offsets.  The search holds the index (two
+    ints per subset of the n activities) and the cut table (a float per
+    subset).  The table's build also holds an outflow half as large as
+    the table; the rows come after it: every row's back-pointers (one byte per
+    child), both searches' newest rows (values, and lex ranks for
+    prefixes), and the widest column sweep's arrays.  Per parent those are
+    the row, its chunk label and, going backward, its values plus the
+    inflow; per child the running best value and removed bit, the members
+    left to peel and the bit peeled, and one column's parent masks, ranks
+    and values, a selection term, arriving and last chunk labels and
+    flags; going forward also the prefix gain, the running best's parent
+    lex and one column's lexes.  Turning the winners into back-pointers and
+    tie keys afterwards holds less.  A fixed allowance covers the report,
+    the row statistics and the other small interpreter objects of a solve.
     """
     subsets = 1 << n
-    # popcounts and size flags; descending, grouped and ranked masks; one size class and its ranks
-    build = subsets * (2 + 5 * _MASK.itemsize)
+    half = subsets >> 1
+    build = (2 * subsets + half + min(half, _BLOCK)) * _MASK.itemsize + half  # the popcounts are one byte
     index = subsets * 2 * _MASK.itemsize
     cuts = subsets * _VALUE.itemsize
-    row = _VALUE.itemsize + _LEX.itemsize
-    pointer = _PARENT.itemsize + _ACT.itemsize
-    per_parent = row + _VALUE.itemsize + _LABEL.itemsize
-    running = 2 * _VALUE.itemsize + _LEX.itemsize + 3 * _MASK.itemsize
-    column = _VALUE.itemsize + _LEX.itemsize + 3 * _MASK.itemsize + 2 * _LABEL.itemsize + 4
-    newest = row * (table.c(n, na) + table.c(n, n - na))
-    pointers = 0
-    widest = 0
-    for last in (na, n - na):
+    running = _VALUE.itemsize + 3 * _MASK.itemsize
+    column = _VALUE.itemsize + 3 * _MASK.itemsize + 2 * _LABEL.itemsize + 4
+    pointers = newest = widest = 0
+    for last, forward in ((na, True), (n - na, False)):
+        lex = _LEX.itemsize if forward else 0
+        row = _VALUE.itemsize + lex
+        per_parent = row + _LABEL.itemsize + (0 if forward else _VALUE.itemsize)
+        per_child = running + column + (_VALUE.itemsize + 2 * lex if forward else 0)
+        newest += row * table.c(n, last)
         for size in range(2, last + 1):
             children = table.c(n, size)
-            pointers += children * pointer
-            widest = max(widest, table.c(n, size - 1) * per_parent + children * (running + column))
-    return _SOLVE_OBJECTS + max(build, index + cuts + max(cuts, pointers + newest + widest))
+            pointers += children * _ACT.itemsize
+            widest = max(widest, table.c(n, size - 1) * per_parent + children * per_child)
+    return _SOLVE_OBJECTS + max(build, index + cuts + max(cuts // 2, pointers + newest + widest))
 
 
 @dataclass
 class _Row:
-    """One search's newest row: per subset rank, the best schedule's value and lex rank."""
+    """One search's newest row: per subset rank, the best schedule's value and, for prefixes, its lex rank."""
 
     size: int
     value: np.ndarray
-    lex: np.ndarray
+    lex: np.ndarray | None
 
 
 @dataclass
 class _Children:
     value: np.ndarray
-    key: np.ndarray
-    parent: np.ndarray
+    key: np.ndarray | None
     act: np.ndarray
     transferred: int
 
@@ -469,55 +524,55 @@ class _ArraySearch:
         self.deadline = deadline
         self.index = _subset_index(n, deadline)
         self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline)
-        singles = np.arange(n, dtype=_LEX)  # lone activity a has rank a - 1, in both orders
+        singles = np.arange(n, dtype=_LEX)  # lone activity a has rank a - 1
         self.rows = {
             FORWARD: _Row(1, self.cut[self.index.row(1)], singles),
-            BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), singles),
+            BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), None),
         }
-        self.pointers: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {FORWARD: [], BACKWARD: []}
+        self.pointers: dict[str, list[np.ndarray]] = {FORWARD: [], BACKWARD: []}
 
-    def expand(self, direction: str, size: int, value: np.ndarray, lex: np.ndarray, chunks: int) -> _Children:
-        """Grow the parent row (value, lex by rank) into row ``size``, keeping the best child per subset.
+    def expand(
+        self, direction: str, size: int, value: np.ndarray, lex: np.ndarray | None, chunks: int
+    ) -> _Children:
+        """Grow the parent row into row ``size``, keeping the best child per subset.
 
-        ``lex`` ranks the parents' schedules among themselves.  The column
-        sweep finds each child's winning parent; only the winners then get
-        their back-pointer, added activity and tie key, the key ordering
-        the children's schedules lexicographically: (parent lex, a) going
-        forward, where children append ``a``, and (a, parent lex) going
-        backward, where they prepend it.
+        ``value`` holds the parents by rank and, going forward, ``lex``
+        ranks their schedules among themselves.  The column sweep finds each
+        child's winning parent; the winners then get their added activity,
+        the child's back-pointer, and going forward a tie key (parent lex,
+        a), which orders the children's schedules lexicographically, as
+        children append ``a``.  Going backward no key is needed: the suffix
+        search never reads a lex rank.
         """
-        n = self.n
         best, best_low, best_lex, transferred = self._sweep(direction, size, value, lex, chunks)
-        parent = np.take(self.index.rank, self.index.row(size) ^ best_low)
-        # low bit 1 << (n - a) is 2.0 ** (e - 1) for frexp's exponent e
-        act = (n + 1 - np.frexp(best_low)[1]).astype(_ACT)
+        # low bit 1 << (a - 1) is 2.0 ** (e - 1) for frexp's exponent e
+        act = np.frexp(best_low)[1].astype(_ACT)
+        key = None
         if direction == FORWARD:
-            key = best_lex.astype(_KEY) * (n + 1) + act
-        else:
-            key = act.astype(_KEY) * len(value) + np.take(lex, parent)
-        return _Children(best, key, parent, act, transferred)
+            key = best_lex.astype(_KEY) * (self.n + 1) + act
+        return _Children(best, key, act, transferred)
 
     def _sweep(
-        self, direction: str, size: int, value: np.ndarray, lex: np.ndarray, chunks: int
+        self, direction: str, size: int, value: np.ndarray, lex: np.ndarray | None, chunks: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
         """Pull every child of row ``size`` from its ``size`` parents, one column at a time.
 
-        Column j removes each child's j-th lowest bit, its j-th largest
+        Column j removes each child's j-th lowest bit, its j-th smallest
         activity, and gathers those parents by rank, so no two children
-        share any work.  A candidate beats the child's running
-        best on a lower value or, on an equal value, a lexicographically
-        smaller schedule: the smaller parent lex going forward, where a
-        child's parents all differ, and the smaller ``a`` going backward,
-        where the columns run from the largest ``a`` down.  A parent of
-        value inf and the largest lex never wins; a child whose parents
-        are all such stays at inf.  Returns the running best value, its
-        parent's removed bit and, going forward, its parent's lex, and
-        ``transferred``: what ``chunks`` contiguous ranges of the parents,
-        a whole row in rank order, hand to a merge.  That is the children
-        each range reaches, which for one range is the row's capacity, or
-        the capacity per range under no-compression.  Each parent is
-        labelled with its range, and every change of label between a
-        child's consecutive parents is one more range reaching it.
+        share any work.  A candidate beats the child's running best on a
+        lower value or, on an equal value, a lexicographically smaller
+        schedule: the smaller parent lex going forward, where a child's
+        parents all differ, and the smaller ``a`` going backward, which is
+        the earlier column.  A parent of value inf and the largest lex never
+        wins; a child whose parents are all such stays at inf.  Returns the
+        running best value, its parent's removed bit and, going forward, its
+        parent's lex, and ``transferred``: what ``chunks`` contiguous ranges
+        of the parents, a whole row in rank order, hand to a merge.  That is
+        the children each range reaches, which for one range is the row's
+        capacity, or the capacity per range under no-compression.  Each
+        parent is labelled with its range; a child's parents arrive in
+        descending rank, so every change of label between its consecutive
+        parents is one more range reaching it.
         """
         n = self.n
         index = self.index
@@ -539,8 +594,7 @@ class _ArraySearch:
         rest = masks.copy()  # members not yet peeled
         low = np.empty_like(masks)
         for column in range(size):
-            if self.deadline is not None and time.monotonic() >= self.deadline:
-                raise _Expired()
+            _check(self.deadline)
             np.negative(rest, out=low)
             low &= rest
             rest ^= low
@@ -555,13 +609,11 @@ class _ArraySearch:
             else:
                 # x ^= (x ^ y) * better takes y where better holds, without the
                 # branches that make a masked copy several times slower
+                better = v < best
                 if forward:
                     lex_p = np.take(lex, p)
-                    better = v < best
                     better |= (v == best) & (lex_p < best_lex)
                     best_lex ^= (best_lex ^ lex_p) * better
-                else:
-                    better = v <= best
                 # tied values are equal bits (sums from +0.0 never give -0.0), so this is the winner's
                 np.minimum(best, v, out=best)
                 best_low ^= (best_low ^ low) * better
@@ -580,10 +632,12 @@ class _ArraySearch:
         children = self.expand(direction, size, row.value, row.lex, chunks)
         expanded = capacity * size
         survivors = int(np.count_nonzero(children.value < np.inf))
-        lex = np.empty(capacity, dtype=_LEX)
-        lex[np.argsort(children.key)] = np.arange(capacity, dtype=_LEX)
+        lex = None
+        if children.key is not None:
+            lex = np.empty(capacity, dtype=_LEX)
+            lex[np.argsort(children.key)] = np.arange(capacity, dtype=_LEX)
         self.rows[direction] = _Row(size, children.value, lex)
-        self.pointers[direction].append((children.parent, children.act))
+        self.pointers[direction].append(children.act)
         return RowStats(
             direction=direction,
             size=size,
@@ -599,10 +653,14 @@ class _ArraySearch:
 
     def _trace(self, direction: str, i: int) -> list[int]:
         """Activities of entry ``i`` of the newest row, the most recently added first."""
+        pointers = self.pointers[direction]
+        mask = int(self.index.row(len(pointers) + 1)[i])
         acts = []
-        for parent, act in reversed(self.pointers[direction]):
-            acts.append(int(act[i]))
-            i = int(parent[i])
+        for act in reversed(pointers):
+            a = int(act[i])
+            acts.append(a)
+            mask ^= 1 << (a - 1)
+            i = int(self.index.rank[mask])
         acts.append(i + 1)
         return acts
 
@@ -658,8 +716,7 @@ class _ScanSearch:
 
         expanded = 0
         for parent_mask, (fv_parent, acts) in parents:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise _Expired()
+            _check(deadline)
             sorted_ids = sorted(acts)
             unused = [v for v in range(1, n + 1) if not parent_mask >> v & 1]
             if not forward:
@@ -818,7 +875,7 @@ def expand_and_prune_chunk(
     ids = np.array([acts for _, acts in parents])
     if ((ids < 1) | (ids > n)).any():
         raise InputError(f"activity ids must lie in 1..{n}")
-    bits = 1 << (n - ids)
+    bits = 1 << (ids - 1)
     masks = bits.sum(axis=1)
     if (np.bitwise_or.reduce(bits, axis=1) != masks).any():
         raise InputError("a parent repeats an activity")
@@ -840,11 +897,13 @@ def expand_and_prune_chunk(
     owner[ranks[kept]] = kept
     children = search.expand(direction, size, row_value, row_lex, 1)
     finite = np.flatnonzero(children.value < np.inf)
+    act = children.act[finite]
+    parent = search.index.rank[search.index.row(size)[finite] ^ np.left_shift(1, act - 1, dtype=_MASK)]
     survivors = zip(
         finite.tolist(),
         children.value[finite].tolist(),
-        [parents[i][1] for i in owner[children.parent[finite]].tolist()],
-        children.act[finite].tolist(),
+        [parents[i][1] for i in owner[parent].tolist()],
+        act.tolist(),
     )
     if direction == FORWARD:
         triples = [(rank + 1, (fv, acts + (a,))) for rank, fv, acts, a in survivors]

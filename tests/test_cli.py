@@ -10,6 +10,7 @@ from dsmseq import (
     total_feedback_length,
     write_dsm,
 )
+from dsmseq import cli
 from dsmseq.cli import main
 
 
@@ -142,6 +143,33 @@ def test_cores_resolution(tmp_path, monkeypatch, capsys):
 def test_unknown_flags_are_input_errors():
     assert main(["solve", "--frobnicate"]) == 1
     assert main(["no-such-command"]) == 1
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process; each call must exit and print as it does with a fresh parser
+    path = _write_instance(tmp_path, 8, 0.5, 11)
+    calls = [
+        ["solve", "--input", str(path), "--cores", "1"],
+        ["rank", "--n", "6", "--subset", "4,2,1", "--complement"],
+        ["solve", "--input", str(path), "--frobnicate"],
+        ["solve", "--input", str(path), "--cores", "1"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        # the time line is the only one that differs from run to run
+        out = [line for line in captured.out.splitlines() if not line.startswith("time ")]
+        return code, out, captured.err
+
+    alone = []
+    for argv in calls:
+        cli._shared_parser.cache_clear()
+        alone.append(run(argv))
+    cli._shared_parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+    assert [code for code, _, _ in alone] == [0, 0, 1, 0]
+    assert alone[1][1] == ["19"]
 
 
 def test_oversized_search_is_a_resource_error(tmp_path):

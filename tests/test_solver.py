@@ -328,12 +328,14 @@ def test_timeout_at_start():
 
 
 def test_timeout_mid_search_keeps_counters():
-    # n=18 outlasts the limit (0.05-0.09 s on a 2-vCPU VM, index built), so the deadline passes mid-search
-    dsm = generate_instance(18, 0.5, 4)
+    # on a 2-vCPU VM an n=20 solve sets up in 0.04-0.07 s (index cold or built) and takes 0.18-0.21 s,
+    # so the deadline passes mid-search
+    dsm = generate_instance(20, 0.5, 4)
     with pytest.raises(SolveTimeout) as err:
-        solve(dsm, SolverConfig(cn=2, time_limit=0.05))
+        solve(dsm, SolverConfig(cn=2, time_limit=0.1))
     report = err.value.report
     assert report.timed_out and report.sequence is None
+    assert report.rows
     assert report.nodes_expanded >= 0  # counters survive
     assert report.setup_seconds > 0
 
@@ -356,8 +358,8 @@ def test_timeout_while_building_the_cut_table():
 
 
 def test_timeout_while_building_the_subset_index():
-    # a cold n=22 index build alone takes several times the limit
-    dsm = generate_instance(22, 0.5, 4)
+    # a cold n=24 index build alone takes several times the limit (0.17-0.26 s on a 2-vCPU VM)
+    dsm = generate_instance(24, 0.5, 4)
     _subset_index.cache_clear()
     try:
         started = time.perf_counter()
@@ -406,8 +408,9 @@ def test_default_memory_cap_admits_n_22():
     table = BinomialTable(22)
     cap = SolverConfig().memory_cap
     assert all(_search_bytes(22, na, table) <= cap for na in range(2, 21))
-    table = BinomialTable(26)
-    assert all(_search_bytes(26, na, table) > cap for na in range(2, 25))
+    assert _search_bytes(26, 5, BinomialTable(26)) <= cap
+    table = BinomialTable(27)
+    assert all(_search_bytes(27, na, table) > cap for na in range(2, 26))
 
 
 def test_phase_timings_add_up():
@@ -536,8 +539,8 @@ def test_array_kernel_matches_scalar_reference_on_ties(n, levels):
 def _cut_by_definition(d: list[list[float]], mask: int) -> float:
     """cut(S) summed as a double loop: members ascending, each one's outflow over non-members ascending."""
     n = len(d)
-    members = [u for u in range(n) if mask >> (n - 1 - u) & 1]
-    others = [v for v in range(n) if not mask >> (n - 1 - v) & 1]
+    members = [u for u in range(n) if mask >> u & 1]
+    others = [v for v in range(n) if not mask >> v & 1]
     total = 0.0
     for u in members:
         outflow = 0.0
@@ -573,7 +576,7 @@ def test_cut_table_keeps_the_summation_order(name):
     assert table.view(np.int64).tolist() == expected.view(np.int64).tolist()
     n = len(d)
     seeded = np.array([fv for fv, _ in seed_rows(_CUT_MATRICES[name])[0].entries()])
-    singletons = expected[1 << (n - 1 - np.arange(n))]
+    singletons = expected[1 << np.arange(n)]
     assert seeded.view(np.int64).tolist() == singletons.view(np.int64).tolist()
 
 
@@ -586,7 +589,7 @@ def test_subset_index_agrees_with_rank_and_complement_address():
         for size in range(1, n + 1):
             capacity = table.c(n, size)
             for i, mask in enumerate(index.row(size).tolist()):
-                members = [a for a in range(1, n + 1) if mask >> (n - a) & 1]
+                members = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
                 assert index.rank[mask] == i == rank_subset(members, n, table) - 1
                 if size < n:
                     # pair() reads the suffix of prefix rank i at C - 1 - i

@@ -17,8 +17,11 @@ without that activity.  Only the winning prefix and suffix are ever
 rebuilt as tuples.  A row is expanded by pulling: each child of k members
 reads its k parents, one column at a time, and keeps a running best, so no
 child depends on another's work and nothing is scattered.  Column j
-removes every child's j-th lowest mask bit, its j-th smallest activity,
-and gathers those parents by rank; only the winners get a back-pointer
+removes every child's j-th smallest activity and gathers those parents by
+rank.  Those ranks do not depend on the instance, and each search grows
+its newest row's ranks by column from the row above's, copying one slice
+per block of children that share their smallest activity, so no mask is
+peeled and no rank map is read.  Only the winners get a back-pointer
 and, going forward, a tie key.  ``cn`` splits each row's parents into
 contiguous chunks whose counters report what each would hand to a merge.
 The chunks are counted in the same sweep over the whole row, so ``cn``
@@ -313,7 +316,6 @@ _INTP = np.dtype(np.intp)
 _ACT = np.dtype(np.int8)
 _LABEL = np.dtype(np.int32)  # chunk of a parent, last chunk seen by a child
 _MAX_N = 30
-_BLOCK = 1 << 20  # masks ranked between two deadline checks of the index build
 _SOLVE_OBJECTS = 64 * 1024  # bytes; a solve's non-array allocations measured 11-17 KB at n=8..12
 
 
@@ -321,25 +323,27 @@ class _SubsetIndex:
     """Every subset of the n activities as a bitmask, by size, in rank order.
 
     Activity a is bit a - 1.  ``row(k)`` lists the k-subsets in
-    lexicographic order, which is ascending ``subsets.rank_subset``, and
-    ``rank[mask]`` is the 0-based rank of ``mask`` within its size class.
-    Both grow one activity at a time: the subsets of m activities are those
-    of m - 1 moved up one bit, with a new first activity at bit 0, and the
-    k-subsets holding it come first.  So a k-subset 2S + 1 takes the place
-    and the rank of the (k - 1)-subset S, and a k-subset 2S follows all of
-    those, at rank C(m - 1, k - 1) + rank[S].  Each step reads one array in
-    order and writes the next, with no scatter, alternating between the
-    result and a spare half its length.  The build checks ``deadline``
-    before each step and once more at the end, so a build that passes it
-    is never cached.
+    lexicographic order, which is ascending ``subsets.rank_subset``.  It
+    grows one activity at a time: the subsets of m activities are those of
+    m - 1 moved up one bit, with a new first activity at bit 0, and the
+    k-subsets holding it come first, so a k-subset 2S + 1 takes the place
+    of the (k - 1)-subset S, and a k-subset 2S follows all of those.  Each
+    step reads one array in order and writes the next, with no scatter,
+    alternating between the result and a spare half its length.  The build
+    checks ``deadline`` before each step and once more at the end, so a
+    build that passes it is never cached.  ``solve`` reads no rank map:
+    its sweep grows each row's parent ranks from the row before, as
+    ``blocks[k]`` (``_parent_blocks``) says for row k.  Only the Node-tuple
+    helpers read ``rank[mask]``, the 0-based rank of ``mask`` within its
+    size class, built on first use.
     """
 
-    __slots__ = ("masks", "rank", "_starts")
+    __slots__ = ("masks", "blocks", "_rank", "_starts")
 
     def __init__(self, n: int, deadline: float | None = None) -> None:
         count = 1 << n
         self.masks = np.empty(count, dtype=_MASK)
-        self.rank = np.empty(count, dtype=_MASK)
+        self._rank: np.ndarray | None = None
         spare = np.empty(max(count >> 1, 1), dtype=_MASK)
         # the subsets of m activities sit in the result when n - m is even, else in the spare
         masks = (self.masks, spare)
@@ -358,28 +362,22 @@ class _SubsetIndex:
                 held |= 1
             starts = [0] + [starts[k] + starts[k + 1] for k in range(m)] + [2 * starts[m]]
         self._starts = starts
-        ranks = (self.rank, spare)
-        ranks[n % 2][0] = 0
-        sizes = np.zeros(max(count >> 1, 1), dtype=np.uint8)  # popcounts below 2 ** (n - 1)
-        for m in range(1, n + 1):
-            half = 1 << (m - 1)
-            level = ranks[(n - m + 1) % 2]
-            grown = ranks[(n - m) % 2][: 2 * half].reshape(half, 2)
-            if m > 1:
-                np.add(sizes[: half >> 1], 1, out=sizes[half >> 1 : half])
-            # rank[2S + 1] is rank[S], and rank[2S] is C(m - 1, |S| - 1) + rank[S]
-            after = np.array([0] + [comb(m - 1, k) for k in range(m - 1)], dtype=_MASK)
-            for first in range(0, half, _BLOCK):
-                _check(deadline)
-                stop = min(first + _BLOCK, half)
-                grown[first:stop, 1] = level[first:stop]
-                np.add(level[first:stop], after[sizes[first:stop]], out=grown[first:stop, 0])
+        self.blocks = {size: _parent_blocks(n, size) for size in range(2, n + 1)}  # a few ints per size
         _check(deadline)
         self.masks.flags.writeable = False
-        self.rank.flags.writeable = False
 
     def row(self, size: int) -> np.ndarray:
         return self.masks[self._starts[size] : self._starts[size + 1]]
+
+    @property
+    def rank(self) -> np.ndarray:
+        if self._rank is None:
+            rank = np.empty(len(self.masks), dtype=_MASK)
+            for size in range(len(self._starts) - 1):
+                rank[self.row(size)] = np.arange(self._starts[size + 1] - self._starts[size], dtype=_MASK)
+            rank.flags.writeable = False
+            self._rank = rank
+        return self._rank
 
 
 class _IndexCache:
@@ -455,54 +453,119 @@ def _cut_table(d: np.ndarray, deadline: float | None = None) -> np.ndarray:
     return total
 
 
+def _parent_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer that holds every subset rank of n activities: int16 up to n = 17."""
+    return np.dtype(np.int16) if comb(n, n // 2) < 1 << 15 else _MASK
+
+
+def _parent_blocks(n: int, size: int) -> tuple[list[int], list[int], np.ndarray]:
+    """How the parent ranks of row ``size`` follow from those of row ``size - 1``.
+
+    In lexicographic order the children whose smallest activity is a form
+    one block of C(n - a, size - 1), ordered by their other activities:
+    the last C(n - a, size - 1) sets of the row above, in order.  So column
+    0, which removes a, reads those ranks as they stand.  Column j >= 1
+    removes the j-th smallest of the others, and the row above's column
+    j - 1 already ranks each of them without it among the (size - 2)-sets;
+    that rank less the C(n, size - 2) - C(n - a, size - 2) sets with an
+    activity up to a, plus the C(n, size - 1) - C(n - a + 1, size - 1)
+    sets of the parents' row whose smallest activity is below a, ranks
+    the same set with a put back.  Returns, per block, where its sets start
+    in the row above, how many there are, and that shift.
+    """
+    above = comb(n, size - 1)
+    firsts = range(1, n - size + 2)
+    counts = [comb(n - a, size - 1) for a in firsts]
+    starts = [above - count for count in counts]
+    shifts = [above - comb(n - a + 1, size - 1) - comb(n, size - 2) + comb(n - a, size - 2) for a in firsts]
+    return starts, counts, np.array(shifts, dtype=_parent_dtype(n))
+
+
+def _parent_column(above: list[np.ndarray | None], column: int, starts: list[int], shift: np.ndarray) -> np.ndarray:
+    """The rank of every child's parent without its ``column``-th smallest activity, counted from 0.
+
+    ``above`` is the row above's list of such columns; ``starts`` and, per
+    child, ``shift`` come from the row's ``_parent_blocks``.  One
+    concatenation of slices, plus the shift from column 1 on.
+    """
+    source = np.arange(len(above[0]), dtype=shift.dtype) if column == 0 else above[column - 1]
+    ranks = np.concatenate([source[start:] for start in starts])
+    if column:
+        ranks += shift
+    return ranks
+
+
+def _parent_ranks(index: _SubsetIndex, size: int) -> list[np.ndarray | None]:
+    """Row ``size``'s parent ranks by column, grown from row 1 as the sweep grows them."""
+    n = len(index.row(1))
+    ranks: list[np.ndarray | None] = [np.zeros(n, dtype=_parent_dtype(n))]  # the empty set's rank
+    for k in range(2, size + 1):
+        starts, counts, shifts = index.blocks[k]
+        shift = shifts.repeat(counts)
+        ranks = [_parent_column(ranks, column, starts, shift) for column in range(k)]
+    return ranks
+
+
 def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
     """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes.
 
     The larger of the subset index's build and the search.  The build
-    holds the masks and ranks, a spare half as long, the popcounts of that
-    half and one block of rank offsets.  The search holds the index (two
-    ints per subset of the n activities) and the cut table (a float per
-    subset).  The table's build also holds an outflow half as large as
-    the table; the rows come after it: every row's back-pointers (one byte per
-    child), both searches' newest rows (values, and lex ranks for
-    prefixes), and the widest column sweep's arrays.  Per parent those are
-    the row, its chunk label and, going backward, its values plus the
-    inflow; per child the running best value and removed bit, the members
-    left to peel and the bit peeled, and one column's parent masks, ranks
-    and values, a selection term, arriving and last chunk labels and
-    flags; going forward also the prefix gain, the running best's parent
-    lex and one column's lexes.  Turning the winners into back-pointers and
-    tie keys afterwards holds less.  A fixed allowance covers the report,
-    the row statistics and the other small interpreter objects of a solve.
+    holds the masks and a spare half as long.  The search holds the masks
+    (an int per subset of the n activities) and the cut table (a float
+    per subset).  The table's build also holds an outflow half as large as
+    the table; the rows come after it: every row's back-pointers (one byte
+    per child), both searches' last rows (values, and lex ranks for
+    prefixes), and the widest column sweep's arrays.  Those are, per
+    parent, the row and its chunk label; the parent ranks of the row above
+    and of the row swept, as many as any column holds at once (each column
+    of the row above is dropped once read, and a last row keeps none),
+    with column 0's ramp and each child's block shift; and per child the
+    running best value and parent rank, and one column's gather indices,
+    values, selection term, arriving and last chunk labels and flags;
+    going forward also the prefix gain, the running best's parent lex and
+    one column's lexes.  Turning the winners into back-pointers and tie
+    keys afterwards holds less.  A fixed allowance covers the report, the
+    row statistics and the other small interpreter objects of a solve.
     """
     subsets = 1 << n
-    half = subsets >> 1
-    build = (2 * subsets + half + min(half, _BLOCK)) * _MASK.itemsize + half  # the popcounts are one byte
-    index = subsets * 2 * _MASK.itemsize
+    rank = _parent_dtype(n).itemsize
+    build = (subsets + (subsets >> 1)) * _MASK.itemsize
+    index = subsets * _MASK.itemsize
     cuts = subsets * _VALUE.itemsize
-    running = _VALUE.itemsize + 3 * _MASK.itemsize
-    column = _VALUE.itemsize + 3 * _MASK.itemsize + 2 * _LABEL.itemsize + 4
+    running = _VALUE.itemsize + rank
+    column = _INTP.itemsize + _VALUE.itemsize + rank + 2 * _LABEL.itemsize + 4
     pointers = newest = widest = 0
     for last, forward in ((na, True), (n - na, False)):
         lex = _LEX.itemsize if forward else 0
-        row = _VALUE.itemsize + lex
-        per_parent = row + _LABEL.itemsize + (0 if forward else _VALUE.itemsize)
+        newest += (_VALUE.itemsize + lex) * table.c(n, last)
+        per_parent = _VALUE.itemsize + lex + _LABEL.itemsize
         per_child = running + column + (_VALUE.itemsize + 2 * lex if forward else 0)
-        newest += row * table.c(n, last)
         for size in range(2, last + 1):
-            children = table.c(n, size)
+            parents, children = table.c(n, size - 1), table.c(n, size)
             pointers += children * _ACT.itemsize
-            widest = max(widest, table.c(n, size - 1) * per_parent + children * per_child)
+            # column 0 holds every column of the row above and the ramp, the last column one of
+            # them and every new column kept; each holds the block shifts and one new column
+            held = max(size * parents, parents + (size if size < last else 1) * children)
+            ranks = (held + 2 * children) * rank
+            widest = max(widest, parents * per_parent + children * per_child + ranks)
     return _SOLVE_OBJECTS + max(build, index + cuts + max(cuts // 2, pointers + newest + widest))
 
 
 @dataclass
 class _Row:
-    """One search's newest row: per subset rank, the best schedule's value and, for prefixes, its lex rank."""
+    """One search's newest row, by subset rank.
+
+    The best schedule's value, for prefixes its lex rank, and
+    ``parent_ranks``: column j ranks each set without its j-th smallest
+    activity, counted from 0, in the row above.  The next row's sweep grows
+    its own parent ranks from these and drops each column once it has read
+    it; a search's last row keeps none.
+    """
 
     size: int
     value: np.ndarray
     lex: np.ndarray | None
+    parent_ranks: list[np.ndarray | None]
 
 
 @dataclass
@@ -510,133 +573,147 @@ class _Children:
     value: np.ndarray
     key: np.ndarray | None
     act: np.ndarray
+    parent_ranks: list[np.ndarray | None]
     transferred: int
 
 
 class _ArraySearch:
     """The array kernel, with both searches' newest rows and every row's back-pointers."""
 
-    def __init__(self, dsm: Dsm, table: BinomialTable, variant: str, deadline: float | None) -> None:
+    def __init__(self, dsm: Dsm, table: BinomialTable, variant: str, deadline: float | None, na: int) -> None:
         n = dsm.n
         self.n = n
         self.table = table
+        self.last = {FORWARD: na, BACKWARD: n - na}
         self.dense = variant == VARIANT_NO_COMPRESSION
         self.deadline = deadline
         self.index = _subset_index(n, deadline)
         self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline)
         singles = np.arange(n, dtype=_LEX)  # lone activity a has rank a - 1
+        empty = np.zeros(n, dtype=_parent_dtype(n))  # a lone activity's parent, the empty set, has rank 0
         self.rows = {
-            FORWARD: _Row(1, self.cut[self.index.row(1)], singles),
-            BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), None),
+            FORWARD: _Row(1, self.cut[self.index.row(1)], singles, [empty]),
+            BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), None, [empty]),
         }
         self.pointers: dict[str, list[np.ndarray]] = {FORWARD: [], BACKWARD: []}
 
-    def expand(
-        self, direction: str, size: int, value: np.ndarray, lex: np.ndarray | None, chunks: int
-    ) -> _Children:
-        """Grow the parent row into row ``size``, keeping the best child per subset.
+    def expand(self, direction: str, row: _Row, chunks: int, keep: bool) -> _Children:
+        """Grow ``row`` into the next row, keeping the best child per subset.
 
-        ``value`` holds the parents by rank and, going forward, ``lex``
-        ranks their schedules among themselves.  The column sweep finds each
-        child's winning parent; the winners then get their added activity,
-        the child's back-pointer, and going forward a tie key (parent lex,
-        a), which orders the children's schedules lexicographically, as
-        children append ``a``.  Going backward no key is needed: the suffix
-        search never reads a lex rank.
+        The column sweep finds each child's winning parent; the winners then
+        get their added activity, the child's back-pointer, and going
+        forward a tie key (parent lex, a), which orders the children's
+        schedules lexicographically, as children append ``a``.  Going
+        backward no key is needed: the suffix search never reads a lex rank.
         """
-        best, best_low, best_lex, transferred = self._sweep(direction, size, value, lex, chunks)
-        # low bit 1 << (a - 1) is 2.0 ** (e - 1) for frexp's exponent e
-        act = np.frexp(best_low)[1].astype(_ACT)
+        size = row.size + 1
+        best, best_p, best_lex, ranks, transferred = self._sweep(direction, row, chunks, keep)
+        # the child holds one bit more than its winning parent, 1 << (a - 1), which is 2.0 ** (e - 1)
+        # for frexp's exponent e
+        bits = self.index.row(size - 1).take(best_p)
+        bits ^= self.index.row(size)
+        act = np.frexp(bits)[1].astype(_ACT)
         key = None
         if direction == FORWARD:
             key = best_lex.astype(_KEY) * (self.n + 1) + act
-        return _Children(best, key, act, transferred)
+        return _Children(best, key, act, ranks, transferred)
 
     def _sweep(
-        self, direction: str, size: int, value: np.ndarray, lex: np.ndarray | None, chunks: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
-        """Pull every child of row ``size`` from its ``size`` parents, one column at a time.
+        self, direction: str, row: _Row, chunks: int, keep: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[np.ndarray | None], int]:
+        """Pull every child of the row after ``row`` from its parents there, one column at a time.
 
-        Column j removes each child's j-th lowest bit, its j-th smallest
-        activity, and gathers those parents by rank, so no two children
-        share any work.  A candidate beats the child's running best on a
-        lower value or, on an equal value, a lexicographically smaller
-        schedule: the smaller parent lex going forward, where a child's
-        parents all differ, and the smaller ``a`` going backward, which is
-        the earlier column.  A parent of value inf and the largest lex never
-        wins; a child whose parents are all such stays at inf.  Returns the
-        running best value, its parent's removed bit and, going forward, its
-        parent's lex, and ``transferred``: what ``chunks`` contiguous ranges
-        of the parents, a whole row in rank order, hand to a merge.  That is
-        the children each range reaches, which for one range is the row's
-        capacity, or the capacity per range under no-compression.  Each
-        parent is labelled with its range; a child's parents arrive in
+        Column j reads each child's parent without its j-th smallest
+        activity, so no two children share any work.  Its ranks grow from
+        the parent row's column j - 1, one slice per block of children
+        (``_parent_blocks``), and that column is dropped once read: nothing
+        is peeled from a mask and no rank map is read.  The new columns are
+        kept for the next row when ``keep`` holds.  A candidate beats the
+        child's running best on a lower value or, on an equal value, a
+        lexicographically smaller schedule: the smaller parent lex going
+        forward, where a child's parents all differ, and the smaller ``a``
+        going backward, which is the earlier column.  A parent of value inf
+        and the largest lex never wins; a child whose parents are all such
+        stays at inf.  Returns the running best value, its parent's rank
+        and, going forward, its parent's lex; the children's parent ranks
+        by column, or none; and ``transferred``: what ``chunks`` contiguous
+        ranges of the parents, a whole row in rank order, hand to a merge.
+        That is the children each range reaches, which for one range is the
+        row's capacity, or the capacity per range under no-compression.
+        Each parent is labelled with its range; a child's parents arrive in
         descending rank, so every change of label between its consecutive
         parents is one more range reaching it.
         """
         n = self.n
-        index = self.index
-        masks = index.row(size)  # children, by rank
+        size = row.size + 1
+        masks = self.index.row(size)  # children, by rank
         capacity = len(masks)
+        value, lex, above = row.value, row.lex, row.parent_ranks
         forward = direction == FORWARD
         if forward:
             gain = self.cut[masks]
             base = value
         else:
-            # every child of a suffix gains the inflow into the parent's set
-            base = value + self.cut[((1 << n) - 1) ^ index.row(size - 1)]
+            # every child of a suffix gains the inflow into the parent's set; the sweep consumes the
+            # parent row, so its values take the sum
+            base = value
+            base += self.cut[((1 << n) - 1) ^ self.index.row(size - 1)]
         labelled = chunks > 1 and not self.dense
         if labelled:
             sizes = [stop - start for start, stop in _part_bounds(len(value), chunks)]
             label = np.repeat(np.arange(chunks, dtype=_LABEL), sizes)
         transferred = capacity if labelled else chunks * capacity
         best_lex = None
-        rest = masks.copy()  # members not yet peeled
-        low = np.empty_like(masks)
+        starts, counts, shifts = self.index.blocks[size]
+        shift = shifts.repeat(counts)
+        ranks: list[np.ndarray | None] = []
         for column in range(size):
             _check(self.deadline)
-            np.negative(rest, out=low)
-            low &= rest
-            rest ^= low
-            p = np.take(index.rank, masks ^ low)
-            v = np.take(base, p)
+            p = _parent_column(above, column, starts, shift)
+            if column:
+                above[column - 1] = None
+            if keep:
+                ranks.append(p)
+            v = base.take(p)
             if forward:
                 v += gain
+                lex_p = lex.take(p)
             if column == 0:
-                best, best_low = v, low.copy()
-                if forward:
-                    best_lex = np.take(lex, p)
+                best, best_p, best_lex = v, p.copy(), lex_p if forward else None
             else:
                 # x ^= (x ^ y) * better takes y where better holds, without the
                 # branches that make a masked copy several times slower
                 better = v < best
                 if forward:
-                    lex_p = np.take(lex, p)
                     better |= (v == best) & (lex_p < best_lex)
-                    best_lex ^= (best_lex ^ lex_p) * better
+                    lex_p ^= best_lex
+                    lex_p *= better
+                    best_lex ^= lex_p
                 # tied values are equal bits (sums from +0.0 never give -0.0), so this is the winner's
                 np.minimum(best, v, out=best)
-                best_low ^= (best_low ^ low) * better
+                taken = best_p ^ p
+                taken *= better
+                best_p ^= taken
             if labelled:
-                arriving = np.take(label, p)
+                arriving = label.take(p)
                 if column:
                     transferred += int(np.count_nonzero(arriving != last))
                 last = arriving
-        return best, best_low, best_lex, transferred
+        return best, best_p, best_lex, ranks, transferred
 
     def grow(self, direction: str, workers: int) -> RowStats:
         row = self.rows[direction]
         size = row.size + 1
         capacity = self.table.c(self.n, size)
         chunks = min(workers, len(row.value))
-        children = self.expand(direction, size, row.value, row.lex, chunks)
+        children = self.expand(direction, row, chunks, keep=size < self.last[direction])
         expanded = capacity * size
         survivors = int(np.count_nonzero(children.value < np.inf))
         lex = None
         if children.key is not None:
             lex = np.empty(capacity, dtype=_LEX)
             lex[np.argsort(children.key)] = np.arange(capacity, dtype=_LEX)
-        self.rows[direction] = _Row(size, children.value, lex)
+        self.rows[direction] = _Row(size, children.value, lex, children.parent_ranks)
         self.pointers[direction].append(children.act)
         return RowStats(
             direction=direction,
@@ -654,13 +731,19 @@ class _ArraySearch:
     def _trace(self, direction: str, i: int) -> list[int]:
         """Activities of entry ``i`` of the newest row, the most recently added first."""
         pointers = self.pointers[direction]
+        n = self.n
         mask = int(self.index.row(len(pointers) + 1)[i])
+        members = [b for b in range(1, n + 1) if mask >> (b - 1) & 1]
         acts = []
         for act in reversed(pointers):
             a = int(act[i])
             acts.append(a)
-            mask ^= 1 << (a - 1)
-            i = int(self.index.rank[mask])
+            members.remove(a)
+            # the lexicographic rank of c_0 < ... < c_(p-1) is C(n, p) - 1 - the sum of C(n - c_j, p - j)
+            p = len(members)
+            i = comb(n, p) - 1
+            for j, c in enumerate(members):
+                i -= comb(n - c, p - j)
         acts.append(i + 1)
         return acts
 
@@ -879,7 +962,7 @@ def expand_and_prune_chunk(
     masks = bits.sum(axis=1)
     if (np.bitwise_or.reduce(bits, axis=1) != masks).any():
         raise InputError("a parent repeats an activity")
-    search = _ArraySearch(dsm, table, VARIANT_FULL, None)
+    search = _ArraySearch(dsm, table, VARIANT_FULL, None, size)  # the chunk's children are a last row
     values = np.array([fv for fv, _ in parents], dtype=_VALUE)
     order = sorted(range(len(parents)), key=lambda i: parents[i][1])
     lex = np.empty(len(parents), dtype=_LEX)
@@ -895,7 +978,9 @@ def expand_and_prune_chunk(
     row_value[ranks[kept]] = values[kept]
     row_lex[ranks[kept]] = lex[kept]
     owner[ranks[kept]] = kept
-    children = search.expand(direction, size, row_value, row_lex, 1)
+    # a fresh search holds row 1's parent ranks, so the chunk's row grows its own
+    row = _Row(size - 1, row_value, row_lex, _parent_ranks(search.index, size - 1))
+    children = search.expand(direction, row, 1, keep=False)
     finite = np.flatnonzero(children.value < np.inf)
     act = children.act[finite]
     parent = search.index.rank[search.index.row(size)[finite] ^ np.left_shift(1, act - 1, dtype=_MASK)]
@@ -1028,11 +1113,13 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     sizes = {FORWARD: 1, BACKWARD: 1}
     last = {FORWARD: na, BACKWARD: n - na}
 
-    search_type = _ScanSearch if variant == VARIANT_NO_HASH else _ArraySearch
     setup_started = time.perf_counter()
     setup_seconds: float | None = None  # set once the search is built
     try:
-        search = search_type(dsm, table, variant, deadline)
+        if variant == VARIANT_NO_HASH:
+            search: _ScanSearch | _ArraySearch = _ScanSearch(dsm, table, variant, deadline)
+        else:
+            search = _ArraySearch(dsm, table, variant, deadline, na)
         setup_seconds = time.perf_counter() - setup_started
         while sizes[FORWARD] < last[FORWARD] or sizes[BACKWARD] < last[BACKWARD]:
             shares = _round_allocation(

@@ -39,7 +39,7 @@ from dsmseq import (
     unrank_subset,
 )
 
-from dsmseq.solver import _cut_table, _search_bytes, _subset_index
+from dsmseq.solver import _cut_table, _parent_ranks, _search_bytes, _subset_index
 
 REL = 1e-9
 
@@ -328,11 +328,11 @@ def test_timeout_at_start():
 
 
 def test_timeout_mid_search_keeps_counters():
-    # on a 2-vCPU VM an n=20 solve sets up in 0.04-0.07 s (index cold or built) and takes 0.18-0.21 s,
+    # on a 2-vCPU VM an n=21 solve sets up in 0.060-0.067 s (index cold or built) and takes 0.34-0.35 s,
     # so the deadline passes mid-search
-    dsm = generate_instance(20, 0.5, 4)
+    dsm = generate_instance(21, 0.5, 4)
     with pytest.raises(SolveTimeout) as err:
-        solve(dsm, SolverConfig(cn=2, time_limit=0.1))
+        solve(dsm, SolverConfig(cn=2, time_limit=0.15))
     report = err.value.report
     assert report.timed_out and report.sequence is None
     assert report.rows
@@ -358,8 +358,8 @@ def test_timeout_while_building_the_cut_table():
 
 
 def test_timeout_while_building_the_subset_index():
-    # a cold n=24 index build alone takes several times the limit (0.17-0.26 s on a 2-vCPU VM)
-    dsm = generate_instance(24, 0.5, 4)
+    # a cold n=25 index build alone takes two to four times the limit (0.10-0.18 s on a 2-vCPU VM)
+    dsm = generate_instance(25, 0.5, 4)
     _subset_index.cache_clear()
     try:
         started = time.perf_counter()
@@ -595,3 +595,21 @@ def test_subset_index_agrees_with_rank_and_complement_address():
                     # pair() reads the suffix of prefix rank i at C - 1 - i
                     assert index.rank[full ^ mask] == capacity - 1 - i
                     assert complement_address(i + 1, n, size, table) == capacity - i
+
+
+def test_parent_ranks_grown_row_by_row_match_the_rank_map():
+    # column j of a row ranks each child without its j-th lowest bit, as the sweep reads it
+    for n in range(4, 13):
+        index = _subset_index(n)
+        for size in range(2, n + 1):
+            masks = index.row(size)
+            ranks = _parent_ranks(index, size)
+            assert len(ranks) == size
+            rest = masks.copy()
+            for column, parents in enumerate(ranks):
+                low = rest & -rest
+                rest ^= low
+                assert parents.tolist() == index.rank[masks ^ low].tolist()
+                if column:
+                    # descending across columns, so the chunk labels count hand-overs
+                    assert (parents < ranks[column - 1]).all()

@@ -21,7 +21,10 @@ removes every child's j-th smallest activity and gathers those parents by
 rank.  Those ranks do not depend on the instance, and each search grows
 its newest row's ranks by column from the row above's, copying one slice
 per block of children that share their smallest activity, so no mask is
-peeled and no rank map is read.  Only the winners get a back-pointer
+peeled and no rank map is read.  The row's masks grow from the row above's
+by the same slices, one activity added per block, and are cached read-only
+by (n, size), so the lexicographic layout has one owner,
+``_parent_blocks``.  Only the winners get a back-pointer
 and, going forward, a tie key.  ``cn`` splits each row's parents into
 contiguous chunks whose counters report what each would hand to a merge.
 The chunks are counted in the same sweep over the whole row, so ``cn``
@@ -58,6 +61,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -174,9 +178,10 @@ class SolveReport:
 
     ``na`` of 0 marks n < 4, where the double split is undefined and the
     brute-force oracle enumerates every schedule.  ``setup_seconds`` covers
-    building the search (the cut table, or the scalar kernel's seed rows).
-    The phases run one at a time, so the setup, forward, backward and
-    combination seconds add up to at most ``total_seconds``.
+    building the search (the row masks and the cut table, or the scalar
+    kernel's seed rows).  The phases run one at a time, so the setup,
+    forward, backward and combination seconds add up to at most
+    ``total_seconds``.
     """
 
     n: int
@@ -316,96 +321,8 @@ _INTP = np.dtype(np.intp)
 _ACT = np.dtype(np.int8)
 _LABEL = np.dtype(np.int32)  # chunk of a parent, last chunk seen by a child
 _MAX_N = 30
+_ROWS_CACHED = 8 * _MAX_N  # enough for every row of the eight most recently solved n
 _SOLVE_OBJECTS = 64 * 1024  # bytes; a solve's non-array allocations measured 11-17 KB at n=8..12
-
-
-class _SubsetIndex:
-    """Every subset of the n activities as a bitmask, by size, in rank order.
-
-    Activity a is bit a - 1.  ``row(k)`` lists the k-subsets in
-    lexicographic order, which is ascending ``subsets.rank_subset``.  It
-    grows one activity at a time: the subsets of m activities are those of
-    m - 1 moved up one bit, with a new first activity at bit 0, and the
-    k-subsets holding it come first, so a k-subset 2S + 1 takes the place
-    of the (k - 1)-subset S, and a k-subset 2S follows all of those.  Each
-    step reads one array in order and writes the next, with no scatter,
-    alternating between the result and a spare half its length.  The build
-    checks ``deadline`` before each step and once more at the end, so a
-    build that passes it is never cached.  ``solve`` reads no rank map:
-    its sweep grows each row's parent ranks from the row before, as
-    ``blocks[k]`` (``_parent_blocks``) says for row k.  Only the Node-tuple
-    helpers read ``rank[mask]``, the 0-based rank of ``mask`` within its
-    size class, built on first use.
-    """
-
-    __slots__ = ("masks", "blocks", "_rank", "_starts")
-
-    def __init__(self, n: int, deadline: float | None = None) -> None:
-        count = 1 << n
-        self.masks = np.empty(count, dtype=_MASK)
-        self._rank: np.ndarray | None = None
-        spare = np.empty(max(count >> 1, 1), dtype=_MASK)
-        # the subsets of m activities sit in the result when n - m is even, else in the spare
-        masks = (self.masks, spare)
-        masks[n % 2][0] = 0
-        starts = [0, 1]  # level[starts[k] : starts[k + 1]] are the k-subsets
-        for m in range(1, n + 1):
-            level, grown = masks[(n - m + 1) % 2], masks[(n - m) % 2]
-            for k in range(m):
-                _check(deadline)
-                first, stop = starts[k], starts[k + 1]
-                # moved up, the k-subsets follow the k-subsets that hold the new activity ...
-                np.left_shift(level[first:stop], 1, out=grown[2 * first : first + stop])
-                # ... and with it they open the (k + 1)-subsets
-                held = grown[first + stop : 2 * stop]
-                np.left_shift(level[first:stop], 1, out=held)
-                held |= 1
-            starts = [0] + [starts[k] + starts[k + 1] for k in range(m)] + [2 * starts[m]]
-        self._starts = starts
-        self.blocks = {size: _parent_blocks(n, size) for size in range(2, n + 1)}  # a few ints per size
-        _check(deadline)
-        self.masks.flags.writeable = False
-
-    def row(self, size: int) -> np.ndarray:
-        return self.masks[self._starts[size] : self._starts[size + 1]]
-
-    @property
-    def rank(self) -> np.ndarray:
-        if self._rank is None:
-            rank = np.empty(len(self.masks), dtype=_MASK)
-            for size in range(len(self._starts) - 1):
-                rank[self.row(size)] = np.arange(self._starts[size + 1] - self._starts[size], dtype=_MASK)
-            rank.flags.writeable = False
-            self._rank = rank
-        return self._rank
-
-
-class _IndexCache:
-    """The subset index of n activities, built on first use and then shared read-only.
-
-    Keeps the ``maxsize`` most recently used.  A build that passes its
-    deadline raises _Expired and caches nothing, so the deadline is an
-    argument of the build and no part of the cache key.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self.built: dict[int, _SubsetIndex] = {}  # least recently used first
-
-    def __call__(self, n: int, deadline: float | None = None) -> _SubsetIndex:
-        index = self.built.pop(n, None)
-        if index is None:
-            index = _SubsetIndex(n, deadline)
-        self.built[n] = index
-        if len(self.built) > self.maxsize:
-            del self.built[next(iter(self.built))]
-        return index
-
-    def cache_clear(self) -> None:
-        self.built.clear()
-
-
-_subset_index = _IndexCache(maxsize=8)
 
 
 def _cut_table(d: np.ndarray, deadline: float | None = None) -> np.ndarray:
@@ -458,27 +375,55 @@ def _parent_dtype(n: int) -> np.dtype:
     return np.dtype(np.int16) if comb(n, n // 2) < 1 << 15 else _MASK
 
 
-def _parent_blocks(n: int, size: int) -> tuple[list[int], list[int], np.ndarray]:
-    """How the parent ranks of row ``size`` follow from those of row ``size - 1``.
+@lru_cache(maxsize=_ROWS_CACHED)
+def _parent_blocks(n: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """How row ``size`` in lexicographic order follows from row ``size - 1``.
 
-    In lexicographic order the children whose smallest activity is a form
-    one block of C(n - a, size - 1), ordered by their other activities:
-    the last C(n - a, size - 1) sets of the row above, in order.  So column
-    0, which removes a, reads those ranks as they stand.  Column j >= 1
-    removes the j-th smallest of the others, and the row above's column
-    j - 1 already ranks each of them without it among the (size - 2)-sets;
-    that rank less the C(n, size - 2) - C(n - a, size - 2) sets with an
-    activity up to a, plus the C(n, size - 1) - C(n - a + 1, size - 1)
-    sets of the parents' row whose smallest activity is below a, ranks
-    the same set with a put back.  Returns, per block, where its sets start
-    in the row above, how many there are, and that shift.
+    The children whose smallest activity is a form one block of
+    C(n - a, size - 1), ordered by their other activities: the last
+    C(n - a, size - 1) sets of the row above, in order, each with a added.
+    So column 0, which removes a, reads those ranks as they stand.  Column
+    j >= 1 removes the j-th smallest of the others, and the row above's
+    column j - 1 already ranks each of them without it among the
+    (size - 2)-sets; that rank less the C(n, size - 2) - C(n - a, size - 2)
+    sets with an activity up to a, plus the C(n, size - 1) -
+    C(n - a + 1, size - 1) sets of the parents' row whose smallest activity
+    is below a, ranks the same set with a put back.  Returns, per block,
+    where its sets start in the row above, how many there are, and that
+    shift, read-only, as every caller shares it.
     """
     above = comb(n, size - 1)
     firsts = range(1, n - size + 2)
-    counts = [comb(n - a, size - 1) for a in firsts]
-    starts = [above - count for count in counts]
+    counts = tuple(comb(n - a, size - 1) for a in firsts)
+    starts = tuple(above - count for count in counts)
     shifts = [above - comb(n - a + 1, size - 1) - comb(n, size - 2) + comb(n - a, size - 2) for a in firsts]
-    return starts, counts, np.array(shifts, dtype=_parent_dtype(n))
+    shift = np.array(shifts, dtype=_parent_dtype(n))
+    shift.flags.writeable = False
+    return starts, counts, shift
+
+
+@lru_cache(maxsize=_ROWS_CACHED)
+def _row_masks(n: int, size: int) -> np.ndarray:
+    """The ``size``-subsets of the n activities as bitmasks in rank order, read-only.
+
+    Activity a is bit a - 1, and rank order is lexicographic, ascending
+    ``subsets.rank_subset``.  Row 1 is the lone activities; row k holds, per
+    block of ``_parent_blocks``, the slice of row k - 1 that block's parents
+    are cut from, with the block's smallest activity added.  Cached, so a
+    row and the rows it grew from are built once per n.
+    """
+    if size == 1:
+        masks = np.left_shift(1, np.arange(n, dtype=_MASK), dtype=_MASK)
+    else:
+        above = _row_masks(n, size - 1)
+        starts, counts, _ = _parent_blocks(n, size)
+        masks = np.empty(sum(counts), dtype=_MASK)
+        first = 0
+        for a, (start, count) in enumerate(zip(starts, counts), start=1):
+            np.bitwise_or(above[start:], 1 << (a - 1), out=masks[first : first + count])
+            first += count
+    masks.flags.writeable = False
+    return masks
 
 
 def _parent_column(above: list[np.ndarray | None], column: int, starts: list[int], shift: np.ndarray) -> np.ndarray:
@@ -495,23 +440,37 @@ def _parent_column(above: list[np.ndarray | None], column: int, starts: list[int
     return ranks
 
 
-def _parent_ranks(index: _SubsetIndex, size: int) -> list[np.ndarray | None]:
+def _parent_ranks(n: int, size: int) -> list[np.ndarray | None]:
     """Row ``size``'s parent ranks by column, grown from row 1 as the sweep grows them."""
-    n = len(index.row(1))
     ranks: list[np.ndarray | None] = [np.zeros(n, dtype=_parent_dtype(n))]  # the empty set's rank
     for k in range(2, size + 1):
-        starts, counts, shifts = index.blocks[k]
+        starts, counts, shifts = _parent_blocks(n, k)
         shift = shifts.repeat(counts)
         ranks = [_parent_column(ranks, column, starts, shift) for column in range(k)]
     return ranks
 
 
+def _check_size(n: int, na: int, table: BinomialTable, cap: int) -> None:
+    """Refuse a search of n activities meeting at row ``na`` that int32 masks or ``cap`` bytes cannot hold.
+
+    Raises ResourceLimitError, naming the widest row, before any array exists.
+    """
+    deepest = max(na, n - na)
+    worst_size = max(range(2, deepest + 1), key=lambda s: table.c(n, s))
+    widest = f"row {worst_size} needs C({n},{worst_size}) = {table.c(n, worst_size)} subsets"
+    if n > _MAX_N:
+        raise ResourceLimitError(f"{widest}; subset masks are int32, which limits n to {_MAX_N}")
+    needed = _search_bytes(n, na, table)
+    if needed > cap:
+        raise ResourceLimitError(f"{widest} and the search {needed} bytes, over the cap of {cap} bytes")
+
+
 def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
     """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes.
 
-    The larger of the subset index's build and the search.  The build
-    holds the masks and a spare half as long.  The search holds the masks
-    (an int per subset of the n activities) and the cut table (a float
+    The search holds the row masks, at most an int per subset of the n
+    activities (each row is built from the row above straight into its own
+    array, so their build holds nothing more), and the cut table (a float
     per subset).  The table's build also holds an outflow half as large as
     the table; the rows come after it: every row's back-pointers (one byte
     per child), both searches' last rows (values, and lex ranks for
@@ -529,8 +488,7 @@ def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
     """
     subsets = 1 << n
     rank = _parent_dtype(n).itemsize
-    build = (subsets + (subsets >> 1)) * _MASK.itemsize
-    index = subsets * _MASK.itemsize
+    masks = subsets * _MASK.itemsize
     cuts = subsets * _VALUE.itemsize
     running = _VALUE.itemsize + rank
     column = _INTP.itemsize + _VALUE.itemsize + rank + 2 * _LABEL.itemsize + 4
@@ -548,7 +506,7 @@ def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
             held = max(size * parents, parents + (size if size < last else 1) * children)
             ranks = (held + 2 * children) * rank
             widest = max(widest, parents * per_parent + children * per_child + ranks)
-    return _SOLVE_OBJECTS + max(build, index + cuts + max(cuts // 2, pointers + newest + widest))
+    return _SOLVE_OBJECTS + masks + cuts + max(cuts // 2, pointers + newest + widest)
 
 
 @dataclass
@@ -587,12 +545,14 @@ class _ArraySearch:
         self.last = {FORWARD: na, BACKWARD: n - na}
         self.dense = variant == VARIANT_NO_COMPRESSION
         self.deadline = deadline
-        self.index = _subset_index(n, deadline)
+        for size in range(1, max(na, n - na) + 1):  # every row's masks, so the rows only read the cache
+            _check(deadline)
+            _row_masks(n, size)
         self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline)
         singles = np.arange(n, dtype=_LEX)  # lone activity a has rank a - 1
         empty = np.zeros(n, dtype=_parent_dtype(n))  # a lone activity's parent, the empty set, has rank 0
         self.rows = {
-            FORWARD: _Row(1, self.cut[self.index.row(1)], singles, [empty]),
+            FORWARD: _Row(1, self.cut[_row_masks(n, 1)], singles, [empty]),
             BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), None, [empty]),
         }
         self.pointers: dict[str, list[np.ndarray]] = {FORWARD: [], BACKWARD: []}
@@ -610,8 +570,8 @@ class _ArraySearch:
         best, best_p, best_lex, ranks, transferred = self._sweep(direction, row, chunks, keep)
         # the child holds one bit more than its winning parent, 1 << (a - 1), which is 2.0 ** (e - 1)
         # for frexp's exponent e
-        bits = self.index.row(size - 1).take(best_p)
-        bits ^= self.index.row(size)
+        bits = _row_masks(self.n, size - 1).take(best_p)
+        bits ^= _row_masks(self.n, size)
         act = np.frexp(bits)[1].astype(_ACT)
         key = None
         if direction == FORWARD:
@@ -646,7 +606,7 @@ class _ArraySearch:
         """
         n = self.n
         size = row.size + 1
-        masks = self.index.row(size)  # children, by rank
+        masks = _row_masks(n, size)  # children, by rank
         capacity = len(masks)
         value, lex, above = row.value, row.lex, row.parent_ranks
         forward = direction == FORWARD
@@ -657,14 +617,14 @@ class _ArraySearch:
             # every child of a suffix gains the inflow into the parent's set; the sweep consumes the
             # parent row, so its values take the sum
             base = value
-            base += self.cut[((1 << n) - 1) ^ self.index.row(size - 1)]
+            base += self.cut[((1 << n) - 1) ^ _row_masks(n, size - 1)]
         labelled = chunks > 1 and not self.dense
         if labelled:
             sizes = [stop - start for start, stop in _part_bounds(len(value), chunks)]
             label = np.repeat(np.arange(chunks, dtype=_LABEL), sizes)
         transferred = capacity if labelled else chunks * capacity
         best_lex = None
-        starts, counts, shifts = self.index.blocks[size]
+        starts, counts, shifts = _parent_blocks(n, size)
         shift = shifts.repeat(counts)
         ranks: list[np.ndarray | None] = []
         for column in range(size):
@@ -732,7 +692,7 @@ class _ArraySearch:
         """Activities of entry ``i`` of the newest row, the most recently added first."""
         pointers = self.pointers[direction]
         n = self.n
-        mask = int(self.index.row(len(pointers) + 1)[i])
+        mask = int(_row_masks(n, len(pointers) + 1)[i])
         members = [b for b in range(1, n + 1) if mask >> (b - 1) & 1]
         acts = []
         for act in reversed(pointers):
@@ -942,7 +902,9 @@ def expand_and_prune_chunk(
     whole parent row, where the subsets no parent covers hold value inf and
     the largest lex so that they never win, and the finite children come
     back as nodes, in address order.  Parents of different lengths, or with
-    an activity id outside 1..n or repeated, raise InputError.
+    an activity id outside 1..n or repeated, raise InputError.  An instance
+    that ``solve`` with the default config refuses as too large raises
+    ResourceLimitError before any array exists.
     """
     if direction not in (FORWARD, BACKWARD):
         raise InputError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
@@ -955,6 +917,7 @@ def expand_and_prune_chunk(
     n = dsm.n
     if table is None or table.n_max < n:
         table = BinomialTable(n)
+    _check_size(n, meeting_row(SolverConfig.na, n), table, SolverConfig.memory_cap)
     ids = np.array([acts for _, acts in parents])
     if ((ids < 1) | (ids > n)).any():
         raise InputError(f"activity ids must lie in 1..{n}")
@@ -967,23 +930,26 @@ def expand_and_prune_chunk(
     order = sorted(range(len(parents)), key=lambda i: parents[i][1])
     lex = np.empty(len(parents), dtype=_LEX)
     lex[order] = np.arange(len(parents), dtype=_LEX)
-    ranks = search.index.rank[masks]
+    above = _row_masks(n, size - 1)
+    rank = np.empty(1 << n, dtype=_MASK)  # by mask, set for the parents' row only
+    rank[above] = np.arange(len(above), dtype=_MASK)
+    ranks = rank[masks]
     # only the best parent over a subset can win any of its children
     best_first = np.lexsort((lex, values))
     _, first = np.unique(ranks[best_first], return_index=True)
     kept = best_first[first]
-    row_value = np.full(table.c(n, size - 1), np.inf)
+    row_value = np.full(len(above), np.inf)
     row_lex = np.full(len(row_value), np.iinfo(_LEX).max, dtype=_LEX)
     owner = np.zeros(len(row_value), dtype=_INTP)  # parent index by rank
     row_value[ranks[kept]] = values[kept]
     row_lex[ranks[kept]] = lex[kept]
     owner[ranks[kept]] = kept
     # a fresh search holds row 1's parent ranks, so the chunk's row grows its own
-    row = _Row(size - 1, row_value, row_lex, _parent_ranks(search.index, size - 1))
+    row = _Row(size - 1, row_value, row_lex, _parent_ranks(n, size - 1))
     children = search.expand(direction, row, 1, keep=False)
     finite = np.flatnonzero(children.value < np.inf)
     act = children.act[finite]
-    parent = search.index.rank[search.index.row(size)[finite] ^ np.left_shift(1, act - 1, dtype=_MASK)]
+    parent = rank[_row_masks(n, size)[finite] ^ np.left_shift(1, act - 1, dtype=_MASK)]
     survivors = zip(
         finite.tolist(),
         children.value[finite].tolist(),
@@ -1070,39 +1036,12 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     deadline: float | None = None
     if config.time_limit is not None:
         deadline = time.monotonic() + config.time_limit
-
-    def expired() -> bool:
-        return deadline is not None and time.monotonic() >= deadline
-
-    if n < 4:
-        if expired():
-            raise SolveTimeout(
-                SolveReport(
-                    n=n, cn=config.cn, na=0, variant=config.variant,
-                    sequence=None, objective=None,
-                    total_seconds=time.perf_counter() - started, timed_out=True,
-                )
-            )
-        sequence, objective = brute_force_optimum(dsm)
-        return SolveReport(
-            n=n, cn=config.cn, na=0, variant=config.variant, sequence=sequence, objective=objective,
-            total_seconds=time.perf_counter() - started,
-        )
-
-    na = meeting_row(config.na, n)
-    if table is None or table.n_max < n:
-        table = BinomialTable(n)
-
-    deepest = max(na, n - na)
-    worst_size = max(range(2, deepest + 1), key=lambda s: table.c(n, s))
-    widest = f"row {worst_size} needs C({n},{worst_size}) = {table.c(n, worst_size)} subsets"
-    if n > _MAX_N:
-        raise ResourceLimitError(f"{widest}; subset masks are int32, which limits n to {_MAX_N}")
-    needed = _search_bytes(n, na, table)
-    if needed > config.memory_cap:
-        raise ResourceLimitError(
-            f"{widest} and the search {needed} bytes, over the cap of {config.memory_cap} bytes"
-        )
+    na = 0
+    if n >= 4:
+        na = meeting_row(config.na, n)
+        if table is None or table.n_max < n:
+            table = BinomialTable(n)
+        _check_size(n, na, table, config.memory_cap)
 
     import logging  # on first use, so that importing the package does not load logging
 
@@ -1116,6 +1055,14 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     setup_started = time.perf_counter()
     setup_seconds: float | None = None  # set once the search is built
     try:
+        if n < 4:
+            setup_seconds = 0.0
+            _check(deadline)
+            sequence, objective = brute_force_optimum(dsm)
+            return SolveReport(
+                n=n, cn=config.cn, na=0, variant=variant, sequence=sequence, objective=objective,
+                total_seconds=time.perf_counter() - started,
+            )
         if variant == VARIANT_NO_HASH:
             search: _ScanSearch | _ArraySearch = _ScanSearch(dsm, table, variant, deadline)
         else:
@@ -1144,8 +1091,7 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
                     "%s row %d: %d survivors in %.3f s, %.3f s elapsed",
                     direction, stats.size, stats.survivors, stats.seconds, time.perf_counter() - started,
                 )
-        if expired():
-            raise _Expired()
+        _check(deadline)
     except _Expired:
         if setup_seconds is None:
             setup_seconds = time.perf_counter() - setup_started

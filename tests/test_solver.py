@@ -39,7 +39,7 @@ from dsmseq import (
     unrank_subset,
 )
 
-from dsmseq.solver import _cut_table, _parent_ranks, _search_bytes, _subset_index
+from dsmseq.solver import _cut_table, _parent_blocks, _parent_ranks, _row_masks, _search_bytes
 
 REL = 1e-9
 
@@ -143,6 +143,21 @@ def test_expansion_validation(dsm3):
     for parents in ([(0.0, (6,))], [(0.0, (0,))], [(0.0, (1, 1))]):
         with pytest.raises(InputError):
             expand_and_prune_chunk(dsm5, parents, FORWARD)
+
+
+@pytest.mark.parametrize("n", [27, 31])
+def test_oversized_chunk_is_refused_before_any_array(n):
+    # solve() refuses both with the default config: n=27 over the memory cap, n=31 over int32 masks
+    dsm = Dsm.from_rows([[0.0] * n for _ in range(n)])
+    with pytest.raises(ResourceLimitError):
+        solve(dsm)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            expand_and_prune_chunk(dsm, [(0.0, (1,))], FORWARD)
+        assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------- merge
@@ -341,8 +356,9 @@ def test_timeout_mid_search_keeps_counters():
 
 
 def test_timeout_while_building_the_cut_table():
-    # n=22's cut table alone takes several times the limit; the subset index is built beforehand
-    _subset_index(22)
+    # n=22's cut table alone takes several times the limit; the row masks are built beforehand
+    for size in range(1, 22):
+        _row_masks(22, size)
     dsm = generate_instance(22, 0.5, 4)
     try:
         started = time.perf_counter()
@@ -350,25 +366,32 @@ def test_timeout_while_building_the_cut_table():
             solve(dsm, SolverConfig(cn=1, time_limit=0.05))
         assert time.perf_counter() - started < 0.3
     finally:
-        _subset_index.cache_clear()
+        _row_masks.cache_clear()
     report = err.value.report
     assert report.timed_out and report.sequence is None
     assert report.rows == []
     assert report.setup_seconds > 0  # the build's time up to the deadline
 
 
-def test_timeout_while_building_the_subset_index():
-    # a cold n=25 index build alone takes two to four times the limit (0.10-0.18 s on a 2-vCPU VM)
+def test_timeout_while_building_the_row_masks():
+    # a cold build of n=25's rows 1..20 alone takes three to five times the limit (0.066-0.1 s on a 2-vCPU VM)
     dsm = generate_instance(25, 0.5, 4)
-    _subset_index.cache_clear()
+    _row_masks.cache_clear()
     try:
         started = time.perf_counter()
         with pytest.raises(SolveTimeout) as err:
-            solve(dsm, SolverConfig(cn=1, time_limit=0.05))
+            solve(dsm, SolverConfig(cn=1, time_limit=0.02))
         assert time.perf_counter() - started < 0.3
-        assert not _subset_index.built  # a build cut short is not cached
+        # a build cut short caches whole rows only, built in order: each equals a fresh build from the one
+        # above, and reading them builds nothing
+        built = _row_masks.cache_info().currsize
+        assert built < 20
+        misses = _row_masks.cache_info().misses
+        for size in range(1, built + 1):
+            assert np.array_equal(_row_masks(25, size), _row_masks.__wrapped__(25, size))
+        assert _row_masks.cache_info().misses == misses
     finally:
-        _subset_index.cache_clear()
+        _row_masks.cache_clear()
     report = err.value.report
     assert report.timed_out and report.sequence is None
     assert report.rows == []
@@ -386,7 +409,7 @@ def test_memory_cap_counts_bytes():
     estimate = _search_bytes(n, na, table)
     dsm = generate_instance(n, 0.5, 4)
     for cn in (1, 3):  # cn=3 splits rows, so the chunk labels are held too
-        _subset_index.cache_clear()  # so the solve pays for the index build too
+        _row_masks.cache_clear()  # so the solve pays for the row masks too
         tracemalloc.start()
         try:
             solve(dsm, SolverConfig(cn=cn, na=na), table=table)
@@ -580,36 +603,63 @@ def test_cut_table_keeps_the_summation_order(name):
     assert seeded.view(np.int64).tolist() == singletons.view(np.int64).tolist()
 
 
-def test_subset_index_agrees_with_rank_and_complement_address():
+def _rank_map(n: int) -> np.ndarray:
+    """The 0-based rank of every mask within its size class, from the rows."""
+    rank = np.zeros(1 << n, dtype=np.int64)
+    for size in range(1, n + 1):
+        masks = _row_masks(n, size)
+        rank[masks] = np.arange(len(masks))
+    return rank
+
+
+def test_row_masks_agree_with_rank_and_complement_address():
     # the array kernel ranks subsets by mask; the Node-tuple helpers' addresses follow these formulas
     for n in range(1, 13):
         table = BinomialTable(n)
-        index = _subset_index(n)
+        rank = _rank_map(n)
         full = (1 << n) - 1
         for size in range(1, n + 1):
             capacity = table.c(n, size)
-            for i, mask in enumerate(index.row(size).tolist()):
+            masks = _row_masks(n, size).tolist()
+            assert len(masks) == capacity
+            for i, mask in enumerate(masks):
                 members = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
-                assert index.rank[mask] == i == rank_subset(members, n, table) - 1
+                assert len(members) == size
+                assert rank[mask] == i == rank_subset(members, n, table) - 1
                 if size < n:
                     # pair() reads the suffix of prefix rank i at C - 1 - i
-                    assert index.rank[full ^ mask] == capacity - 1 - i
+                    assert rank[full ^ mask] == capacity - 1 - i
                     assert complement_address(i + 1, n, size, table) == capacity - i
 
 
 def test_parent_ranks_grown_row_by_row_match_the_rank_map():
     # column j of a row ranks each child without its j-th lowest bit, as the sweep reads it
     for n in range(4, 13):
-        index = _subset_index(n)
+        rank = _rank_map(n)
         for size in range(2, n + 1):
-            masks = index.row(size)
-            ranks = _parent_ranks(index, size)
+            masks = _row_masks(n, size)
+            ranks = _parent_ranks(n, size)
             assert len(ranks) == size
             rest = masks.copy()
             for column, parents in enumerate(ranks):
                 low = rest & -rest
                 rest ^= low
-                assert parents.tolist() == index.rank[masks ^ low].tolist()
+                assert parents.tolist() == rank[masks ^ low].tolist()
                 if column:
                     # descending across columns, so the chunk labels count hand-overs
                     assert (parents < ranks[column - 1]).all()
+
+
+def test_cached_rows_are_read_only_and_unchanged_by_a_solve():
+    n = 10
+    rows = {size: _row_masks(n, size).copy() for size in range(1, n + 1)}
+    dsm = generate_instance(n, 0.5, 3)
+    solve(dsm, SolverConfig(cn=2, na=4))
+    parents = seed_rows(dsm)[0].entries()
+    expand_and_prune_chunk(dsm, parents, FORWARD)
+    for size, before in rows.items():
+        masks = _row_masks(n, size)
+        assert not masks.flags.writeable
+        assert masks.tolist() == before.tolist()
+        if size > 1:
+            assert not _parent_blocks(n, size)[2].flags.writeable

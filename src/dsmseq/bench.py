@@ -1,9 +1,8 @@
 """Benchmark grids, ablation comparisons, and the paired sign test.
 
-Grid cells run sequentially so per-solve timings stay honest; the binomial
-table for each activity count is built once up front and excluded from the
-measured time.  Counters aggregate per cell, and reproducing a grid with
-the same spec reproduces every objective and counter (times excluded).
+Grid cells run sequentially so per-solve timings stay honest.  Counters
+aggregate per cell, and reproducing a grid with the same spec reproduces
+every objective and counter (times excluded).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from itertools import product
 from .errors import InputError
 from .generate import generate_instance
 from .solver import VARIANT_FULL, SolveReport, SolverConfig, SolveTimeout, solve
-from .subsets import BinomialTable
 
 __all__ = [
     "GridSpec",
@@ -99,7 +97,6 @@ def run_grid(spec: GridSpec) -> list[CellResult]:
     index, and the instance index, so a repeated spec reruns the identical
     instances.  Timeouts are recorded per instance and never abort the grid.
     """
-    tables = {n: BinomialTable(n) for n in set(spec.n_list)}
     results: list[CellResult] = []
     for cell_index, (n, density) in enumerate(product(spec.n_list, spec.density_list)):
         seeds: list[int] = []
@@ -117,7 +114,7 @@ def run_grid(spec: GridSpec) -> list[CellResult]:
             dsm = generate_instance(n, density, seed)
             started = time.perf_counter()
             try:
-                report = solve(dsm, config, table=tables[n])
+                report = solve(dsm, config)
             except SolveTimeout as exc:
                 report = exc.report
                 objectives.append(None)

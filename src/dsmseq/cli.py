@@ -121,9 +121,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"verification enumerates every schedule and is limited to "
             f"n <= {MAX_BRUTE_FORCE_N}, got {dsm.n}"
         )
-    config = SolverConfig(cn=_resolve_cores(args.cores), na=args.na)
     _warn_if_na_clamped(args.na, dsm.n)
-    report = solve(dsm, config)
+    report = solve(dsm, SolverConfig(na=args.na))
     oracle_seq, oracle_obj = brute_force_optimum(dsm)
     if report.sequence == oracle_seq and report.objective == oracle_obj:
         print(
@@ -182,7 +181,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         time_limit=args.time_limit,
         cn=_resolve_cores(args.cores),
         na=args.na,
-        variant=args.variant,
     )
     stamp = time.strftime("%Y%m%d_%H%M%S")
     out_dir = Path(args.out_dir)
@@ -239,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("verify", help="cross-check the solver against full enumeration")
     p.add_argument("--input", required=True)
-    p.add_argument("--cores", type=int, default=None)
     p.add_argument("--na", type=int, default=DEFAULT_NA)
     p.set_defaults(func=cmd_verify)
 
@@ -265,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--cores", type=int, default=None)
     p.add_argument("--na", type=int, default=DEFAULT_NA)
-    p.add_argument("--variant", choices=VARIANTS, default=VARIANT_FULL)
     p.add_argument("--ablation", choices=[v for v in VARIANTS if v != VARIANT_FULL],
                    default=None, help="run the grid under full and this variant, paired")
     p.add_argument("--out-dir", default=".")

@@ -13,26 +13,25 @@ Activity a is bit a - 1 of a set's mask.  Rows are numpy arrays indexed by
 the lexicographic rank of their activity set: the best schedule's value
 (float64), for prefixes its lex rank among the row's schedules (int32), and
 the activity it added (int8) as its back-pointer, the parent being the set
-without that activity.  Only the winning prefix and suffix are ever
-rebuilt as tuples.  A row is expanded by pulling: each child of k members
-reads its k parents, one column at a time, and keeps a running best, so no
-child depends on another's work and nothing is scattered.  Column j
-removes every child's j-th smallest activity and gathers those parents by
-rank.  Those ranks do not depend on the instance, and each search grows
-its newest row's ranks by column from the row above's, copying one slice
-per block of children that share their smallest activity, so no mask is
-peeled and no rank map is read.  The row's masks grow from the row above's
-by the same slices, one activity added per block, and are cached read-only
-by (n, size), so the lexicographic layout has one owner,
-``_parent_blocks``.  Only the winners get a back-pointer
-and, going forward, a tie key.  ``cn`` splits each row's parents into
-contiguous chunks whose counters report what each would hand to a merge.
-The chunks are counted in the same sweep over the whole row, so ``cn``
-costs no time: every parent carries the label of its chunk, and each
-change of label between a child's consecutive parents is one more chunk
-handing that child over.  Rows run in a fixed round order on the calling
-thread, so the schedule, objective and every counter are identical for
-any ``cn`` and meeting row.
+without that activity.  Only the winning prefix and suffix are ever rebuilt
+as tuples.  A row is expanded by pulling: each child of k members reads its
+k parents, one column at a time, and keeps a running best, so no child
+depends on another's work and nothing is scattered.  Column j removes every
+child's j-th smallest activity and gathers those parents by rank.  Those
+ranks do not depend on the instance, and each search grows its newest row's
+ranks by column from the row above's, copying one slice per block of
+children that share their smallest activity.  The row's masks grow from the
+row above's by the same slices, one activity added per block, and are
+cached read-only by (n, size), so the lexicographic layout has one owner,
+``_parent_blocks``.  Only the winners get a back-pointer and, going
+forward, a lex rank.  ``cn`` splits each row's parents into contiguous
+chunks whose counters report what each would hand to a merge.  The chunks
+are counted in the same sweep over the whole row, so ``cn`` costs no time:
+every parent carries the label of its chunk, and each change of label
+between a child's consecutive parents is one more chunk handing that child
+over.  Rows run in a fixed round order on the calling thread, so the
+schedule, objective and every counter are identical for any ``cn`` and
+meeting row.
 
 Prefix values grow by cut(C), the dependence flowing out of the child set
 C to its complement, and suffix values by cut of the complement of the
@@ -62,7 +61,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +69,7 @@ import numpy as np
 from .errors import InputError, InternalInvariantError, ResourceLimitError
 from .model import Dsm, total_feedback_length
 from .oracle import brute_force_optimum
-from .subsets import BinomialTable
+from .subsets import BinomialTable, rank_sorted
 
 __all__ = [
     "FORWARD",
@@ -127,7 +126,8 @@ class SolverConfig:
     the prefix length at which the two searches meet; ``solve`` clamps it
     with ``meeting_row``.  ``memory_cap`` is in bytes: a search whose arrays
     would need more is refused before any of them is allocated.  A ``cn``
-    below 1 or an unknown ``variant`` raises InputError.
+    below 1, a negative or NaN ``time_limit`` or an unknown ``variant``
+    raises InputError.
     """
 
     cn: int = 8
@@ -139,6 +139,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.cn < 1:
             raise InputError(f"worker count must be at least 1, got {self.cn}")
+        if self.time_limit is not None and not self.time_limit >= 0:  # NaN compares false
+            raise InputError(f"time limit must be a non-negative number of seconds, got {self.time_limit}")
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}")
 
@@ -179,9 +181,9 @@ class SolveReport:
     ``na`` of 0 marks n < 4, where the double split is undefined and the
     brute-force oracle enumerates every schedule.  ``setup_seconds`` covers
     building the search (the row masks and the cut table, or the scalar
-    kernel's seed rows).  The phases run one at a time, so the setup,
-    forward, backward and combination seconds add up to at most
-    ``total_seconds``.
+    kernel's seed rows); the forward and backward seconds sum the rows'.
+    The phases run one at a time, so the setup, forward, backward and
+    combination seconds add up to at most ``total_seconds``.
     """
 
     n: int
@@ -192,12 +194,18 @@ class SolveReport:
     objective: float | None
     rows: list[RowStats] = field(default_factory=list)
     setup_seconds: float = 0.0
-    forward_seconds: float = 0.0
-    backward_seconds: float = 0.0
     combination_seconds: float = 0.0
     total_seconds: float = 0.0
     combination_comparisons: int = 0
     timed_out: bool = False
+
+    @property
+    def forward_seconds(self) -> float:
+        return sum(r.seconds for r in self.rows if r.direction == FORWARD)
+
+    @property
+    def backward_seconds(self) -> float:
+        return sum(r.seconds for r in self.rows if r.direction == BACKWARD)
 
     @property
     def nodes_expanded(self) -> int:
@@ -307,8 +315,10 @@ class CompressedChunk:
     size: int
     triples: list[tuple[int, Node]]
     expanded: int
-    transferred_records: int
-    comparisons: int
+
+    @property
+    def transferred_records(self) -> int:
+        return len(self.triples)
 
 
 # ---------------------------------------------------------------- array kernel
@@ -526,24 +536,18 @@ class _Row:
     parent_ranks: list[np.ndarray | None]
 
 
-@dataclass
-class _Children:
-    value: np.ndarray
-    key: np.ndarray | None
-    act: np.ndarray
-    parent_ranks: list[np.ndarray | None]
-    transferred: int
-
-
 class _ArraySearch:
-    """The array kernel, with both searches' newest rows and every row's back-pointers."""
+    """The array kernel, with both searches' newest rows and every row's back-pointers.
 
-    def __init__(self, dsm: Dsm, table: BinomialTable, variant: str, deadline: float | None, na: int) -> None:
+    ``dense`` counts each chunk as handing over the whole row (no-compression).
+    """
+
+    def __init__(self, dsm: Dsm, table: BinomialTable, dense: bool, deadline: float | None, na: int) -> None:
         n = dsm.n
         self.n = n
         self.table = table
         self.last = {FORWARD: na, BACKWARD: n - na}
-        self.dense = variant == VARIANT_NO_COMPRESSION
+        self.dense = dense
         self.deadline = deadline
         for size in range(1, max(na, n - na) + 1):  # every row's masks, so the rows only read the cache
             _check(deadline)
@@ -557,26 +561,30 @@ class _ArraySearch:
         }
         self.pointers: dict[str, list[np.ndarray]] = {FORWARD: [], BACKWARD: []}
 
-    def expand(self, direction: str, row: _Row, chunks: int, keep: bool) -> _Children:
+    def expand(self, direction: str, row: _Row, chunks: int) -> tuple[_Row, np.ndarray, np.ndarray, int]:
         """Grow ``row`` into the next row, keeping the best child per subset.
 
         The column sweep finds each child's winning parent; the winners then
         get their added activity, the child's back-pointer, and going
-        forward a tie key (parent lex, a), which orders the children's
-        schedules lexicographically, as children append ``a``.  Going
-        backward no key is needed: the suffix search never reads a lex rank.
+        forward a lex rank, the order of (parent lex, a), as children append
+        ``a``.  Going backward no lex is needed: the suffix search never
+        reads one.  The new row keeps its parent ranks unless it is the
+        search's last.  Returns the new row, the added activities, the
+        winners' parent ranks and ``transferred``, as ``_sweep`` counts it.
         """
         size = row.size + 1
-        best, best_p, best_lex, ranks, transferred = self._sweep(direction, row, chunks, keep)
+        best, best_p, best_lex, ranks, transferred = self._sweep(direction, row, chunks, size < self.last[direction])
         # the child holds one bit more than its winning parent, 1 << (a - 1), which is 2.0 ** (e - 1)
         # for frexp's exponent e
         bits = _row_masks(self.n, size - 1).take(best_p)
         bits ^= _row_masks(self.n, size)
         act = np.frexp(bits)[1].astype(_ACT)
-        key = None
+        lex = None
         if direction == FORWARD:
-            key = best_lex.astype(_KEY) * (self.n + 1) + act
-        return _Children(best, key, act, ranks, transferred)
+            capacity = len(best)
+            lex = np.empty(capacity, dtype=_LEX)
+            lex[np.argsort(best_lex.astype(_KEY) * (self.n + 1) + act)] = np.arange(capacity, dtype=_LEX)
+        return _Row(size, best, lex, ranks), act, best_p, transferred
 
     def _sweep(
         self, direction: str, row: _Row, chunks: int, keep: bool
@@ -586,23 +594,22 @@ class _ArraySearch:
         Column j reads each child's parent without its j-th smallest
         activity, so no two children share any work.  Its ranks grow from
         the parent row's column j - 1, one slice per block of children
-        (``_parent_blocks``), and that column is dropped once read: nothing
-        is peeled from a mask and no rank map is read.  The new columns are
-        kept for the next row when ``keep`` holds.  A candidate beats the
-        child's running best on a lower value or, on an equal value, a
-        lexicographically smaller schedule: the smaller parent lex going
-        forward, where a child's parents all differ, and the smaller ``a``
-        going backward, which is the earlier column.  A parent of value inf
-        and the largest lex never wins; a child whose parents are all such
-        stays at inf.  Returns the running best value, its parent's rank
-        and, going forward, its parent's lex; the children's parent ranks
-        by column, or none; and ``transferred``: what ``chunks`` contiguous
-        ranges of the parents, a whole row in rank order, hand to a merge.
-        That is the children each range reaches, which for one range is the
-        row's capacity, or the capacity per range under no-compression.
-        Each parent is labelled with its range; a child's parents arrive in
-        descending rank, so every change of label between its consecutive
-        parents is one more range reaching it.
+        (``_parent_blocks``), and that column is dropped once read.  The new
+        columns are kept for the next row when ``keep`` holds.  A candidate
+        beats the child's running best on a lower value or, on an equal
+        value, a lexicographically smaller schedule: the smaller parent lex
+        going forward, where a child's parents all differ, and the smaller
+        ``a`` going backward, which is the earlier column.  A parent of
+        value inf and the largest lex never wins; a child whose parents are
+        all such stays at inf.  Returns the running best value, its parent's
+        rank and, going forward, its parent's lex; the children's parent
+        ranks by column, or none; and ``transferred``: what ``chunks``
+        contiguous ranges of the parents, a whole row in rank order, hand to
+        a merge.  That is the children each range reaches, which for one
+        range is the row's capacity, or the capacity per range under
+        no-compression.  Each parent is labelled with its range; a child's
+        parents arrive in descending rank, so every change of label between
+        its consecutive parents is one more range reaching it.
         """
         n = self.n
         size = row.size + 1
@@ -662,28 +669,21 @@ class _ArraySearch:
         return best, best_p, best_lex, ranks, transferred
 
     def grow(self, direction: str, workers: int) -> RowStats:
-        row = self.rows[direction]
-        size = row.size + 1
-        capacity = self.table.c(self.n, size)
-        chunks = min(workers, len(row.value))
-        children = self.expand(direction, row, chunks, keep=size < self.last[direction])
-        expanded = capacity * size
-        survivors = int(np.count_nonzero(children.value < np.inf))
-        lex = None
-        if children.key is not None:
-            lex = np.empty(capacity, dtype=_LEX)
-            lex[np.argsort(children.key)] = np.arange(capacity, dtype=_LEX)
-        self.rows[direction] = _Row(size, children.value, lex, children.parent_ranks)
-        self.pointers[direction].append(children.act)
+        chunks = min(workers, len(self.rows[direction].value))
+        row, act, _, transferred = self.expand(direction, self.rows[direction], chunks)
+        self.rows[direction] = row
+        self.pointers[direction].append(act)
+        expanded = len(row.value) * row.size
+        survivors = int(np.count_nonzero(row.value < np.inf))
         return RowStats(
             direction=direction,
-            size=size,
+            size=row.size,
             workers=workers,
             chunks=chunks,
             expanded=expanded,
             pruned=expanded - survivors,
             survivors=survivors,
-            transferred_records=children.transferred,
+            transferred_records=transferred,
             comparisons=0,
             seconds=0.0,
         )
@@ -699,11 +699,7 @@ class _ArraySearch:
             a = int(act[i])
             acts.append(a)
             members.remove(a)
-            # the lexicographic rank of c_0 < ... < c_(p-1) is C(n, p) - 1 - the sum of C(n - c_j, p - j)
-            p = len(members)
-            i = comb(n, p) - 1
-            for j, c in enumerate(members):
-                i -= comb(n - c, p - j)
+            i = rank_sorted(members, n, self.table) - 1
         acts.append(i + 1)
         return acts
 
@@ -726,7 +722,7 @@ class _ArraySearch:
 class _ScanSearch:
     """The no-hash variant: both searches' newest rows as scan stores."""
 
-    def __init__(self, dsm: Dsm, table: BinomialTable, variant: str, deadline: float | None) -> None:
+    def __init__(self, dsm: Dsm, deadline: float | None) -> None:
         n = dsm.n
         # 1-based copy so hot loops skip the id arithmetic; row/col 0 unused.
         padded = [(0.0,) * (n + 1)]
@@ -901,10 +897,11 @@ def expand_and_prune_chunk(
     Runs the array kernel ``solve`` runs: the nodes are scattered into a
     whole parent row, where the subsets no parent covers hold value inf and
     the largest lex so that they never win, and the finite children come
-    back as nodes, in address order.  Parents of different lengths, or with
-    an activity id outside 1..n or repeated, raise InputError.  An instance
-    that ``solve`` with the default config refuses as too large raises
-    ResourceLimitError before any array exists.
+    back as nodes, in address order.  Parents of different lengths, holding
+    all n activities, of a value that is not finite, or with an activity id
+    outside 1..n or repeated, raise InputError.  An instance that ``solve``
+    with the default config refuses as too large raises ResourceLimitError
+    before any array exists.
     """
     if direction not in (FORWARD, BACKWARD):
         raise InputError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
@@ -915,6 +912,10 @@ def expand_and_prune_chunk(
         raise InputError("parents of one chunk must all have the same length")
     size = lengths.pop() + 1
     n = dsm.n
+    if size > n:
+        raise InputError(f"parents of {size - 1} activities leave none of the {n} to add")
+    if not all(isfinite(fv) for fv, _ in parents):
+        raise InputError("parent values must be finite")
     if table is None or table.n_max < n:
         table = BinomialTable(n)
     _check_size(n, meeting_row(SolverConfig.na, n), table, SolverConfig.memory_cap)
@@ -925,7 +926,8 @@ def expand_and_prune_chunk(
     masks = bits.sum(axis=1)
     if (np.bitwise_or.reduce(bits, axis=1) != masks).any():
         raise InputError("a parent repeats an activity")
-    search = _ArraySearch(dsm, table, VARIANT_FULL, None, size)  # the chunk's children are a last row
+    # the chunk's children are the search's last row
+    search = _ArraySearch(dsm, table, False, None, size if direction == FORWARD else n - size)
     values = np.array([fv for fv, _ in parents], dtype=_VALUE)
     order = sorted(range(len(parents)), key=lambda i: parents[i][1])
     lex = np.empty(len(parents), dtype=_LEX)
@@ -946,15 +948,13 @@ def expand_and_prune_chunk(
     owner[ranks[kept]] = kept
     # a fresh search holds row 1's parent ranks, so the chunk's row grows its own
     row = _Row(size - 1, row_value, row_lex, _parent_ranks(n, size - 1))
-    children = search.expand(direction, row, 1, keep=False)
+    children, act, best_p, _ = search.expand(direction, row, 1)
     finite = np.flatnonzero(children.value < np.inf)
-    act = children.act[finite]
-    parent = rank[_row_masks(n, size)[finite] ^ np.left_shift(1, act - 1, dtype=_MASK)]
     survivors = zip(
         finite.tolist(),
         children.value[finite].tolist(),
-        [parents[i][1] for i in owner[parent].tolist()],
-        act.tolist(),
+        [parents[i][1] for i in owner[best_p[finite]].tolist()],
+        act[finite].tolist(),
     )
     if direction == FORWARD:
         triples = [(rank + 1, (fv, acts + (a,))) for rank, fv, acts, a in survivors]
@@ -965,8 +965,6 @@ def expand_and_prune_chunk(
         size=size,
         triples=triples,
         expanded=len(parents) * (n - size + 1),
-        transferred_records=len(triples),
-        comparisons=0,
     )
 
 
@@ -1048,7 +1046,6 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     log = logging.getLogger(__name__)
     variant = config.variant
     rows: list[RowStats] = []
-    seconds = {FORWARD: 0.0, BACKWARD: 0.0}
     sizes = {FORWARD: 1, BACKWARD: 1}
     last = {FORWARD: na, BACKWARD: n - na}
 
@@ -1064,9 +1061,9 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
                 total_seconds=time.perf_counter() - started,
             )
         if variant == VARIANT_NO_HASH:
-            search: _ScanSearch | _ArraySearch = _ScanSearch(dsm, table, variant, deadline)
+            search: _ScanSearch | _ArraySearch = _ScanSearch(dsm, deadline)
         else:
-            search = _ArraySearch(dsm, table, variant, deadline, na)
+            search = _ArraySearch(dsm, table, variant == VARIANT_NO_COMPRESSION, deadline, na)
         setup_seconds = time.perf_counter() - setup_started
         while sizes[FORWARD] < last[FORWARD] or sizes[BACKWARD] < last[BACKWARD]:
             shares = _round_allocation(
@@ -1085,7 +1082,6 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
                         f"expected C({n},{stats.size}) = {capacity}"
                     )
                 rows.append(stats)
-                seconds[direction] += stats.seconds
                 sizes[direction] = stats.size
                 log.info(
                     "%s row %d: %d survivors in %.3f s, %.3f s elapsed",
@@ -1099,7 +1095,6 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
             SolveReport(
                 n=n, cn=config.cn, na=na, variant=variant,
                 sequence=None, objective=None, rows=rows, setup_seconds=setup_seconds,
-                forward_seconds=seconds[FORWARD], backward_seconds=seconds[BACKWARD],
                 total_seconds=time.perf_counter() - started, timed_out=True,
             )
         ) from None
@@ -1123,8 +1118,6 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
         objective=objective,
         rows=rows,
         setup_seconds=setup_seconds,
-        forward_seconds=seconds[FORWARD],
-        backward_seconds=seconds[BACKWARD],
         combination_seconds=finished - combination_started,
         total_seconds=finished - started,
         combination_comparisons=combination_comparisons,

@@ -2,8 +2,8 @@
 
 Partial schedules over the same activity set are interchangeable for
 pruning, so each set is mapped to its position in the lexicographic
-enumeration of same-size subsets of {1..n}.  The rank is computed from a
-precomputed binomial table, doubles as a direct index into dense per-row
+enumeration of same-size subsets of {1..n}.  The rank is a closed-form sum
+of binomial coefficients, doubles as a direct index into dense per-row
 stores, and the rank of a set's complement is available in closed form,
 which lets the forward and backward searches pair their results without
 any searching.  One row of addresses needs at most C(n, floor(n/2)) slots.
@@ -11,6 +11,7 @@ any searching.  One row of addresses needs at most C(n, floor(n/2)) slots.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -25,48 +26,36 @@ __all__ = [
 
 
 class BinomialTable:
-    """Pascal-triangle table of C(m, k) for 0 <= k <= m <= n_max.
+    """C(m, k) for 0 <= k <= m <= n_max, range-checked.
 
-    Coefficients are exact arbitrary-precision integers, so addresses are
-    never approximated; ``c`` returns 0 for k outside [0, m].
+    Coefficients are exact arbitrary-precision integers from ``math.comb``,
+    so addresses are never approximated; ``c`` returns 0 for k outside
+    [0, m].
     """
 
-    __slots__ = ("n_max", "_rows")
+    __slots__ = ("n_max",)
 
     def __init__(self, n_max: int) -> None:
         if n_max < 0:
             raise InputError(f"table size must be non-negative, got {n_max}")
-        rows = [[1]]
-        for m in range(1, n_max + 1):
-            prev = rows[-1]
-            row = [1] * (m + 1)
-            for k in range(1, m):
-                row[k] = prev[k - 1] + prev[k]
-            rows.append(row)
-        self._rows = rows
         self.n_max = n_max
 
     def c(self, m: int, k: int) -> int:
         if not 0 <= m <= self.n_max:
             raise InputError(f"C({m}, {k}) outside table range 0..{self.n_max}")
-        if k < 0 or k > m:
-            return 0
-        return self._rows[m][k]
+        return comb(m, k) if k >= 0 else 0
 
 
 def rank_sorted(ids: Sequence[int], n: int, table: BinomialTable) -> int:
-    """Rank of an already-sorted, already-validated id sequence (fast path)."""
+    """Rank of an already-sorted, already-validated id sequence (fast path).
+
+    The sets after c_0 < ... < c_(p-1) are those whose first difference is
+    a larger id, C(n - c_j, p - j) of them for each j, so its rank is
+    C(n, p) less their sum.
+    """
     p = len(ids)
     c = table.c
-    ha = 0
-    prev = 0
-    for i in range(p - 1):
-        s = ids[i]
-        slots = p - i - 1  # ids still to place after this one
-        for t in range(prev + 1, s):
-            ha += c(n - t, slots)
-        prev = s
-    return ha + ids[-1] - prev
+    return c(n, p) - sum(c(n - a, p - j) for j, a in enumerate(ids))
 
 
 def rank_subset(activities: Iterable[int], n: int, table: BinomialTable) -> int:

@@ -72,6 +72,13 @@ def test_solve_timeout_leaves_no_solution_file(tmp_path):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_solve_refuses_a_bad_time_limit(tmp_path, limit):
+    # an input error, not a timeout; a NaN deadline would never pass
+    path = _write_instance(tmp_path, 8, 0.5, 8)
+    assert main(["solve", "--input", str(path), "--time-limit", limit]) == 1
+
+
 def test_solve_missing_file(tmp_path):
     assert main(["solve", "--input", str(tmp_path / "nope.txt")]) == 1
 
@@ -140,9 +147,14 @@ def test_cores_resolution(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_unknown_flags_are_input_errors():
+def test_unknown_flags_are_input_errors(tmp_path):
     assert main(["solve", "--frobnicate"]) == 1
     assert main(["no-such-command"]) == 1
+    # chunk counts do not change a verification, and a bench grid runs the full solver
+    path = _write_instance(tmp_path, 6, 0.5, 5)
+    assert main(["verify", "--input", str(path), "--cores", "2"]) == 1
+    assert main(["bench", "--n-list", "6", "--densities", "0.5", "--instances", "1",
+                 "--variant", "no-hash", "--out-dir", str(tmp_path)]) == 1
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

@@ -143,6 +143,16 @@ def test_expansion_validation(dsm3):
     for parents in ([(0.0, (6,))], [(0.0, (0,))], [(0.0, (1, 1))]):
         with pytest.raises(InputError):
             expand_and_prune_chunk(dsm5, parents, FORWARD)
+    # parents that hold every activity, and values that are not finite, refused in both directions
+    for parents in (
+        [(0.0, (1, 2, 3, 4, 5))],
+        [(math.nan, (1, 2)), (0.0, (1, 3))],
+        [(math.inf, (1, 2)), (0.0, (3, 4))],
+        [(-math.inf, (1,))],
+    ):
+        for direction in (FORWARD, BACKWARD):
+            with pytest.raises(InputError):
+                expand_and_prune_chunk(dsm5, parents, direction)
 
 
 @pytest.mark.parametrize("n", [27, 31])
@@ -171,8 +181,6 @@ def _chunk(direction, size, triples):
         size=size,
         triples=triples,
         expanded=len(triples),
-        transferred_records=len(triples),
-        comparisons=0,
     )
 
 
@@ -343,7 +351,7 @@ def test_timeout_at_start():
 
 
 def test_timeout_mid_search_keeps_counters():
-    # on a 2-vCPU VM an n=21 solve sets up in 0.060-0.067 s (index cold or built) and takes 0.34-0.35 s,
+    # on a 2-vCPU VM an n=21 solve sets up in 0.060-0.067 s and takes 0.34-0.35 s,
     # so the deadline passes mid-search
     dsm = generate_instance(21, 0.5, 4)
     with pytest.raises(SolveTimeout) as err:
@@ -403,8 +411,9 @@ def test_memory_cap():
         solve(dsm, SolverConfig(cn=2, memory_cap=100))
 
 
-def test_memory_cap_counts_bytes():
-    n, na = 16, 5
+@pytest.mark.parametrize("na", [2, 5, 14])
+def test_memory_cap_counts_bytes(na):
+    n = 16
     table = BinomialTable(n)
     estimate = _search_bytes(n, na, table)
     dsm = generate_instance(n, 0.5, 4)
@@ -469,6 +478,10 @@ def test_config_validation(dsm4):
         solve(dsm4, SolverConfig(cn=0))
     with pytest.raises(InputError):
         solve(dsm4, SolverConfig(variant="fancy"))
+    for time_limit in (math.nan, -1.0, -math.inf):
+        with pytest.raises(InputError):
+            SolverConfig(time_limit=time_limit)
+    assert solve(dsm4, SolverConfig(time_limit=math.inf)).sequence is not None
 
 
 # ---------------------------------------------------------------- variants

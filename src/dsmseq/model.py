@@ -7,11 +7,12 @@ dependence on a later-positioned activity becomes a feedback whose cost is
 its degree times the number of positions it spans; dependences pointing
 backwards are feedforwards and cost nothing.  This module holds the matrix
 and order-variable types, the objective, its decomposition around a split
-position, and the direct prefix/suffix evaluators that the search and the
-brute-force oracle both build on.
+position, and the direct prefix/suffix evaluators whose best orderings the
+brute-force oracle searches.
 
-All evaluators fix their summation order (ascending positions), so repeated
-evaluations are bit-reproducible.
+Every evaluator sums the feedback among a sequence's own activities with
+one helper, in ascending (h, k) positions from 0.0, and its other terms in
+ascending positions too, so repeated evaluations are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -89,21 +90,25 @@ def _check_partial(part: Sequence[int], n: int, what: str) -> None:
         raise InputError(f"{what} is empty")
 
 
+def _internal_feedback(d: Sequence[Sequence[float]], part: Sequence[int]) -> float:
+    """Feedback among ``part``'s own activities at their full spans, summed ascending (h, k) from 0.0."""
+    m = len(part)
+    total = 0.0
+    for h in range(m - 1):
+        row = d[part[h] - 1]
+        for k in range(h + 1, m):
+            total += row[part[k] - 1] * (k - h)
+    return total
+
+
 def total_feedback_length(dsm: Dsm, seq: Sequence[int]) -> float:
     """Total length-weighted feedback of a complete schedule.
 
     Every dependence of an earlier-positioned activity on a later one
     contributes its degree times the positional distance it spans.
     """
-    n = dsm.n
-    check_sequence(seq, n)
-    d = dsm.d
-    total = 0.0
-    for h in range(n - 1):
-        row = d[seq[h] - 1]
-        for k in range(h + 1, n):
-            total += row[seq[k] - 1] * (k - h)
-    return total
+    check_sequence(seq, dsm.n)
+    return _internal_feedback(dsm.d, seq)
 
 
 def prefix_feedback_value(dsm: Dsm, prefix: Sequence[int]) -> float:
@@ -120,11 +125,7 @@ def prefix_feedback_value(dsm: Dsm, prefix: Sequence[int]) -> float:
     d = dsm.d
     p = len(prefix)
     inside = set(prefix)
-    total = 0.0
-    for h in range(p):
-        row = d[prefix[h] - 1]
-        for k in range(h + 1, p):
-            total += row[prefix[k] - 1] * (k - h)
+    total = _internal_feedback(d, prefix)
     for h in range(p):
         row = d[prefix[h] - 1]
         span = p - h  # distance from position h+1 to the first open position p+1
@@ -149,11 +150,7 @@ def suffix_feedback_value(dsm: Dsm, suffix: Sequence[int]) -> float:
     d = dsm.d
     m = len(suffix)
     inside = set(suffix)
-    total = 0.0
-    for h in range(m):
-        row = d[suffix[h] - 1]
-        for k in range(h + 1, m):
-            total += row[suffix[k] - 1] * (k - h)
+    total = _internal_feedback(d, suffix)
     for k in range(m):
         col = suffix[k] - 1
         if k == 0:
@@ -196,17 +193,8 @@ def split_components(dsm: Dsm, seq: Sequence[int], p: int) -> SplitDecomposition
         raise InputError(f"split position must satisfy 1 < p < {n}, got {p}")
     d = dsm.d
 
-    fl_a = 0.0
-    for h in range(p - 1):
-        row = d[seq[h] - 1]
-        for k in range(h + 1, p):
-            fl_a += row[seq[k] - 1] * (k - h)
-
-    fl_b = 0.0
-    for h in range(p, n - 1):
-        row = d[seq[h] - 1]
-        for k in range(h + 1, n):
-            fl_b += row[seq[k] - 1] * (k - h)
+    fl_a = _internal_feedback(d, seq[:p])
+    fl_b = _internal_feedback(d, seq[p:])
 
     fl_c = 0.0
     fv_ca = 0.0
@@ -219,22 +207,14 @@ def split_components(dsm: Dsm, seq: Sequence[int], p: int) -> SplitDecomposition
             fv_ca += degree * (p - h)
             fv_cb += degree * (k - p)
 
-    # Region values from their own defining sums (independent groupings).
-    fv_a = 0.0
-    for h in range(p - 1):
-        row = d[seq[h] - 1]
-        for k in range(h + 1, p):
-            fv_a += row[seq[k] - 1] * (k - h)
+    # Region values: the internal part, then the cross terms from their own defining sums.
+    fv_a = fl_a
     for h in range(p):
         row = d[seq[h] - 1]
         for k in range(p, n):
             fv_a += row[seq[k] - 1] * (p - h)
 
-    fv_b = 0.0
-    for h in range(p, n - 1):
-        row = d[seq[h] - 1]
-        for k in range(h + 1, n):
-            fv_b += row[seq[k] - 1] * (k - h)
+    fv_b = fl_b
     for h in range(p):
         row = d[seq[h] - 1]
         for k in range(p, n):

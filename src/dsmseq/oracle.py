@@ -12,7 +12,7 @@ import the solver.
 from __future__ import annotations
 
 from itertools import islice, permutations
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -72,35 +72,22 @@ def _batch_objective(d: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return values
 
 
-def _checked_subset(dsm: Dsm, subset: Iterable[int]) -> tuple[int, ...]:
+def _best_ordering_value(evaluate: Callable[..., float], dsm: Dsm, subset: Iterable[int]) -> float:
+    """Minimum of ``evaluate`` over all orderings of ``subset`` (at most ``MAX_SUBSET_SIZE`` activities)."""
     ids = tuple(sorted(subset))
     if len(ids) > MAX_SUBSET_SIZE:
         raise InputError(
             f"subset of size {len(ids)} would need {len(ids)}! ordering evaluations; "
             f"limited to {MAX_SUBSET_SIZE}"
         )
-    return ids
+    return min(evaluate(dsm, ordering) for ordering in permutations(ids))
 
 
 def best_prefix_value(dsm: Dsm, subset: Iterable[int]) -> float:
     """Minimum prefix feedback value over all orderings of ``subset``."""
-    ids = _checked_subset(dsm, subset)
-    best: float | None = None
-    for ordering in permutations(ids):
-        value = prefix_feedback_value(dsm, ordering)
-        if best is None or value < best:
-            best = value
-    assert best is not None
-    return best
+    return _best_ordering_value(prefix_feedback_value, dsm, subset)
 
 
 def best_suffix_value(dsm: Dsm, subset: Iterable[int]) -> float:
     """Minimum suffix feedback value over all orderings of ``subset``."""
-    ids = _checked_subset(dsm, subset)
-    best: float | None = None
-    for ordering in permutations(ids):
-        value = suffix_feedback_value(dsm, ordering)
-        if best is None or value < best:
-            best = value
-    assert best is not None
-    return best
+    return _best_ordering_value(suffix_feedback_value, dsm, subset)

@@ -52,13 +52,14 @@ Three ablation switches degrade single strategies while preserving results:
 ``no-second-decomposition`` keeps one chunk per search, ``no-compression``
 counts every chunk as handing over the whole dense row instead of its
 occupied entries, and ``no-hash`` runs the scalar reference kernel, which
-finds similar nodes by linear scans that compare activity sets directly.
+finds similar nodes by linear scans that compare activity masks directly
+and sums each cut with ``_scalar_cut``, in the cut table's order.
 """
 
 from __future__ import annotations
 
+import sys
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, isfinite
@@ -126,8 +127,8 @@ class SolverConfig:
     the prefix length at which the two searches meet; ``solve`` clamps it
     with ``meeting_row``.  ``memory_cap`` is in bytes: a search whose arrays
     would need more is refused before any of them is allocated.  A ``cn``
-    below 1, a negative or NaN ``time_limit`` or an unknown ``variant``
-    raises InputError.
+    below 1, a negative or NaN ``time_limit`` or ``memory_cap`` or an
+    unknown ``variant`` raises InputError.
     """
 
     cn: int = 8
@@ -141,6 +142,8 @@ class SolverConfig:
             raise InputError(f"worker count must be at least 1, got {self.cn}")
         if self.time_limit is not None and not self.time_limit >= 0:  # NaN compares false
             raise InputError(f"time limit must be a non-negative number of seconds, got {self.time_limit}")
+        if not self.memory_cap >= 0:  # NaN compares false
+            raise InputError(f"memory cap must be a non-negative number of bytes, got {self.memory_cap}")
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}")
 
@@ -720,77 +723,54 @@ class _ArraySearch:
 
 
 class _ScanSearch:
-    """The no-hash variant: both searches' newest rows as scan stores."""
+    """The no-hash variant: both searches' newest rows as scan stores, keyed by activity mask."""
 
     def __init__(self, dsm: Dsm, deadline: float | None) -> None:
-        n = dsm.n
-        # 1-based copy so hot loops skip the id arithmetic; row/col 0 unused.
-        padded = [(0.0,) * (n + 1)]
-        for row in dsm.d:
-            padded.append((0.0,) + tuple(row))
-        self.n = n
-        self.d = tuple(padded)
+        self.n = dsm.n
+        self.d = dsm.d
         self.deadline = deadline
         self.stores: dict[str, _ScanStore] = {}
         for direction, row in zip((FORWARD, BACKWARD), seed_rows(dsm)):
             store = _ScanStore(1)
-            store.items = [(1 << a, node) for a, node in enumerate(row.entries(), start=1)]
+            store.items = [(1 << v, node) for v, node in enumerate(row.entries())]
             self.stores[direction] = store
 
     def expand(self, direction: str, size: int, parents: Sequence) -> tuple[_ScanStore, int]:
         """Scalar reference kernel: grow (mask, node) parents by every unused activity.
 
         ``size`` is the child row size; parents are one shorter.  Child prefix
-        values add the dependence flowing out of the child's set, child suffix
-        values add the dependence flowing into the parent's set (shared by all
-        of its children).  Children land in a scan store, which finds similar
-        nodes by comparing activity masks one by one; it is returned with the
-        number of children made.
+        values add ``_scalar_cut`` of the child's set into the unused
+        activities left, child suffix values the cut of the unused activities
+        into the parent's set (shared by all of its children).  Children land
+        in a scan store, which finds similar nodes by comparing activity
+        masks one by one; it is returned with the number of children made.
         """
         n = self.n
         d = self.d
-        deadline = self.deadline
         forward = direction == FORWARD
         store = _ScanStore(size)
-
         expanded = 0
         for parent_mask, (fv_parent, acts) in parents:
-            _check(deadline)
-            sorted_ids = sorted(acts)
-            unused = [v for v in range(1, n + 1) if not parent_mask >> v & 1]
+            _check(self.deadline)
+            unused = [v for v in range(n) if not parent_mask >> v & 1]
             if not forward:
-                # Inflow into the parent suffix set, identical for every child.
-                gain = 0.0
-                for u in unused:
-                    du = d[u]
-                    acc = 0.0
-                    for v in sorted_ids:
-                        acc += du[v]
-                    gain += acc
-                fv_child = fv_parent + gain
-            for a in unused:
+                members = [v for v in range(n) if parent_mask >> v & 1]
+                fv_child = fv_parent + _scalar_cut(d, unused, members)
+            for v in unused:
+                mask = parent_mask | 1 << v
                 if forward:
-                    # Outflow of the child set {parent + a} to its complement.
-                    child_ids = sorted_ids.copy()
-                    child_ids.insert(bisect_left(sorted_ids, a), a)
-                    child_comp = [v for v in unused if v != a]
-                    outflow = 0.0
-                    for u in child_ids:
-                        du = d[u]
-                        acc = 0.0
-                        for v in child_comp:
-                            acc += du[v]
-                        outflow += acc
-                    node = (fv_parent + outflow, acts + (a,))
+                    child = [u for u in range(n) if mask >> u & 1]
+                    node = (fv_parent + _scalar_cut(d, child, [u for u in unused if u != v]), acts + (v + 1,))
                 else:
-                    node = (fv_child, (a,) + acts)
+                    node = (fv_child, (v + 1,) + acts)
                 expanded += 1
-                store.install(parent_mask | (1 << a), node)
+                store.install(mask, node)
         return store, expanded
 
     def grow(self, direction: str, workers: int) -> RowStats:
         size = self.stores[direction].size + 1
-        parts = [part for part in partition_row(self.stores[direction], workers) if part]
+        # a row of k entries fills at most k parts, and every part asked for costs a loop
+        parts = partition_row(self.stores[direction], min(workers, self.stores[direction].occupied))
         merged = _ScanStore(size)
         expanded = transferred = comparisons = 0
         for part in parts:
@@ -818,7 +798,7 @@ class _ScanSearch:
     def pair(self) -> tuple[float, tuple[int, ...], int]:
         comparisons = 0
         best: Node | None = None
-        full_mask = ((1 << self.n) - 1) << 1
+        full_mask = (1 << self.n) - 1
         suffix_items = self.stores[BACKWARD].items
         for prefix_mask, (fv_a, acts_a) in self.stores[FORWARD].items:
             wanted = full_mask ^ prefix_mask
@@ -840,24 +820,36 @@ class _ScanSearch:
 # ---------------------------------------------------------------- public row helpers
 
 
+def _scalar_cut(d: Sequence[Sequence[float]], members: Sequence[int], others: Sequence[int]) -> float:
+    """The dependence of ``members`` on ``others``, activities by 0-based id, both ascending.
+
+    Sums each member's outflow over ``others`` from 0.0, then the outflows
+    from 0.0: the order ``_cut_table`` sums in, so the scalar kernel's
+    values equal the array kernel's bit for bit.
+    """
+    total = 0.0
+    for u in members:
+        row = d[u]
+        outflow = 0.0
+        for v in others:
+            outflow += row[v]
+        total += outflow
+    return total
+
+
 def seed_rows(dsm: Dsm) -> tuple[RowStore, RowStore]:
     """Build both length-1 rows.
 
     A lone prefix activity already owes its dependence on everything still
-    unscheduled, one position away each, summed from 0.0 in ascending order
-    as the cut table sums it; a lone suffix activity owes nothing yet.
-    Singleton sets rank to their own id.
+    unscheduled, one position away each: its ``_scalar_cut``.  A lone suffix
+    activity owes nothing yet.  Singleton sets rank to their own id.
     """
     n = dsm.n
     forward = RowStore(n, 1, n)
     backward = RowStore(n, 1, n)
-    for a, row in enumerate(dsm.d, start=1):
-        outflow = 0.0
-        for v, degree in enumerate(row, start=1):
-            if v != a:
-                outflow += degree
-        forward.install(a, (outflow, (a,)))
-        backward.install(a, (0.0, (a,)))
+    for u in range(n):
+        forward.install(u + 1, (_scalar_cut(dsm.d, [u], [v for v in range(n) if v != u]), (u + 1,)))
+        backward.install(u + 1, (0.0, (u + 1,)))
     return forward, backward
 
 
@@ -1041,9 +1033,8 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
             table = BinomialTable(n)
         _check_size(n, na, table, config.memory_cap)
 
-    import logging  # on first use, so that importing the package does not load logging
-
-    log = logging.getLogger(__name__)
+    # unimported, logging has no handler to emit to; importing it would raise the first solve's peak
+    logging = sys.modules.get("logging")
     variant = config.variant
     rows: list[RowStats] = []
     sizes = {FORWARD: 1, BACKWARD: 1}
@@ -1083,10 +1074,11 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
                     )
                 rows.append(stats)
                 sizes[direction] = stats.size
-                log.info(
-                    "%s row %d: %d survivors in %.3f s, %.3f s elapsed",
-                    direction, stats.size, stats.survivors, stats.seconds, time.perf_counter() - started,
-                )
+                if logging:
+                    logging.getLogger(__name__).info(
+                        "%s row %d: %d survivors in %.3f s, %.3f s elapsed",
+                        direction, stats.size, stats.survivors, stats.seconds, time.perf_counter() - started,
+                    )
         _check(deadline)
     except _Expired:
         if setup_seconds is None:

@@ -1,13 +1,18 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsmseq
 from dsmseq import (
     BACKWARD,
     FORWARD,
@@ -39,7 +44,7 @@ from dsmseq import (
     unrank_subset,
 )
 
-from dsmseq.solver import _cut_table, _parent_blocks, _parent_ranks, _row_masks, _search_bytes
+from dsmseq.solver import _cut_table, _parent_blocks, _parent_ranks, _row_masks, _scalar_cut, _search_bytes
 
 REL = 1e-9
 
@@ -436,6 +441,32 @@ def test_memory_cap_counts_bytes(na):
         tracemalloc.stop()
 
 
+def _fresh_interpreter(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports this checkout's package; it fails by raising."""
+    src = str(Path(dsmseq.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_first_solve_of_a_process_stays_within_the_estimate():
+    # pytest has imported logging already, so the first solve of a process is measured in a fresh one
+    _fresh_interpreter(
+        "import tracemalloc\n"
+        "from dsmseq import BinomialTable, SolverConfig, generate_instance, solve\n"
+        "from dsmseq.solver import _search_bytes\n"
+        "dsm = generate_instance(14, 0.5, 4)\n"
+        "tracemalloc.start()\n"
+        "solve(dsm, SolverConfig(cn=1, na=2))\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "estimate = _search_bytes(14, 2, BinomialTable(14))\n"
+        "assert peak <= estimate, (peak, estimate)\n"
+    )
+
+
+def test_importing_the_package_leaves_logging_unloaded():
+    # a solve's set-up time includes the package import, and logging would add milliseconds to it
+    _fresh_interpreter("import sys, dsmseq\nassert 'logging' not in sys.modules, 'dsmseq imports logging'\n")
+
+
 def test_default_memory_cap_admits_n_22():
     table = BinomialTable(22)
     cap = SolverConfig().memory_cap
@@ -481,6 +512,9 @@ def test_config_validation(dsm4):
     for time_limit in (math.nan, -1.0, -math.inf):
         with pytest.raises(InputError):
             SolverConfig(time_limit=time_limit)
+    for memory_cap in (math.nan, -1, -math.inf):  # a NaN cap would admit every search
+        with pytest.raises(InputError):
+            SolverConfig(memory_cap=memory_cap)
     assert solve(dsm4, SolverConfig(time_limit=math.inf)).sequence is not None
 
 
@@ -512,6 +546,19 @@ def test_single_decomposition_uses_one_worker_per_direction():
     assert all(row.workers == 1 for row in report.rows)
     full = solve(dsm, SolverConfig(cn=8, na=4))
     assert report.sequence == full.sequence and report.objective == full.objective
+
+
+def test_no_hash_work_does_not_grow_with_cn():
+    # a row of k entries splits into at most k chunks, and cn=20 already splits every row here that far
+    dsm = generate_instance(6, 0.5, 3)
+    few, many = (solve(dsm, SolverConfig(cn=cn, na=4, variant=VARIANT_NO_HASH)) for cn in (20, 10**6))
+    assert many.total_seconds < 0.5
+    assert many.sequence == few.sequence and many.objective == few.objective
+    counters = [
+        [(r.direction, r.size, r.chunks, r.expanded, r.survivors, r.transferred_records, r.comparisons) for r in rows]
+        for rows in (few.rows, many.rows)
+    ]
+    assert counters[0] == counters[1]
 
 
 # ---------------------------------------------------------------- exact ties
@@ -614,6 +661,12 @@ def test_cut_table_keeps_the_summation_order(name):
     seeded = np.array([fv for fv, _ in seed_rows(_CUT_MATRICES[name])[0].entries()])
     singletons = expected[1 << np.arange(n)]
     assert seeded.view(np.int64).tolist() == singletons.view(np.int64).tolist()
+    # the scalar reference kernel's cut, which also sums the no-hash rows
+    scalar = np.array([
+        _scalar_cut(d, [u for u in range(n) if mask >> u & 1], [v for v in range(n) if not mask >> v & 1])
+        for mask in range(1 << n)
+    ])
+    assert scalar.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def _rank_map(n: int) -> np.ndarray:

@@ -12,26 +12,26 @@ concatenation is the optimum.
 Activity a is bit a - 1 of a set's mask.  Rows are numpy arrays indexed by
 the lexicographic rank of their activity set: the best schedule's value
 (float64), for prefixes its lex rank among the row's schedules (int32), and
-the activity it added (int8) as its back-pointer, the parent being the set
-without that activity.  Only the winning prefix and suffix are ever rebuilt
-as tuples.  A row is expanded by pulling: each child of k members reads its
-k parents, one column at a time, and keeps a running best, so no child
-depends on another's work and nothing is scattered.  Column j removes every
-child's j-th smallest activity and gathers those parents by rank.  Those
-ranks do not depend on the instance, and each search grows its newest row's
-ranks by column from the row above's, copying one slice per block of
-children that share their smallest activity.  The row's masks grow from the
-row above's by the same slices, one activity added per block, and are
-cached read-only by (n, size), so the lexicographic layout has one owner,
-``_parent_blocks``.  Only the winners get a back-pointer and, going
-forward, a lex rank.  ``cn`` splits each row's parents into contiguous
-chunks whose counters report what each would hand to a merge.  The chunks
-are counted in the same sweep over the whole row, so ``cn`` costs no time:
-every parent carries the label of its chunk, and each change of label
-between a child's consecutive parents is one more chunk handing that child
-over.  Rows run in a fixed round order on the calling thread, so the
-schedule, objective and every counter are identical for any ``cn`` and
-meeting row.
+the column that won it (int8) as its back-pointer, the parent being the set
+without its column-th smallest activity.  Only the winning prefix and
+suffix are ever rebuilt as tuples.  A row is expanded by pulling: each
+child of k members reads its k parents, one column at a time, and keeps a
+running best and its column, so no child depends on another's work and
+nothing is scattered.  Column j removes every child's j-th smallest
+activity and gathers those parents by rank.  Those ranks do not depend on
+the instance, and each search grows its newest row's ranks by column from
+the row above's, copying one slice per block of children that share their
+smallest activity.  The row's masks grow from the row above's by the same
+slices, one activity added per block, and are cached read-only by (n,
+size), so the lexicographic layout has one owner, ``_parent_blocks``.
+Going forward, only the winners get a lex rank.  ``cn`` splits each row's
+parents into contiguous chunks whose counters report what each would hand
+to a merge.  The chunks are counted in the same sweep over the whole row,
+so ``cn`` costs no time: every parent carries the label of its chunk, and
+each change of label between a child's consecutive parents is one more
+chunk handing that child over.  Rows run in a fixed round order on the
+calling thread, so the schedule, objective and every counter are identical
+for any ``cn`` and meeting row.
 
 Prefix values grow by cut(C), the dependence flowing out of the child set
 C to its complement, and suffix values by cut of the complement of the
@@ -126,9 +126,10 @@ class SolverConfig:
     done, which is one column sweep over each whole row.  ``na`` is
     the prefix length at which the two searches meet; ``solve`` clamps it
     with ``meeting_row``.  ``memory_cap`` is in bytes: a search whose arrays
-    would need more is refused before any of them is allocated.  A ``cn``
-    below 1, a negative or NaN ``time_limit`` or ``memory_cap`` or an
-    unknown ``variant`` raises InputError.
+    would need more is refused before any of them is allocated.  A
+    non-integer ``cn`` or ``na``, a ``cn`` below 1, a negative or NaN
+    ``time_limit`` or ``memory_cap`` or an unknown ``variant`` raises
+    InputError.
     """
 
     cn: int = 8
@@ -138,14 +139,22 @@ class SolverConfig:
     variant: str = VARIANT_FULL
 
     def __post_init__(self) -> None:
-        if self.cn < 1:
-            raise InputError(f"worker count must be at least 1, got {self.cn}")
+        _check_integer(self.cn, "worker count", 1)
+        _check_integer(self.na, "meeting row")
         if self.time_limit is not None and not self.time_limit >= 0:  # NaN compares false
             raise InputError(f"time limit must be a non-negative number of seconds, got {self.time_limit}")
         if not self.memory_cap >= 0:  # NaN compares false
             raise InputError(f"memory cap must be a non-negative number of bytes, got {self.memory_cap}")
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}")
+
+
+def _check_integer(value: object, what: str, least: int | None = None) -> None:
+    """Raise InputError unless ``value`` is an integer, a numpy one included, and at least ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InputError(f"{what} must be at least {least}, got {value}")
 
 
 def meeting_row(na: int, n: int) -> int:
@@ -331,7 +340,7 @@ _VALUE = np.dtype(np.float64)
 _LEX = np.dtype(np.int32)
 _KEY = np.dtype(np.int64)
 _INTP = np.dtype(np.intp)
-_ACT = np.dtype(np.int8)
+_COLUMN = np.dtype(np.int8)  # the column that won a child, its back-pointer
 _LABEL = np.dtype(np.int32)  # chunk of a parent, last chunk seen by a child
 _MAX_N = 30
 _ROWS_CACHED = 8 * _MAX_N  # enough for every row of the eight most recently solved n
@@ -492,19 +501,19 @@ def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
     and of the row swept, as many as any column holds at once (each column
     of the row above is dropped once read, and a last row keeps none),
     with column 0's ramp and each child's block shift; and per child the
-    running best value and parent rank, and one column's gather indices,
+    running best value and its column, and one column's gather indices,
     values, selection term, arriving and last chunk labels and flags;
     going forward also the prefix gain, the running best's parent lex and
-    one column's lexes.  Turning the winners into back-pointers and tie
-    keys afterwards holds less.  A fixed allowance covers the report, the
-    row statistics and the other small interpreter objects of a solve.
+    one column's lexes.  Ranking the winners by their tie keys afterwards
+    holds less.  A fixed allowance covers the report, the row statistics
+    and the other small interpreter objects of a solve.
     """
     subsets = 1 << n
     rank = _parent_dtype(n).itemsize
     masks = subsets * _MASK.itemsize
     cuts = subsets * _VALUE.itemsize
-    running = _VALUE.itemsize + rank
-    column = _INTP.itemsize + _VALUE.itemsize + rank + 2 * _LABEL.itemsize + 4
+    running = _VALUE.itemsize + _COLUMN.itemsize
+    column = _INTP.itemsize + _VALUE.itemsize + _COLUMN.itemsize + 2 * _LABEL.itemsize + 4
     pointers = newest = widest = 0
     for last, forward in ((na, True), (n - na, False)):
         lex = _LEX.itemsize if forward else 0
@@ -513,7 +522,7 @@ def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
         per_child = running + column + (_VALUE.itemsize + 2 * lex if forward else 0)
         for size in range(2, last + 1):
             parents, children = table.c(n, size - 1), table.c(n, size)
-            pointers += children * _ACT.itemsize
+            pointers += children * _COLUMN.itemsize
             # column 0 holds every column of the row above and the ramp, the last column one of
             # them and every new column kept; each holds the block shifts and one new column
             held = max(size * parents, parents + (size if size < last else 1) * children)
@@ -564,30 +573,25 @@ class _ArraySearch:
         }
         self.pointers: dict[str, list[np.ndarray]] = {FORWARD: [], BACKWARD: []}
 
-    def expand(self, direction: str, row: _Row, chunks: int) -> tuple[_Row, np.ndarray, np.ndarray, int]:
+    def expand(self, direction: str, row: _Row, chunks: int) -> tuple[_Row, np.ndarray, int]:
         """Grow ``row`` into the next row, keeping the best child per subset.
 
-        The column sweep finds each child's winning parent; the winners then
-        get their added activity, the child's back-pointer, and going
-        forward a lex rank, the order of (parent lex, a), as children append
-        ``a``.  Going backward no lex is needed: the suffix search never
-        reads one.  The new row keeps its parent ranks unless it is the
-        search's last.  Returns the new row, the added activities, the
-        winners' parent ranks and ``transferred``, as ``_sweep`` counts it.
+        The column sweep finds each child's winning column, its
+        back-pointer.  Going forward the winners then get a lex rank, the
+        order of (parent lex, a), as children append ``a``: one parent's
+        children rank in the order of their ``a``, so (parent lex, child
+        rank) sorts the same.  The suffix search never reads a lex.  The new
+        row keeps its parent ranks unless it is the search's last.  Returns
+        it, the winning columns and ``transferred``, as ``_sweep`` counts it.
         """
         size = row.size + 1
-        best, best_p, best_lex, ranks, transferred = self._sweep(direction, row, chunks, size < self.last[direction])
-        # the child holds one bit more than its winning parent, 1 << (a - 1), which is 2.0 ** (e - 1)
-        # for frexp's exponent e
-        bits = _row_masks(self.n, size - 1).take(best_p)
-        bits ^= _row_masks(self.n, size)
-        act = np.frexp(bits)[1].astype(_ACT)
+        best, column, best_lex, ranks, transferred = self._sweep(direction, row, chunks, size < self.last[direction])
         lex = None
         if direction == FORWARD:
             capacity = len(best)
             lex = np.empty(capacity, dtype=_LEX)
-            lex[np.argsort(best_lex.astype(_KEY) * (self.n + 1) + act)] = np.arange(capacity, dtype=_LEX)
-        return _Row(size, best, lex, ranks), act, best_p, transferred
+            lex[np.argsort(best_lex.astype(_KEY) * capacity + np.arange(capacity))] = np.arange(capacity, dtype=_LEX)
+        return _Row(size, best, lex, ranks), column, transferred
 
     def _sweep(
         self, direction: str, row: _Row, chunks: int, keep: bool
@@ -604,8 +608,8 @@ class _ArraySearch:
         going forward, where a child's parents all differ, and the smaller
         ``a`` going backward, which is the earlier column.  A parent of
         value inf and the largest lex never wins; a child whose parents are
-        all such stays at inf.  Returns the running best value, its parent's
-        rank and, going forward, its parent's lex; the children's parent
+        all such stays at inf.  Returns the running best value, its column
+        and, going forward, its parent's lex; the children's parent
         ranks by column, or none; and ``transferred``: what ``chunks``
         contiguous ranges of the parents, a whole row in rank order, hand to
         a merge.  That is the children each range reaches, which for one
@@ -622,18 +626,15 @@ class _ArraySearch:
         forward = direction == FORWARD
         if forward:
             gain = self.cut[masks]
-            base = value
         else:
             # every child of a suffix gains the inflow into the parent's set; the sweep consumes the
             # parent row, so its values take the sum
-            base = value
-            base += self.cut[((1 << n) - 1) ^ _row_masks(n, size - 1)]
+            value += self.cut[((1 << n) - 1) ^ _row_masks(n, size - 1)]
         labelled = chunks > 1 and not self.dense
         if labelled:
             sizes = [stop - start for start, stop in _part_bounds(len(value), chunks)]
             label = np.repeat(np.arange(chunks, dtype=_LABEL), sizes)
         transferred = capacity if labelled else chunks * capacity
-        best_lex = None
         starts, counts, shifts = _parent_blocks(n, size)
         shift = shifts.repeat(counts)
         ranks: list[np.ndarray | None] = []
@@ -644,12 +645,12 @@ class _ArraySearch:
                 above[column - 1] = None
             if keep:
                 ranks.append(p)
-            v = base.take(p)
+            v = value.take(p)
             if forward:
                 v += gain
                 lex_p = lex.take(p)
             if column == 0:
-                best, best_p, best_lex = v, p.copy(), lex_p if forward else None
+                best, best_j, best_lex = v, np.zeros(capacity, dtype=_COLUMN), lex_p if forward else None
             else:
                 # x ^= (x ^ y) * better takes y where better holds, without the
                 # branches that make a masked copy several times slower
@@ -661,21 +662,21 @@ class _ArraySearch:
                     best_lex ^= lex_p
                 # tied values are equal bits (sums from +0.0 never give -0.0), so this is the winner's
                 np.minimum(best, v, out=best)
-                taken = best_p ^ p
+                taken = best_j ^ column
                 taken *= better
-                best_p ^= taken
+                best_j ^= taken
             if labelled:
                 arriving = label.take(p)
                 if column:
                     transferred += int(np.count_nonzero(arriving != last))
                 last = arriving
-        return best, best_p, best_lex, ranks, transferred
+        return best, best_j, best_lex, ranks, transferred
 
     def grow(self, direction: str, workers: int) -> RowStats:
         chunks = min(workers, len(self.rows[direction].value))
-        row, act, _, transferred = self.expand(direction, self.rows[direction], chunks)
+        row, column, transferred = self.expand(direction, self.rows[direction], chunks)
         self.rows[direction] = row
-        self.pointers[direction].append(act)
+        self.pointers[direction].append(column)
         expanded = len(row.value) * row.size
         survivors = int(np.count_nonzero(row.value < np.inf))
         return RowStats(
@@ -698,10 +699,8 @@ class _ArraySearch:
         mask = int(_row_masks(n, len(pointers) + 1)[i])
         members = [b for b in range(1, n + 1) if mask >> (b - 1) & 1]
         acts = []
-        for act in reversed(pointers):
-            a = int(act[i])
-            acts.append(a)
-            members.remove(a)
+        for column in reversed(pointers):
+            acts.append(members.pop(int(column[i])))
             i = rank_sorted(members, n, self.table) - 1
         acts.append(i + 1)
         return acts
@@ -871,8 +870,7 @@ def partition_row(row: RowStore | _ScanStore, workers: int) -> list[list]:
     Part sizes differ by at most one; when there are fewer entries than
     workers the trailing parts come back empty.
     """
-    if workers < 1:
-        raise InputError(f"worker count must be at least 1, got {workers}")
+    _check_integer(workers, "worker count", 1)
     items = row.entries()
     return [items[start:stop] for start, stop in _part_bounds(len(items), workers)]
 
@@ -940,7 +938,9 @@ def expand_and_prune_chunk(
     owner[ranks[kept]] = kept
     # a fresh search holds row 1's parent ranks, so the chunk's row grows its own
     row = _Row(size - 1, row_value, row_lex, _parent_ranks(n, size - 1))
-    children, act, best_p, _ = search.expand(direction, row, 1)
+    children, column, _ = search.expand(direction, row, 1)
+    best_p = np.choose(column, _parent_ranks(n, size))
+    act = np.frexp(above.take(best_p) ^ _row_masks(n, size))[1]  # frexp's exponent of 1 << (a - 1) is a
     finite = np.flatnonzero(children.value < np.inf)
     survivors = zip(
         finite.tolist(),

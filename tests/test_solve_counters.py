@@ -2,16 +2,20 @@
 
 ``solve_counters.json`` covers n in {5, 8, 11}, real and quarter-quantised
 degrees, cn in {1, 2, 3, 8}, na in {2, 5} and every variant.
-``solve_counters_large.json`` covers the sizes the benchmark runs: n in
-{14, 16}, real and quarter-quantised degrees, cn in {1, 2}, na in {5, 7}
-and the ``full`` variant.  For each solve a file holds the sequence, the
-objective's hex form, ``combination_comparisons`` and every row's counters
-(all but ``seconds``).  A change to the search that is meant to keep
-results and counters must reproduce both exactly.
+``solve_counters_large.json`` covers the sizes the benchmark runs and the
+first size whose parent ranks are int32: n in {14, 16, 18}, real and
+quarter-quantised degrees, cn in {1, 2}, na in {5, 7} and the ``full``
+variant.  For each solve a file holds the sequence, the objective's hex
+form, ``combination_comparisons`` and every row's counters (all but
+``seconds``).  A change to the search that is meant to keep results and
+counters must reproduce both exactly.
 
 Run this module as a script to rewrite both files from the current code:
 
     PYTHONPATH=src python tests/test_solve_counters.py
+
+A new grid point is recorded from the code before the change it is meant
+to check, so that the change is tested against it.
 """
 
 import json
@@ -27,7 +31,7 @@ DATA = Path(__file__).parent / "data"
 # file name: (n values, degree kinds, cn values, na values, variants)
 GRIDS = {
     "solve_counters.json": ((5, 8, 11), ("real", "quarters"), (1, 2, 3, 8), (2, 5), VARIANTS),
-    "solve_counters_large.json": ((14, 16), ("real", "quarters"), (1, 2), (5, 7), (VARIANT_FULL,)),
+    "solve_counters_large.json": ((14, 16, 18), ("real", "quarters"), (1, 2), (5, 7), (VARIANT_FULL,)),
 }
 QUARTERS = (0.25, 0.5, 0.75, 1.0)
 

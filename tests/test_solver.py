@@ -243,8 +243,10 @@ def test_partition_sizes():
     assert [len(p) for p in partition_row(_dummy_row(5), 8)] == [1, 1, 1, 1, 1, 0, 0, 0]
     parts = partition_row(_dummy_row(7), 1)
     assert len(parts) == 1 and len(parts[0]) == 7
-    with pytest.raises(InputError):
-        partition_row(_dummy_row(3), 0)
+    for workers in (0, 2.5, "2"):
+        with pytest.raises(InputError):
+            partition_row(_dummy_row(3), workers)
+    assert len(partition_row(_dummy_row(3), np.int64(2))) == 2
 
 
 def test_partition_is_a_disjoint_cover():
@@ -416,9 +418,12 @@ def test_memory_cap():
         solve(dsm, SolverConfig(cn=2, memory_cap=100))
 
 
-@pytest.mark.parametrize("na", [2, 5, 14])
-def test_memory_cap_counts_bytes(na):
-    n = 16
+@pytest.mark.parametrize(
+    "n, na",
+    # n=16 is labelled by na alone; n=18 is the first n whose parent ranks are int32
+    [pytest.param(16, na, id=str(na)) for na in (2, 5, 14)] + [pytest.param(18, na, id=f"18-{na}") for na in (5, 9)],
+)
+def test_memory_cap_counts_bytes(n, na):
     table = BinomialTable(n)
     estimate = _search_bytes(n, na, table)
     dsm = generate_instance(n, 0.5, 4)
@@ -434,7 +439,7 @@ def test_memory_cap_counts_bytes(na):
     # one byte short is refused before any array exists
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match=r"C\(16,8\) = 12870"):
+        with pytest.raises(ResourceLimitError, match=rf"C\({n},{n // 2}\) = {math.comb(n, n // 2)}"):
             solve(dsm, SolverConfig(cn=1, na=na, memory_cap=estimate - 1), table=table)
         assert tracemalloc.get_traced_memory()[1] < 64 * 1024
     finally:
@@ -507,6 +512,10 @@ def test_solve_logs_each_row(caplog):
 def test_config_validation(dsm4):
     with pytest.raises(InputError):
         solve(dsm4, SolverConfig(cn=0))
+    for bad in ({"cn": 2.5}, {"cn": "2"}, {"na": 3.5}, {"na": "3"}, {"na": None}):
+        with pytest.raises(InputError):
+            SolverConfig(**bad)
+    assert solve(dsm4, SolverConfig(cn=np.int64(2), na=np.int32(2))).sequence is not None
     with pytest.raises(InputError):
         solve(dsm4, SolverConfig(variant="fancy"))
     for time_limit in (math.nan, -1.0, -math.inf):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Integral
 from typing import Iterable, Sequence
 
 from .errors import ConstraintViolation, InputError
@@ -70,22 +71,35 @@ class Dsm:
         return cls(tuple(tuple(float(v) for v in row) for row in rows))
 
 
+def check_activities(ids: Iterable[int], n: int, what: str) -> int:
+    """Raise InputError unless ``ids`` are distinct integers in 1..n; return their mask, activity a at bit a - 1.
+
+    numpy integers count as integers; ``what`` names the ids in the message.
+    """
+    mask = 0
+    for a in ids:
+        if type(a) is not int:  # the exact type first: an abstract-class check costs far more
+            if not isinstance(a, Integral):
+                raise InputError(f"{what} contains {a!r}, which is not an integer activity id")
+            a = int(a)
+        if not 1 <= a <= n:
+            raise InputError(f"{what} contains activity {a}, outside 1..{n}")
+        bit = 1 << (a - 1)
+        if mask & bit:
+            raise InputError(f"{what} repeats activity {a}")
+        mask |= bit
+    return mask
+
+
 def check_sequence(seq: Sequence[int], n: int) -> None:
     """Validate that ``seq`` is a permutation of the activities 1..n."""
     if len(seq) != n:
         raise InputError(f"sequence has {len(seq)} activities, expected {n}")
-    if sorted(seq) != list(range(1, n + 1)):
-        raise InputError(f"sequence {tuple(seq)} is not a permutation of 1..{n}")
+    check_activities(seq, n, "sequence")
 
 
 def _check_partial(part: Sequence[int], n: int, what: str) -> None:
-    seen = set()
-    for a in part:
-        if not 1 <= a <= n:
-            raise InputError(f"{what} contains activity {a}, outside 1..{n}")
-        if a in seen:
-            raise InputError(f"{what} repeats activity {a}")
-        seen.add(a)
+    check_activities(part, n, what)
     if not part:
         raise InputError(f"{what} is empty")
 
@@ -196,9 +210,10 @@ def split_components(dsm: Dsm, seq: Sequence[int], p: int) -> SplitDecomposition
     fl_a = _internal_feedback(d, seq[:p])
     fl_b = _internal_feedback(d, seq[p:])
 
-    fl_c = 0.0
-    fv_ca = 0.0
-    fv_cb = 0.0
+    # Region values are the internal part plus the cross terms, each sum in its own ascending (h, k) order.
+    fl_c = fv_ca = fv_cb = 0.0
+    fv_a = fl_a
+    fv_b = fl_b
     for h in range(p):
         row = d[seq[h] - 1]
         for k in range(p, n):
@@ -206,19 +221,8 @@ def split_components(dsm: Dsm, seq: Sequence[int], p: int) -> SplitDecomposition
             fl_c += degree * (k - h)
             fv_ca += degree * (p - h)
             fv_cb += degree * (k - p)
-
-    # Region values: the internal part, then the cross terms from their own defining sums.
-    fv_a = fl_a
-    for h in range(p):
-        row = d[seq[h] - 1]
-        for k in range(p, n):
-            fv_a += row[seq[k] - 1] * (p - h)
-
-    fv_b = fl_b
-    for h in range(p):
-        row = d[seq[h] - 1]
-        for k in range(p, n):
-            fv_b += row[seq[k] - 1] * (k - p)
+            fv_a += degree * (p - h)
+            fv_b += degree * (k - p)
 
     return SplitDecomposition(
         p=p, fv_a=fv_a, fv_b=fv_b, fl_a=fl_a, fl_b=fl_b, fl_c=fl_c, fv_ca=fv_ca, fv_cb=fv_cb

@@ -53,7 +53,10 @@ Three ablation switches degrade single strategies while preserving results:
 counts every chunk as handing over the whole dense row instead of its
 occupied entries, and ``no-hash`` runs the scalar reference kernel, which
 finds similar nodes by linear scans that compare activity masks directly
-and sums each cut with ``_scalar_cut``, in the cut table's order.
+and sums each cut with ``_scalar_cut``, in the cut table's order.  The
+public row helpers (``seed_rows``, ``expand_and_prune_chunk``) run that
+scalar kernel too, on Node tuples, so ``solve`` is the array kernel's one
+caller.
 """
 
 from __future__ import annotations
@@ -63,12 +66,12 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, isfinite
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError, InternalInvariantError, ResourceLimitError
-from .model import Dsm, total_feedback_length
+from .model import Dsm, check_activities, total_feedback_length
 from .oracle import brute_force_optimum
 from .subsets import BinomialTable, rank_sorted
 
@@ -179,11 +182,6 @@ class RowStats:
     transferred_records: int
     comparisons: int
     seconds: float
-
-    @property
-    def transferred_bytes_equivalent(self) -> int:
-        # one record: address, value, and `size` activity ids, 8 bytes each
-        return self.transferred_records * (self.size + 2) * 8
 
 
 @dataclass
@@ -361,10 +359,10 @@ def _cut_table(d: np.ndarray, deadline: float | None = None) -> np.ndarray:
     the one at bit b of i are those of the 2**b indices just below the top
     2**b, and without it they are the complements of the top 2**b, in the
     same order: one contiguous add per other activity.  The term then goes
-    into the held masks in as few calls as their layout allows: bit 0 is
-    every other mask, bits 1-3 are strided complex pairs (complex addition
-    is componentwise, so exact), and above them blocks of 2**u.  Holds the
-    table and one outflow, half as long.
+    into the held masks in as few calls as their layout allows: bits 1-3
+    are strided complex pairs (complex addition is componentwise, so
+    exact), and the others blocks of 2**u, every other mask for bit 0.
+    Holds the table and one outflow, half as long.
     """
     n = len(d)
     count = 1 << n
@@ -377,9 +375,7 @@ def _cut_table(d: np.ndarray, deadline: float | None = None) -> np.ndarray:
         for b, v in enumerate(others):
             above = len(outflow) - (1 << b)
             np.add(outflow[above:], d[u, v], out=outflow[above - (1 << b) : above])
-        if u == 0:
-            total[1::2] += outflow
-        elif u <= 3:
+        if 1 <= u <= 3:
             # a block of 2**(u+1) masks is 2**u pairs, the upper half holding u
             total_pairs = total.view(np.complex128)
             outflow_pairs = outflow.view(np.complex128)
@@ -459,16 +455,6 @@ def _parent_column(above: list[np.ndarray | None], column: int, starts: list[int
     ranks = np.concatenate([source[start:] for start in starts])
     if column:
         ranks += shift
-    return ranks
-
-
-def _parent_ranks(n: int, size: int) -> list[np.ndarray | None]:
-    """Row ``size``'s parent ranks by column, grown from row 1 as the sweep grows them."""
-    ranks: list[np.ndarray | None] = [np.zeros(n, dtype=_parent_dtype(n))]  # the empty set's rank
-    for k in range(2, size + 1):
-        starts, counts, shifts = _parent_blocks(n, k)
-        shift = shifts.repeat(counts)
-        ranks = [_parent_column(ranks, column, starts, shift) for column in range(k)]
     return ranks
 
 
@@ -573,25 +559,42 @@ class _ArraySearch:
         }
         self.pointers: dict[str, list[np.ndarray]] = {FORWARD: [], BACKWARD: []}
 
-    def expand(self, direction: str, row: _Row, chunks: int) -> tuple[_Row, np.ndarray, int]:
-        """Grow ``row`` into the next row, keeping the best child per subset.
+    def grow(self, direction: str, workers: int) -> RowStats:
+        """Grow the search's newest row in ``direction`` into the next, keeping the best child per subset.
 
         The column sweep finds each child's winning column, its
-        back-pointer.  Going forward the winners then get a lex rank, the
+        back-pointer, and what ``workers`` chunks, at most one per parent,
+        would hand over.  Going forward the winners then get a lex rank, the
         order of (parent lex, a), as children append ``a``: one parent's
         children rank in the order of their ``a``, so (parent lex, child
         rank) sorts the same.  The suffix search never reads a lex.  The new
-        row keeps its parent ranks unless it is the search's last.  Returns
-        it, the winning columns and ``transferred``, as ``_sweep`` counts it.
+        row keeps its parent ranks unless it is the search's last.
         """
+        row = self.rows[direction]
         size = row.size + 1
+        chunks = min(workers, len(row.value))
         best, column, best_lex, ranks, transferred = self._sweep(direction, row, chunks, size < self.last[direction])
         lex = None
         if direction == FORWARD:
             capacity = len(best)
             lex = np.empty(capacity, dtype=_LEX)
             lex[np.argsort(best_lex.astype(_KEY) * capacity + np.arange(capacity))] = np.arange(capacity, dtype=_LEX)
-        return _Row(size, best, lex, ranks), column, transferred
+        self.rows[direction] = row = _Row(size, best, lex, ranks)
+        self.pointers[direction].append(column)
+        expanded = len(row.value) * row.size
+        survivors = int(np.count_nonzero(row.value < np.inf))
+        return RowStats(
+            direction=direction,
+            size=row.size,
+            workers=workers,
+            chunks=chunks,
+            expanded=expanded,
+            pruned=expanded - survivors,
+            survivors=survivors,
+            transferred_records=transferred,
+            comparisons=0,
+            seconds=0.0,
+        )
 
     def _sweep(
         self, direction: str, row: _Row, chunks: int, keep: bool
@@ -606,17 +609,15 @@ class _ArraySearch:
         beats the child's running best on a lower value or, on an equal
         value, a lexicographically smaller schedule: the smaller parent lex
         going forward, where a child's parents all differ, and the smaller
-        ``a`` going backward, which is the earlier column.  A parent of
-        value inf and the largest lex never wins; a child whose parents are
-        all such stays at inf.  Returns the running best value, its column
-        and, going forward, its parent's lex; the children's parent
-        ranks by column, or none; and ``transferred``: what ``chunks``
-        contiguous ranges of the parents, a whole row in rank order, hand to
-        a merge.  That is the children each range reaches, which for one
-        range is the row's capacity, or the capacity per range under
-        no-compression.  Each parent is labelled with its range; a child's
-        parents arrive in descending rank, so every change of label between
-        its consecutive parents is one more range reaching it.
+        ``a`` going backward, which is the earlier column.  Returns the
+        running best value, its column and, going forward, its parent's lex;
+        the children's parent ranks by column, or none; and ``transferred``:
+        what ``chunks`` contiguous ranges of the parents, a whole row in rank
+        order, hand to a merge.  That is the children each range reaches,
+        which for one range is the row's capacity, or the capacity per range
+        under no-compression.  Each parent is labelled with its range; a
+        child's parents arrive in descending rank, so every change of label
+        between its consecutive parents is one more range reaching it.
         """
         n = self.n
         size = row.size + 1
@@ -672,26 +673,6 @@ class _ArraySearch:
                 last = arriving
         return best, best_j, best_lex, ranks, transferred
 
-    def grow(self, direction: str, workers: int) -> RowStats:
-        chunks = min(workers, len(self.rows[direction].value))
-        row, column, transferred = self.expand(direction, self.rows[direction], chunks)
-        self.rows[direction] = row
-        self.pointers[direction].append(column)
-        expanded = len(row.value) * row.size
-        survivors = int(np.count_nonzero(row.value < np.inf))
-        return RowStats(
-            direction=direction,
-            size=row.size,
-            workers=workers,
-            chunks=chunks,
-            expanded=expanded,
-            pruned=expanded - survivors,
-            survivors=survivors,
-            transferred_records=transferred,
-            comparisons=0,
-            seconds=0.0,
-        )
-
     def _trace(self, direction: str, i: int) -> list[int]:
         """Activities of entry ``i`` of the newest row, the most recently added first."""
         pointers = self.pointers[direction]
@@ -721,49 +702,73 @@ class _ArraySearch:
 # ---------------------------------------------------------------- scalar reference kernel
 
 
+def _scalar_cut(d: Sequence[Sequence[float]], members: Sequence[int], others: Sequence[int]) -> float:
+    """The dependence of ``members`` on ``others``, activities by 0-based id, both ascending.
+
+    Sums each member's outflow over ``others`` from 0.0, then the outflows
+    from 0.0: the order ``_cut_table`` sums in, so the scalar kernel's
+    values equal the array kernel's bit for bit.
+    """
+    total = 0.0
+    for u in members:
+        row = d[u]
+        outflow = 0.0
+        for v in others:
+            outflow += row[v]
+        total += outflow
+    return total
+
+
+def _children(
+    d: Sequence[Sequence[float]], parents: Iterable[tuple[int, Node]], direction: str, deadline: float | None
+) -> Iterator[tuple[int, Node]]:
+    """The scalar reference kernel: every child of the (mask, node) parents, as (mask, node), parent by parent.
+
+    Each parent grows by every activity it lacks, in ascending order.  Child
+    prefix values add ``_scalar_cut`` of the child's set into the unused
+    activities left, child suffix values the cut of the unused activities
+    into the parent's set (shared by all of its children).  Checks
+    ``deadline`` once per parent.
+    """
+    n = len(d)
+    forward = direction == FORWARD
+    for parent_mask, (fv_parent, acts) in parents:
+        _check(deadline)
+        unused = [v for v in range(n) if not parent_mask >> v & 1]
+        if not forward:
+            members = [v for v in range(n) if parent_mask >> v & 1]
+            fv_child = fv_parent + _scalar_cut(d, unused, members)
+        for v in unused:
+            mask = parent_mask | 1 << v
+            if forward:
+                child = [u for u in range(n) if mask >> u & 1]
+                yield mask, (fv_parent + _scalar_cut(d, child, [u for u in unused if u != v]), acts + (v + 1,))
+            else:
+                yield mask, (fv_child, (v + 1,) + acts)
+
+
+# the empty schedule, whose children are the lone activities
+_ROOT: tuple[int, Node] = (0, (0.0, ()))
+
+
 class _ScanSearch:
     """The no-hash variant: both searches' newest rows as scan stores, keyed by activity mask."""
 
     def __init__(self, dsm: Dsm, deadline: float | None) -> None:
-        self.n = dsm.n
         self.d = dsm.d
         self.deadline = deadline
-        self.stores: dict[str, _ScanStore] = {}
-        for direction, row in zip((FORWARD, BACKWARD), seed_rows(dsm)):
-            store = _ScanStore(1)
-            store.items = [(1 << v, node) for v, node in enumerate(row.entries())]
-            self.stores[direction] = store
+        self.stores = {direction: self.expand(direction, 1, [_ROOT])[0] for direction in (FORWARD, BACKWARD)}
 
-    def expand(self, direction: str, size: int, parents: Sequence) -> tuple[_ScanStore, int]:
-        """Scalar reference kernel: grow (mask, node) parents by every unused activity.
+    def expand(self, direction: str, size: int, parents: Sequence[tuple[int, Node]]) -> tuple[_ScanStore, int]:
+        """Grow (mask, node) parents into a scan store of row ``size``; return it and the children made.
 
-        ``size`` is the child row size; parents are one shorter.  Child prefix
-        values add ``_scalar_cut`` of the child's set into the unused
-        activities left, child suffix values the cut of the unused activities
-        into the parent's set (shared by all of its children).  Children land
-        in a scan store, which finds similar nodes by comparing activity
-        masks one by one; it is returned with the number of children made.
+        The store finds similar nodes by comparing activity masks one by one.
         """
-        n = self.n
-        d = self.d
-        forward = direction == FORWARD
         store = _ScanStore(size)
         expanded = 0
-        for parent_mask, (fv_parent, acts) in parents:
-            _check(self.deadline)
-            unused = [v for v in range(n) if not parent_mask >> v & 1]
-            if not forward:
-                members = [v for v in range(n) if parent_mask >> v & 1]
-                fv_child = fv_parent + _scalar_cut(d, unused, members)
-            for v in unused:
-                mask = parent_mask | 1 << v
-                if forward:
-                    child = [u for u in range(n) if mask >> u & 1]
-                    node = (fv_parent + _scalar_cut(d, child, [u for u in unused if u != v]), acts + (v + 1,))
-                else:
-                    node = (fv_child, (v + 1,) + acts)
-                expanded += 1
-                store.install(mask, node)
+        for mask, node in _children(self.d, parents, direction, self.deadline):
+            store.install(mask, node)
+            expanded += 1
         return store, expanded
 
     def grow(self, direction: str, workers: int) -> RowStats:
@@ -797,7 +802,7 @@ class _ScanSearch:
     def pair(self) -> tuple[float, tuple[int, ...], int]:
         comparisons = 0
         best: Node | None = None
-        full_mask = (1 << self.n) - 1
+        full_mask = (1 << len(self.d)) - 1
         suffix_items = self.stores[BACKWARD].items
         for prefix_mask, (fv_a, acts_a) in self.stores[FORWARD].items:
             wanted = full_mask ^ prefix_mask
@@ -819,37 +824,20 @@ class _ScanSearch:
 # ---------------------------------------------------------------- public row helpers
 
 
-def _scalar_cut(d: Sequence[Sequence[float]], members: Sequence[int], others: Sequence[int]) -> float:
-    """The dependence of ``members`` on ``others``, activities by 0-based id, both ascending.
-
-    Sums each member's outflow over ``others`` from 0.0, then the outflows
-    from 0.0: the order ``_cut_table`` sums in, so the scalar kernel's
-    values equal the array kernel's bit for bit.
-    """
-    total = 0.0
-    for u in members:
-        row = d[u]
-        outflow = 0.0
-        for v in others:
-            outflow += row[v]
-        total += outflow
-    return total
-
-
 def seed_rows(dsm: Dsm) -> tuple[RowStore, RowStore]:
-    """Build both length-1 rows.
+    """Build both length-1 rows: the children of the empty schedule.
 
     A lone prefix activity already owes its dependence on everything still
     unscheduled, one position away each: its ``_scalar_cut``.  A lone suffix
     activity owes nothing yet.  Singleton sets rank to their own id.
     """
-    n = dsm.n
-    forward = RowStore(n, 1, n)
-    backward = RowStore(n, 1, n)
-    for u in range(n):
-        forward.install(u + 1, (_scalar_cut(dsm.d, [u], [v for v in range(n) if v != u]), (u + 1,)))
-        backward.install(u + 1, (0.0, (u + 1,)))
-    return forward, backward
+    rows = []
+    for direction in (FORWARD, BACKWARD):
+        row = RowStore(dsm.n, 1, dsm.n)
+        for mask, node in _children(dsm.d, [_ROOT], direction, None):
+            row.install(mask.bit_length(), node)
+        rows.append(row)
+    return rows[0], rows[1]
 
 
 def _part_bounds(count: int, workers: int) -> list[tuple[int, int]]:
@@ -884,14 +872,15 @@ def expand_and_prune_chunk(
 ) -> CompressedChunk:
     """Expand one chunk of same-length parents and prune it to one node per subset.
 
-    Runs the array kernel ``solve`` runs: the nodes are scattered into a
-    whole parent row, where the subsets no parent covers hold value inf and
-    the largest lex so that they never win, and the finite children come
-    back as nodes, in address order.  Parents of different lengths, holding
-    all n activities, of a value that is not finite, or with an activity id
-    outside 1..n or repeated, raise InputError.  An instance that ``solve``
-    with the default config refuses as too large raises ResourceLimitError
-    before any array exists.
+    Runs the scalar reference kernel of the no-hash variant: every parent
+    grows by every activity it lacks, and each child subset keeps its lowest
+    (value, schedule) node, whichever parents share a subset.  The children
+    come back in address order.  A parent with the empty schedule grows
+    into the row ``seed_rows`` builds.  Parents of different lengths,
+    holding all n activities, of a value that is not finite, or with
+    activity ids that are not distinct integers in 1..n raise InputError.
+    An instance that ``solve`` with the default config refuses as too large
+    raises ResourceLimitError.
     """
     if direction not in (FORWARD, BACKWARD):
         raise InputError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
@@ -909,55 +898,16 @@ def expand_and_prune_chunk(
     if table is None or table.n_max < n:
         table = BinomialTable(n)
     _check_size(n, meeting_row(SolverConfig.na, n), table, SolverConfig.memory_cap)
-    ids = np.array([acts for _, acts in parents])
-    if ((ids < 1) | (ids > n)).any():
-        raise InputError(f"activity ids must lie in 1..{n}")
-    bits = 1 << (ids - 1)
-    masks = bits.sum(axis=1)
-    if (np.bitwise_or.reduce(bits, axis=1) != masks).any():
-        raise InputError("a parent repeats an activity")
-    # the chunk's children are the search's last row
-    search = _ArraySearch(dsm, table, False, None, size if direction == FORWARD else n - size)
-    values = np.array([fv for fv, _ in parents], dtype=_VALUE)
-    order = sorted(range(len(parents)), key=lambda i: parents[i][1])
-    lex = np.empty(len(parents), dtype=_LEX)
-    lex[order] = np.arange(len(parents), dtype=_LEX)
-    above = _row_masks(n, size - 1)
-    rank = np.empty(1 << n, dtype=_MASK)  # by mask, set for the parents' row only
-    rank[above] = np.arange(len(above), dtype=_MASK)
-    ranks = rank[masks]
-    # only the best parent over a subset can win any of its children
-    best_first = np.lexsort((lex, values))
-    _, first = np.unique(ranks[best_first], return_index=True)
-    kept = best_first[first]
-    row_value = np.full(len(above), np.inf)
-    row_lex = np.full(len(row_value), np.iinfo(_LEX).max, dtype=_LEX)
-    owner = np.zeros(len(row_value), dtype=_INTP)  # parent index by rank
-    row_value[ranks[kept]] = values[kept]
-    row_lex[ranks[kept]] = lex[kept]
-    owner[ranks[kept]] = kept
-    # a fresh search holds row 1's parent ranks, so the chunk's row grows its own
-    row = _Row(size - 1, row_value, row_lex, _parent_ranks(n, size - 1))
-    children, column, _ = search.expand(direction, row, 1)
-    best_p = np.choose(column, _parent_ranks(n, size))
-    act = np.frexp(above.take(best_p) ^ _row_masks(n, size))[1]  # frexp's exponent of 1 << (a - 1) is a
-    finite = np.flatnonzero(children.value < np.inf)
-    survivors = zip(
-        finite.tolist(),
-        children.value[finite].tolist(),
-        [parents[i][1] for i in owner[best_p[finite]].tolist()],
-        act[finite].tolist(),
+    masked = [(check_activities(node[1], n, "parent"), node) for node in parents]
+    best: dict[int, Node] = {}
+    for mask, node in _children(dsm.d, masked, direction, None):
+        if mask not in best or node < best[mask]:
+            best[mask] = node
+    activities = range(1, n + 1)
+    triples = sorted(
+        (rank_sorted([a for a in activities if mask >> (a - 1) & 1], n, table), node) for mask, node in best.items()
     )
-    if direction == FORWARD:
-        triples = [(rank + 1, (fv, acts + (a,))) for rank, fv, acts, a in survivors]
-    else:
-        triples = [(rank + 1, (fv, (a,) + acts)) for rank, fv, acts, a in survivors]
-    return CompressedChunk(
-        direction=direction,
-        size=size,
-        triples=triples,
-        expanded=len(parents) * (n - size + 1),
-    )
+    return CompressedChunk(direction=direction, size=size, triples=triples, expanded=len(parents) * (n - size + 1))
 
 
 def restore_and_merge(row: RowStore, chunks: Sequence[CompressedChunk]) -> RowStore:

@@ -15,6 +15,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError
+from .model import check_activities
 
 __all__ = [
     "BinomialTable",
@@ -63,24 +64,16 @@ def rank_subset(activities: Iterable[int], n: int, table: BinomialTable) -> int:
 
     Input order is irrelevant: ids are sorted before encoding.  Over the
     p-subsets of {1..n} the mapping is a bijection onto [1, C(n, p)] that
-    respects lexicographic order of the sorted sets.
+    respects lexicographic order of the sorted sets.  An empty set, or ids
+    that are not distinct integers in 1..n, raise InputError.
     """
-    ids = tuple(sorted(activities))
-    p = len(ids)
-    if p == 0:
+    ids = tuple(activities)
+    if not ids:
         raise InputError("empty activity set")
     if n > table.n_max:
         raise InputError(f"universe size {n} exceeds table maximum {table.n_max}")
-    if p > n:
-        raise InputError(f"{p} activities cannot come from a universe of {n}")
-    last = 0
-    for a in ids:
-        if not 1 <= a <= n:
-            raise InputError(f"activity {a} outside 1..{n}")
-        if a == last:
-            raise InputError(f"duplicate activity {a}")
-        last = a
-    return rank_sorted(ids, n, table)
+    check_activities(ids, n, "activity set")
+    return rank_sorted(sorted(ids), n, table)
 
 
 def unrank_subset(ha: int, n: int, p: int, table: BinomialTable) -> tuple[int, ...]:

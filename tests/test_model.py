@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from dsmseq import (
@@ -50,6 +51,13 @@ def test_total_feedback_length_rejects_bad_sequences(dsm3):
         total_feedback_length(dsm3, (1, 2, 2))
     with pytest.raises(InputError):
         total_feedback_length(dsm3, (1, 2, 4))
+    # ids are integers: floats are refused, numpy integers accepted
+    for seq in ((1.0, 2.0, 3.0), (1, 2, 3.5)):
+        with pytest.raises(InputError):
+            total_feedback_length(dsm3, seq)
+        with pytest.raises(InputError):
+            sequence_to_order_vars(seq)
+    assert total_feedback_length(dsm3, tuple(np.arange(1, 4))) == total_feedback_length(dsm3, (1, 2, 3))
 
 
 def test_split_position_validation(dsm3):
@@ -137,6 +145,10 @@ def test_partial_value_validation(dsm3):
         prefix_feedback_value(dsm3, (1, 1))
     with pytest.raises(InputError):
         suffix_feedback_value(dsm3, (0,))
+    with pytest.raises(InputError):
+        prefix_feedback_value(dsm3, (1.5,))
+    with pytest.raises(InputError):
+        suffix_feedback_value(dsm3, (1.0, 2.0))
 
 
 def test_sequence_to_order_vars_examples():

@@ -44,7 +44,15 @@ from dsmseq import (
     unrank_subset,
 )
 
-from dsmseq.solver import _cut_table, _parent_blocks, _parent_ranks, _row_masks, _scalar_cut, _search_bytes
+from dsmseq.solver import (
+    _ArraySearch,
+    _cut_table,
+    _parent_blocks,
+    _Row,
+    _row_masks,
+    _scalar_cut,
+    _search_bytes,
+)
 
 REL = 1e-9
 
@@ -106,28 +114,38 @@ def test_expansion_tie_break_is_lexicographic(zero6):
         assert acts == tuple(sorted(acts))  # smallest ordering of each subset
 
 
-@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
-def test_sparse_chunk_keeps_the_best_child_of_its_parents(direction):
+@pytest.mark.parametrize(
+    "degrees, direction",
+    # the quarter-degree cases are labelled by direction alone
+    [pytest.param("quarters", d, id=d) for d in (FORWARD, BACKWARD)]
+    + [pytest.param("real", d, id=f"real-{d}") for d in (FORWARD, BACKWARD)],
+)
+def test_sparse_chunk_keeps_the_best_child_of_its_parents(degrees, direction):
     # every other parent of a full row; quarter degrees make every sum exact and give many ties
     n = 7
-    dsm = _quantised(generate_instance(n, 0.7, 11), (0.25, 0.5, 0.75, 1.0))
+    dsm = generate_instance(n, 0.7, 11)
+    if degrees == "quarters":
+        dsm = _quantised(dsm, (0.25, 0.5, 0.75, 1.0))
     table = BinomialTable(n)
     forward, backward = seed_rows(dsm)
     row = (forward if direction == FORWARD else backward).entries()
     for _ in range(2):
         row = [node for _, node in expand_and_prune_chunk(dsm, row, direction, table=table).triples]
-    # plus two parents over subsets already present, tied in value with the other order
-    parents = row[::2] + [(fv, acts[::-1]) for fv, acts in row[:4:2]]
+    # plus two parents over subsets already present in the other order: tied in value on quarters, one ulp
+    # worse on real degrees, where a child of theirs can still round to a tie and win on its schedule
+    ulps = 0 if degrees == "quarters" else 1
+    parents = row[::2] + [(fv + ulps * math.ulp(fv), acts[::-1]) for fv, acts in row[:4:2]]
+    full = (1 << n) - 1
     expected = {}  # address: the min (value, schedule) child over that subset
     for fv, acts in parents:
-        others = [v for v in range(1, n + 1) if v not in acts]
-        for a in others:
+        mask = sum(1 << (a - 1) for a in acts)
+        for a in (v for v in range(1, n + 1) if v not in acts):
             if direction == FORWARD:
                 child = acts + (a,)  # gains the outflow of the child set
-                gain = sum(dsm.d[u - 1][v - 1] for u in child for v in others if v != a)
+                gain = _cut_by_definition(dsm.d, mask | 1 << (a - 1))
             else:
                 child = (a,) + acts  # gains the inflow into the parent set
-                gain = sum(dsm.d[u - 1][v - 1] for u in others for v in acts)
+                gain = _cut_by_definition(dsm.d, full ^ mask)
             node = (fv + gain, child)
             address = rank_subset(child, n, table)
             expected[address] = min(expected.get(address, node), node)
@@ -145,9 +163,12 @@ def test_expansion_validation(dsm3):
     with pytest.raises(InputError):
         expand_and_prune_chunk(dsm3, [(0.0, (1,))], "sideways")
     dsm5 = generate_instance(5, 0.5, 1)
-    for parents in ([(0.0, (6,))], [(0.0, (0,))], [(0.0, (1, 1))]):
+    for parents in ([(0.0, (6,))], [(0.0, (0,))], [(0.0, (1, 1))], [(0.1, (1.0, 2.0))], [(0.1, (1, 2.5))]):
         with pytest.raises(InputError):
             expand_and_prune_chunk(dsm5, parents, FORWARD)
+    # numpy integers are ids too
+    chunk = expand_and_prune_chunk(dsm5, [(0.0, (np.int64(1), np.int32(2)))], FORWARD)
+    assert chunk.triples == expand_and_prune_chunk(dsm5, [(0.0, (1, 2))], FORWARD).triples
     # parents that hold every activity, and values that are not finite, refused in both directions
     for parents in (
         [(0.0, (1, 2, 3, 4, 5))],
@@ -158,6 +179,15 @@ def test_expansion_validation(dsm3):
         for direction in (FORWARD, BACKWARD):
             with pytest.raises(InputError):
                 expand_and_prune_chunk(dsm5, parents, direction)
+
+
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+def test_empty_schedule_chunk_is_the_seed_row(direction):
+    dsm = generate_instance(6, 0.7, 50)
+    seeded = seed_rows(dsm)[0 if direction == FORWARD else 1]
+    chunk = expand_and_prune_chunk(dsm, [(0.0, ())], direction)
+    assert chunk.size == 1 and chunk.expanded == 6
+    assert chunk.triples == list(enumerate(seeded.slots, start=1))
 
 
 @pytest.mark.parametrize("n", [27, 31])
@@ -322,7 +352,6 @@ def test_counter_laws():
         assert row.expanded == table.c(n, row.size - 1) * (n - row.size + 1)
         assert row.survivors == table.c(n, row.size)
         assert row.expanded - row.pruned == row.survivors
-        assert row.transferred_bytes_equivalent == row.transferred_records * (row.size + 2) * 8
         seen.add((row.direction, row.size))
     assert seen == {(FORWARD, s) for s in range(2, 5)} | {(BACKWARD, s) for s in range(2, 6)}
 
@@ -358,11 +387,19 @@ def test_timeout_at_start():
 
 
 def test_timeout_mid_search_keeps_counters():
-    # on a 2-vCPU VM an n=21 solve sets up in 0.060-0.067 s and takes 0.34-0.35 s,
-    # so the deadline passes mid-search
+    # the limit lies midway between the end of an untimed solve's first row and its end, so the deadline
+    # passes mid-search on a machine of any speed; the row masks are built beforehand
     dsm = generate_instance(21, 0.5, 4)
-    with pytest.raises(SolveTimeout) as err:
-        solve(dsm, SolverConfig(cn=2, time_limit=0.15))
+    for size in range(1, 17):  # the backward search's rows reach 21 - 5
+        _row_masks(21, size)
+    try:
+        untimed = solve(dsm, SolverConfig(cn=2))
+        first_row_ends = untimed.setup_seconds + untimed.rows[0].seconds
+        limit = (first_row_ends + untimed.total_seconds) / 2
+        with pytest.raises(SolveTimeout) as err:
+            solve(dsm, SolverConfig(cn=2, time_limit=limit))
+    finally:
+        _row_masks.cache_clear()
     report = err.value.report
     assert report.timed_out and report.sequence is None
     assert report.rows
@@ -708,12 +745,14 @@ def test_row_masks_agree_with_rank_and_complement_address():
 
 
 def test_parent_ranks_grown_row_by_row_match_the_rank_map():
-    # column j of a row ranks each child without its j-th lowest bit, as the sweep reads it
+    # column j of a row ranks each child without its j-th lowest bit, as the next row's sweep reads it
     for n in range(4, 13):
         rank = _rank_map(n)
+        search = _ArraySearch(generate_instance(n, 0.5, n), BinomialTable(n), False, None, 0)
+        row = search.rows[BACKWARD]  # a suffix row keeps no lex, so the sweep's outputs make the next row
         for size in range(2, n + 1):
             masks = _row_masks(n, size)
-            ranks = _parent_ranks(n, size)
+            value, _, _, ranks, _ = search._sweep(BACKWARD, row, 1, True)
             assert len(ranks) == size
             rest = masks.copy()
             for column, parents in enumerate(ranks):
@@ -723,6 +762,7 @@ def test_parent_ranks_grown_row_by_row_match_the_rank_map():
                 if column:
                     # descending across columns, so the chunk labels count hand-overs
                     assert (parents < ranks[column - 1]).all()
+            row = _Row(size, value, None, ranks)
 
 
 def test_cached_rows_are_read_only_and_unchanged_by_a_solve():

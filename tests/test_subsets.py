@@ -1,6 +1,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from dsmseq import BinomialTable, InputError, complement_address, rank_subset, unrank_subset
@@ -112,6 +113,10 @@ def test_input_validation(table):
         rank_subset((0, 1), 5, table)
     with pytest.raises(InputError):
         rank_subset((1, 6), 5, table)
+    for ids in ((1.0, 2.0), (1, 2.5), ("1", "2")):
+        with pytest.raises(InputError):
+            rank_subset(ids, 5, table)
+    assert rank_subset((np.int64(3), np.int32(1)), 5, table) == rank_subset((1, 3), 5, table)
     with pytest.raises(InputError):
         rank_subset((1, 2), 13, table)
     with pytest.raises(InputError):

@@ -19,19 +19,25 @@ child of k members reads its k parents, one column at a time, and keeps a
 running best and its column, so no child depends on another's work and
 nothing is scattered.  Column j removes every child's j-th smallest
 activity and gathers those parents by rank.  Those ranks do not depend on
-the instance, and each search grows its newest row's ranks by column from
-the row above's, copying one slice per block of children that share their
-smallest activity.  The row's masks grow from the row above's by the same
-slices, one activity added per block, and are cached read-only by (n,
-size), so the lexicographic layout has one owner, ``_parent_blocks``.
-Going forward, only the winners get a lex rank.  ``cn`` splits each row's
-parents into contiguous chunks whose counters report what each would hand
-to a merge.  The chunks are counted in the same sweep over the whole row,
-so ``cn`` costs no time: every parent carries the label of its chunk, and
-each change of label between a child's consecutive parents is one more
-chunk handing that child over.  Rows run in a fixed round order on the
-calling thread, so the schedule, objective and every counter are identical
-for any ``cn`` and meeting row.
+the instance: a row's grow by column from the row above's, copying one
+slice per block of children that share their smallest activity.  Up to
+n = 17, where every rank is an int16, every row's are cached read-only by
+(n, size); above, each search grows its newest row's and drops them once
+read.  The row's masks grow from the row above's by the same slices, one
+activity added per block, and are cached read-only by (n, size), so the
+lexicographic layout has one owner, ``_parent_blocks``.  Going forward,
+only the winners get a lex rank.  ``cn`` splits each row's parents into
+contiguous chunks whose counters report what each would hand to a merge.
+Those counts depend only on (n, size, chunks), so each is made once per
+process, from the cached ranks with no values up to n = 17 and in the
+first sweep of its key above, and ``cn`` costs no time after that: every
+parent carries the label of its chunk, and each change of label between a
+child's consecutive parents is one more chunk handing that child over.
+Rows run in a fixed round order on the calling thread, so the schedule,
+objective and every counter are identical for any ``cn`` and meeting row.
+Up to n = 17 a solve takes its row-sized arrays and the cut table from a
+workspace kept for the next solve of its n, so a warm solve allocates
+nothing but short-lived temporaries.
 
 Prefix values grow by cut(C), the dependence flowing out of the child set
 C to its complement, and suffix values by cut of the complement of the
@@ -340,12 +346,75 @@ _KEY = np.dtype(np.int64)
 _INTP = np.dtype(np.intp)
 _COLUMN = np.dtype(np.int8)  # the column that won a child, its back-pointer
 _LABEL = np.dtype(np.int32)  # chunk of a parent, last chunk seen by a child
+_FLAG = np.dtype(np.bool_)
+_SORT_KEY = np.dtype(np.int16)  # a parent lex, when a row has fewer than 2**15 parents
 _MAX_N = 30
 _ROWS_CACHED = 8 * _MAX_N  # enough for every row of the eight most recently solved n
 _SOLVE_OBJECTS = 64 * 1024  # bytes; a solve's non-array allocations measured 11-17 KB at n=8..12
+# bytes numpy's buffered strided adds hold in a cut table's build: measured 15, 64 and 151 KB at n=8, 10 and 12,
+# under eight times the table, and 201 KB from n=16 to 20
+_ADD_BUFFERS = 256 * 1024
+_HEAD_STEPS = 10  # outflow doublings the cut table builds for every member at once, in one (n, 1024) head
+# up to this n every subset rank is an int16 (``_parent_dtype``): every row's parent columns are cached,
+# 1.05 MB at n=16 and 2.2 MB at n=17, and a solve's workspace is kept for the next solve of its n
+_SMALL_N = 17
+_HANDOVERS_CACHED = 4096  # (n, size, chunks) counts ``_handovers`` holds before it starts over
 
 
-def _cut_table(d: np.ndarray, deadline: float | None = None) -> np.ndarray:
+class _Workspace:
+    """One solve's arrays by name; up to ``_SMALL_N`` activities, kept from one solve of n to the next.
+
+    Arrays that every solve allocates afresh and frees at its end let the
+    allocator hand the top of the heap back to the system, and the next
+    solve then faults each page in again.  A kept workspace gives a name
+    the same array in every solve, grown whenever a request is longer, so
+    after the first solve of n nothing is allocated but short-lived
+    temporaries.  Above ``_SMALL_N`` nothing is kept: each request is a
+    fresh array, held only as long as its caller holds it.  ``claim``
+    takes the one kept for n with a dict ``pop``, which is atomic, so a
+    concurrent solve of the same n lays out its own; ``release`` keeps it
+    for the next solve, whether the last one finished or not.
+    """
+
+    def __init__(self, n: int, kept: bool) -> None:
+        self.n = n
+        self.kept = kept
+        self.arrays: dict[str, np.ndarray] = {}
+        self.views: dict[tuple[str, int], np.ndarray] = {}  # each request's slice of ``arrays``, made once
+
+    @staticmethod
+    def claim(n: int) -> _Workspace:
+        return _workspaces.pop(n, None) or _Workspace(n, n <= _SMALL_N)
+
+    def release(self) -> None:
+        if self.kept:
+            _workspaces[self.n] = self
+
+    def array(self, name: str, count: int, dtype: np.dtype, zeroed: bool = False) -> np.ndarray:
+        """``count`` elements of ``dtype`` under ``name``, all zero if ``zeroed``, else as the last user left them."""
+        if not self.kept:
+            return np.zeros(count, dtype=dtype) if zeroed else np.empty(count, dtype=dtype)
+        view = self.views.get((name, count))
+        if view is None:
+            held = self.arrays.get(name)
+            if held is None or len(held) < count:
+                held = self.arrays[name] = np.empty(count, dtype=dtype)
+                self.views.clear()  # so that no slice keeps a replaced array alive
+            view = self.views[name, count] = held[:count]
+        if zeroed:
+            view.fill(0)
+        return view
+
+
+_workspaces: dict[int, _Workspace] = {}  # by n, each free for the next solve to claim
+
+
+def _head_width(n: int) -> int:
+    """Outflows the cut table's head holds per member: the top 2**10 of each member's 2**(n-1), or all of them."""
+    return 1 << min(n - 1, _HEAD_STEPS)
+
+
+def _cut_table(d: np.ndarray, deadline: float | None = None, workspace: _Workspace | None = None) -> np.ndarray:
     """cut(S) for all 2**n masks S: the dependence of S's members on the activities outside S.
 
     Sums members ascending, each member's outflow over non-members
@@ -358,23 +427,35 @@ def _cut_table(d: np.ndarray, deadline: float | None = None) -> np.ndarray:
     activity plus d[u][largest].  The complements whose largest activity is
     the one at bit b of i are those of the 2**b indices just below the top
     2**b, and without it they are the complements of the top 2**b, in the
-    same order: one contiguous add per other activity.  The term then goes
-    into the held masks in as few calls as their layout allows: bits 1-3
-    are strided complex pairs (complex addition is componentwise, so
-    exact), and the others blocks of 2**u, every other mask for bit 0.
-    Holds the table and one outflow, half as long.
+    same order: one contiguous add per other activity.  The first ten of
+    those adds build the top 2**10 outflows of every member at once, in one
+    (n, 2**10) head, and each member copies its row of the head into its
+    outflow before the rest; every element still gets the same additions.
+    The term then goes into the held masks in as few calls as their layout
+    allows: bits 1-3 are strided complex pairs (complex addition is
+    componentwise, so exact), and the others blocks of 2**u, every other
+    mask for bit 0.  Holds the table, one outflow, half as long, and the
+    head, all from ``workspace``, or a new one.
     """
     n = len(d)
     count = 1 << n
-    total = np.zeros(count, dtype=_VALUE)
-    outflow = np.empty(count >> 1, dtype=_VALUE)
+    width = _head_width(n)
+    workspace = workspace or _Workspace(n, kept=False)
+    total = workspace.array("cut", count, _VALUE, zeroed=True)
+    outflow = workspace.array("outflow", count >> 1, _VALUE)
+    head = workspace.array("head", n * width, _VALUE).reshape(n, width)
+    others = d[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # row u: d[u][v] for every v != u, ascending
+    head[:, -1] = 0.0  # into the empty complement
+    steps = min(n - 1, _HEAD_STEPS)
+    for b in range(steps):
+        above = width - (1 << b)
+        np.add(head[:, above:], others[:, b : b + 1], out=head[:, above - (1 << b) : above])
     for u in range(n):
         _check(deadline)
-        outflow[-1] = 0.0  # into the empty complement
-        others = [v for v in range(n) if v != u]
-        for b, v in enumerate(others):
+        outflow[-width:] = head[u]
+        for b in range(steps, n - 1):
             above = len(outflow) - (1 << b)
-            np.add(outflow[above:], d[u, v], out=outflow[above - (1 << b) : above])
+            np.add(outflow[above:], others[u, b], out=outflow[above - (1 << b) : above])
         if 1 <= u <= 3:
             # a block of 2**(u+1) masks is 2**u pairs, the upper half holding u
             total_pairs = total.view(np.complex128)
@@ -444,18 +525,76 @@ def _row_masks(n: int, size: int) -> np.ndarray:
     return masks
 
 
-def _parent_column(above: list[np.ndarray | None], column: int, starts: list[int], shift: np.ndarray) -> np.ndarray:
-    """The rank of every child's parent without its ``column``-th smallest activity, counted from 0.
+def _grown_columns(n: int, size: int, above: list[np.ndarray | None]) -> Iterator[np.ndarray]:
+    """Row ``size``'s parent ranks, column by column, grown from ``above``, row ``size - 1``'s, counted from 0.
 
-    ``above`` is the row above's list of such columns; ``starts`` and, per
-    child, ``shift`` come from the row's ``_parent_blocks``.  One
-    concatenation of slices, plus the shift from column 1 on.
+    Column j is one concatenation of slices, one per block of
+    ``_parent_blocks``: of a ramp for column 0, else of the row above's
+    column j - 1, plus each child's block shift.  Each column of ``above``
+    is set to None once the column grown from it is, so a caller that drops
+    each column it has read holds at most one old and one new column
+    beyond the rest.
     """
-    source = np.arange(len(above[0]), dtype=shift.dtype) if column == 0 else above[column - 1]
-    ranks = np.concatenate([source[start:] for start in starts])
-    if column:
-        ranks += shift
-    return ranks
+    starts, counts, shifts = _parent_blocks(n, size)
+    shift = shifts.repeat(counts)
+    for column in range(size):
+        source = np.arange(len(above[0]), dtype=shift.dtype) if column == 0 else above[column - 1]
+        ranks = np.concatenate([source[start:] for start in starts])
+        if column:
+            ranks += shift
+            above[column - 1] = None
+        yield ranks
+
+
+@lru_cache(maxsize=_ROWS_CACHED)
+def _parent_columns(n: int, size: int) -> tuple[np.ndarray, ...]:
+    """Row ``size``'s parent ranks by column for n <= ``_SMALL_N``, read-only.
+
+    Column j ranks each child without its j-th smallest activity among the
+    row above's sets, counted from 0, in ``_parent_dtype(n)``; row 1's one
+    column is the empty set's rank, 0.  Grown from the row above's columns,
+    which are cached too, so every row's are built once per n.
+    """
+    if size == 1:
+        columns: tuple[np.ndarray, ...] = (np.zeros(n, dtype=_parent_dtype(n)),)
+    else:
+        columns = tuple(_grown_columns(n, size, list(_parent_columns(n, size - 1))))
+    for ranks in columns:
+        ranks.flags.writeable = False
+    return columns
+
+
+class _Handovers:
+    """What ``chunks`` contiguous ranges of a row's parents, in rank order, hand to a merge, fed column by column.
+
+    That is the children each range reaches, ``count`` once every column of
+    parent ranks has been added.  Each parent is labelled with its range; a
+    child's parents arrive in descending rank, so every change of label
+    between its consecutive parents is one more range reaching it.
+    """
+
+    def __init__(self, parents: int, children: int, chunks: int) -> None:
+        sizes = [stop - start for start, stop in _part_bounds(parents, chunks)]
+        self.label = np.repeat(np.arange(chunks, dtype=_LABEL), sizes)
+        self.last: np.ndarray | None = None
+        self.count = children  # the range of each child's first parent
+
+    def add(self, ranks: np.ndarray) -> None:
+        arriving = self.label.take(ranks)
+        if self.last is not None:
+            self.count += int(np.count_nonzero(arriving != self.last))
+        self.last = arriving
+
+
+# by (n, size, chunks): the handovers of rows split into chunks, which depend on nothing else
+_handovers: dict[tuple[int, int, int], int] = {}
+
+
+def _remember_handovers(key: tuple[int, int, int], count: int) -> int:
+    if len(_handovers) >= _HANDOVERS_CACHED:
+        _handovers.clear()
+    _handovers[key] = count
+    return count
 
 
 def _check_size(n: int, na: int, table: BinomialTable, cap: int) -> None:
@@ -474,30 +613,60 @@ def _check_size(n: int, na: int, table: BinomialTable, cap: int) -> None:
 
 
 def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
-    """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes.
+    """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes, with every cache cold.
 
     The search holds the row masks, at most an int per subset of the n
     activities (each row is built from the row above straight into its own
     array, so their build holds nothing more), and the cut table (a float
     per subset).  The table's build also holds an outflow half as large as
-    the table; the rows come after it: every row's back-pointers (one byte
-    per child), both searches' last rows (values, and lex ranks for
-    prefixes), and the widest column sweep's arrays.  Those are, per
+    the table, the head and numpy's buffers for its strided adds.  Above
+    ``_SMALL_N`` the rows come after the build: every row's back-pointers
+    (one byte per child), both searches' last rows (values, and lex ranks
+    for prefixes), and the widest column sweep's arrays.  Those are, per
     parent, the row and its chunk label; the parent ranks of the row above
     and of the row swept, as many as any column holds at once (each column
-    of the row above is dropped once read, and a last row keeps none),
-    with column 0's ramp and each child's block shift; and per child the
-    running best value and its column, and one column's gather indices,
-    values, selection term, arriving and last chunk labels and flags;
-    going forward also the prefix gain, the running best's parent lex and
-    one column's lexes.  Ranking the winners by their tie keys afterwards
-    holds less.  A fixed allowance covers the report, the row statistics
-    and the other small interpreter objects of a solve.
+    of the row above is dropped once read, and a last row keeps none), with
+    column 0's ramp and each child's block shift; and per child the running
+    best value and its column, and one column's gather indices, values,
+    selection term, arriving and last chunk labels and flags; going forward
+    also the prefix gain, the running best's parent lex and one column's
+    lexes.  Ranking the winners by their tie keys afterwards holds less.
+    Up to ``_SMALL_N`` the workspace keeps everything it hands out, so the
+    search holds every row's cached parent columns, the outflow and head,
+    every row's back-pointers, and each named array of ``_ArraySearch`` at
+    its widest, per child of the widest row the search reaches: two rows'
+    values per direction, the gain, the complements, one column's values,
+    selection term and flags; going forward also two rows' lexes, the
+    running best's parent lex, one column's lexes and flags and the sort
+    keys.  On top of that come, one at a time, the table build's buffers,
+    a gather's indices, the sort's order, scratch and ramp, or the chunk
+    count's labels, gather indices and flags.  A fixed allowance covers
+    the report, the row statistics and the other small interpreter objects
+    of a solve.
     """
     subsets = 1 << n
     rank = _parent_dtype(n).itemsize
     masks = subsets * _MASK.itemsize
     cuts = subsets * _VALUE.itemsize
+    outflows = cuts // 2 + n * _head_width(n) * _VALUE.itemsize
+    buffers = min(_ADD_BUFFERS, 8 * cuts)
+    if n <= _SMALL_N:
+        deepest = max(na, n - na)
+        columns = sum(size * table.c(n, size) for size in range(1, deepest + 1)) * rank
+        pointers = sum(table.c(n, size) for last in (na, n - na) for size in range(2, last + 1)) * _COLUMN.itemsize
+        forward = max(table.c(n, size) for size in range(1, na + 1))
+        backward = max(table.c(n, size) for size in range(1, n - na + 1))
+        widest = max(forward, backward)
+        rows = 2 * _VALUE.itemsize * (forward + backward)
+        # gain, one column's values, complements, selection flag and term
+        shared = (2 * _VALUE.itemsize + _MASK.itemsize + _FLAG.itemsize + _COLUMN.itemsize) * widest
+        # two rows' lexes, the running best's, one column's, its two flags and the sort keys
+        prefix = (4 * _LEX.itemsize + 2 * _FLAG.itemsize + _SORT_KEY.itemsize) * forward
+        held = pointers + rows + shared + prefix
+        sorting = (2 * _INTP.itemsize + _LEX.itemsize) * forward
+        counting = (3 * _LABEL.itemsize + _INTP.itemsize + _FLAG.itemsize) * widest
+        passing = max(buffers, _INTP.itemsize * widest, sorting, counting)
+        return _SOLVE_OBJECTS + masks + columns + cuts + outflows + held + passing
     running = _VALUE.itemsize + _COLUMN.itemsize
     column = _INTP.itemsize + _VALUE.itemsize + _COLUMN.itemsize + 2 * _LABEL.itemsize + 4
     pointers = newest = widest = 0
@@ -514,18 +683,19 @@ def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
             held = max(size * parents, parents + (size if size < last else 1) * children)
             ranks = (held + 2 * children) * rank
             widest = max(widest, parents * per_parent + children * per_child + ranks)
-    return _SOLVE_OBJECTS + masks + cuts + max(cuts // 2, pointers + newest + widest)
+    return _SOLVE_OBJECTS + masks + cuts + max(outflows + buffers, pointers + newest + widest)
 
 
 @dataclass
 class _Row:
     """One search's newest row, by subset rank.
 
-    The best schedule's value, for prefixes its lex rank, and
-    ``parent_ranks``: column j ranks each set without its j-th smallest
-    activity, counted from 0, in the row above.  The next row's sweep grows
-    its own parent ranks from these and drops each column once it has read
-    it; a search's last row keeps none.
+    The best schedule's value, for prefixes its lex rank, and, above
+    ``_SMALL_N``, ``parent_ranks``: column j ranks each set without its
+    j-th smallest activity, counted from 0, in the row above.  The next
+    row's sweep grows its own parent ranks from these and drops each column
+    once it has read it; a search's last row keeps none.  Up to
+    ``_SMALL_N`` every row's are cached instead (``_parent_columns``).
     """
 
     size: int
@@ -538,19 +708,29 @@ class _ArraySearch:
     """The array kernel, with both searches' newest rows and every row's back-pointers.
 
     ``dense`` counts each chunk as handing over the whole row (no-compression).
+    Every row-sized array comes from ``workspace``: a row's values, lex
+    ranks and the sweep's running best from one of two arrays per
+    direction, by the parity of the row's size, so a row never overwrites
+    its parent row.
     """
 
-    def __init__(self, dsm: Dsm, table: BinomialTable, dense: bool, deadline: float | None, na: int) -> None:
+    def __init__(
+        self, dsm: Dsm, table: BinomialTable, dense: bool, deadline: float | None, na: int, workspace: _Workspace
+    ) -> None:
         n = dsm.n
         self.n = n
         self.table = table
         self.last = {FORWARD: na, BACKWARD: n - na}
         self.dense = dense
         self.deadline = deadline
-        for size in range(1, max(na, n - na) + 1):  # every row's masks, so the rows only read the cache
+        self.workspace = workspace
+        # every row's masks, and up to _SMALL_N their parent columns, so the rows only read the caches
+        for size in range(1, max(na, n - na) + 1):
             _check(deadline)
             _row_masks(n, size)
-        self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline)
+            if n <= _SMALL_N:
+                _parent_columns(n, size)
+        self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline, workspace)
         singles = np.arange(n, dtype=_LEX)  # lone activity a has rank a - 1
         empty = np.zeros(n, dtype=_parent_dtype(n))  # a lone activity's parent, the empty set, has rank 0
         self.rows = {
@@ -563,29 +743,56 @@ class _ArraySearch:
         """Grow the search's newest row in ``direction`` into the next, keeping the best child per subset.
 
         The column sweep finds each child's winning column, its
-        back-pointer, and what ``workers`` chunks, at most one per parent,
-        would hand over.  Going forward the winners then get a lex rank, the
-        order of (parent lex, a), as children append ``a``: one parent's
-        children rank in the order of their ``a``, so (parent lex, child
-        rank) sorts the same.  The suffix search never reads a lex.  The new
-        row keeps its parent ranks unless it is the search's last.
+        back-pointer.  What ``workers`` chunks, at most one per parent,
+        would hand over depends only on (n, size, chunks), so it is counted
+        once per process and key (``_handovers``): up to ``_SMALL_N`` from
+        the cached columns before the sweep, above it by the sweep, over
+        the columns it grows anyway.  Going forward the winners then get a
+        lex rank, the order of (parent lex, a), as children append ``a``:
+        one parent's children rank in the order of their ``a``, so (parent
+        lex, child rank) sorts the same.  A stable sort on the parent lex
+        alone keeps that order among equal lexes, and numpy sorts int16
+        keys stably by radix, so rows of fewer than 2**15 parents sort
+        those.  The suffix search never reads a lex.  Above ``_SMALL_N`` the
+        new row keeps its parent ranks unless it is the search's last.
         """
+        n = self.n
         row = self.rows[direction]
         size = row.size + 1
-        chunks = min(workers, len(row.value))
-        best, column, best_lex, ranks, transferred = self._sweep(direction, row, chunks, size < self.last[direction])
+        parents = len(row.value)
+        chunks = min(workers, parents)
+        capacity = self.table.c(n, size)
+        key = (n, size, chunks)
+        transferred = chunks * capacity if chunks == 1 or self.dense else _handovers.get(key)
+        counter = None
+        if transferred is None:
+            counter = _Handovers(parents, capacity, chunks)
+            if n <= _SMALL_N:  # the columns are cached, so they are counted now, with no values
+                for ranks in _parent_columns(n, size):
+                    counter.add(ranks)
+                transferred = _remember_handovers(key, counter.count)
+                counter = None
+        keep = n > _SMALL_N and size < self.last[direction]
+        best, column, best_lex, grown = self._sweep(direction, row, keep, counter)
+        if counter is not None:
+            transferred = _remember_handovers(key, counter.count)
         lex = None
         if direction == FORWARD:
-            capacity = len(best)
-            lex = np.empty(capacity, dtype=_LEX)
-            lex[np.argsort(best_lex.astype(_KEY) * capacity + np.arange(capacity))] = np.arange(capacity, dtype=_LEX)
-        self.rows[direction] = row = _Row(size, best, lex, ranks)
+            if parents < 1 << 15:
+                keys = self.workspace.array("keys", capacity, _SORT_KEY)
+                keys[:] = best_lex
+                order = np.argsort(keys, kind="stable")
+            else:
+                order = np.argsort(best_lex.astype(_KEY) * capacity + np.arange(capacity))
+            lex = self.workspace.array(f"lex {size % 2}", capacity, _LEX)
+            lex[order] = np.arange(capacity, dtype=_LEX)
+        self.rows[direction] = _Row(size, best, lex, grown)
         self.pointers[direction].append(column)
-        expanded = len(row.value) * row.size
-        survivors = int(np.count_nonzero(row.value < np.inf))
+        expanded = capacity * size
+        survivors = int(np.count_nonzero(best < np.inf))
         return RowStats(
             direction=direction,
-            size=row.size,
+            size=size,
             workers=workers,
             chunks=chunks,
             expanded=expanded,
@@ -597,81 +804,90 @@ class _ArraySearch:
         )
 
     def _sweep(
-        self, direction: str, row: _Row, chunks: int, keep: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[np.ndarray | None], int]:
+        self, direction: str, row: _Row, keep: bool, counter: _Handovers | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[np.ndarray | None]]:
         """Pull every child of the row after ``row`` from its parents there, one column at a time.
 
         Column j reads each child's parent without its j-th smallest
-        activity, so no two children share any work.  Its ranks grow from
-        the parent row's column j - 1, one slice per block of children
-        (``_parent_blocks``), and that column is dropped once read.  The new
-        columns are kept for the next row when ``keep`` holds.  A candidate
-        beats the child's running best on a lower value or, on an equal
-        value, a lexicographically smaller schedule: the smaller parent lex
-        going forward, where a child's parents all differ, and the smaller
-        ``a`` going backward, which is the earlier column.  Returns the
-        running best value, its column and, going forward, its parent's lex;
-        the children's parent ranks by column, or none; and ``transferred``:
-        what ``chunks`` contiguous ranges of the parents, a whole row in rank
-        order, hand to a merge.  That is the children each range reaches,
-        which for one range is the row's capacity, or the capacity per range
-        under no-compression.  Each parent is labelled with its range; a
-        child's parents arrive in descending rank, so every change of label
-        between its consecutive parents is one more range reaching it.
+        activity, so no two children share any work.  Up to ``_SMALL_N`` its
+        ranks are cached; above, they grow from the parent row's column
+        j - 1 (``_grown_columns``), which is dropped once read, the new
+        columns are kept for the next row when ``keep`` holds, and each is
+        added to ``counter``, if given.  A candidate beats the child's
+        running best on a lower value or, on an equal value, a
+        lexicographically smaller schedule: the smaller parent lex going
+        forward, where a child's parents all differ, and the smaller ``a``
+        going backward, which is the earlier column.  Returns the running
+        best value, its column and, going forward, its parent's lex; and
+        the children's parent ranks by column, or none.
         """
         n = self.n
         size = row.size + 1
         masks = _row_masks(n, size)  # children, by rank
         capacity = len(masks)
-        value, lex, above = row.value, row.lex, row.parent_ranks
+        value, lex = row.value, row.lex
         forward = direction == FORWARD
+        array = self.workspace.array
         if forward:
-            gain = self.cut[masks]
+            gain = self.cut.take(masks, out=array("gain", capacity, _VALUE), mode="wrap")
         else:
             # every child of a suffix gains the inflow into the parent's set; the sweep consumes the
             # parent row, so its values take the sum
-            value += self.cut[((1 << n) - 1) ^ _row_masks(n, size - 1)]
-        labelled = chunks > 1 and not self.dense
-        if labelled:
-            sizes = [stop - start for start, stop in _part_bounds(len(value), chunks)]
-            label = np.repeat(np.arange(chunks, dtype=_LABEL), sizes)
-        transferred = capacity if labelled else chunks * capacity
-        starts, counts, shifts = _parent_blocks(n, size)
-        shift = shifts.repeat(counts)
+            parents = len(value)
+            complements = array("complements", parents, _MASK)
+            np.bitwise_xor(_row_masks(n, size - 1), (1 << n) - 1, out=complements)
+            value += self.cut.take(complements, out=array("gain", parents, _VALUE), mode="wrap")
+            del complements  # so that above _SMALL_N the sweep does not hold it
+        if n <= _SMALL_N:
+            columns: Iterable[np.ndarray] = _parent_columns(n, size)
+        else:
+            columns = _grown_columns(n, size, row.parent_ranks)
+        best = array(f"{direction} value {size % 2}", capacity, _VALUE)
+        best_j = array(f"{direction} pointers {size}", capacity, _COLUMN, zeroed=True)
+        v = array("values", capacity, _VALUE)
+        better = array("better", capacity, _FLAG)
+        taken = array("taken", capacity, _COLUMN)
+        best_lex = lex_p = tie = smaller = None
+        if forward:
+            best_lex = array("best lex", capacity, _LEX)
+            lex_p = array("lexes", capacity, _LEX)
+            tie = array("tie", capacity, _FLAG)
+            smaller = array("smaller", capacity, _FLAG)
         ranks: list[np.ndarray | None] = []
-        for column in range(size):
+        for column, p in enumerate(columns):
             _check(self.deadline)
-            p = _parent_column(above, column, starts, shift)
-            if column:
-                above[column - 1] = None
             if keep:
                 ranks.append(p)
-            v = value.take(p)
+            if counter is not None:
+                counter.add(p)
+            # indices are ranks, always in range, and "wrap" writes straight into ``out`` where "raise" buffers
+            if column == 0:
+                value.take(p, out=best, mode="wrap")
+                if forward:
+                    best += gain
+                    lex.take(p, out=best_lex, mode="wrap")
+                continue
+            value.take(p, out=v, mode="wrap")
             if forward:
                 v += gain
-                lex_p = lex.take(p)
-            if column == 0:
-                best, best_j, best_lex = v, np.zeros(capacity, dtype=_COLUMN), lex_p if forward else None
-            else:
+                lex.take(p, out=lex_p, mode="wrap")
+            np.less(v, best, out=better)
+            if forward:
+                np.equal(v, best, out=tie)
+                np.less(lex_p, best_lex, out=smaller)
+                tie &= smaller
+                better |= tie
                 # x ^= (x ^ y) * better takes y where better holds, without the
                 # branches that make a masked copy several times slower
-                better = v < best
-                if forward:
-                    better |= (v == best) & (lex_p < best_lex)
-                    lex_p ^= best_lex
-                    lex_p *= better
-                    best_lex ^= lex_p
-                # tied values are equal bits (sums from +0.0 never give -0.0), so this is the winner's
-                np.minimum(best, v, out=best)
-                taken = best_j ^ column
-                taken *= better
-                best_j ^= taken
-            if labelled:
-                arriving = label.take(p)
-                if column:
-                    transferred += int(np.count_nonzero(arriving != last))
-                last = arriving
-        return best, best_j, best_lex, ranks, transferred
+                lex_p ^= best_lex
+                lex_p *= better
+                best_lex ^= lex_p
+            # tied values are equal bits (sums from +0.0 never give -0.0), so this is the winner's
+            np.minimum(best, v, out=best)
+            np.bitwise_xor(best_j, column, out=taken)
+            taken *= better
+            best_j ^= taken
+        return best, best_j, best_lex, ranks
 
     def _trace(self, direction: str, i: int) -> list[int]:
         """Activities of entry ``i`` of the newest row, the most recently added first."""
@@ -690,8 +906,9 @@ class _ArraySearch:
         prefixes = self.rows[FORWARD]
         suffixes = self.rows[BACKWARD]
         # the complement of the prefix set at rank i has rank C - 1 - i
-        fl = prefixes.value + suffixes.value[::-1]
-        ties = np.arange(len(fl))[fl == fl.min()]
+        fl = self.workspace.array("values", len(prefixes.value), _VALUE)
+        np.add(prefixes.value, suffixes.value[::-1], out=fl)
+        ties = np.flatnonzero(fl == fl.min())
         lex = prefixes.lex[ties]
         i = int(ties[lex == lex.min()][0])
         prefix = self._trace(FORWARD, i)[::-1]
@@ -992,6 +1209,9 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
 
     setup_started = time.perf_counter()
     setup_seconds: float | None = None  # set once the search is built
+    workspace = None
+    if n >= 4 and variant != VARIANT_NO_HASH:
+        workspace = _Workspace.claim(n)
     try:
         if n < 4:
             setup_seconds = 0.0
@@ -1004,7 +1224,7 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
         if variant == VARIANT_NO_HASH:
             search: _ScanSearch | _ArraySearch = _ScanSearch(dsm, deadline)
         else:
-            search = _ArraySearch(dsm, table, variant == VARIANT_NO_COMPRESSION, deadline, na)
+            search = _ArraySearch(dsm, table, variant == VARIANT_NO_COMPRESSION, deadline, na, workspace)
         setup_seconds = time.perf_counter() - setup_started
         while sizes[FORWARD] < last[FORWARD] or sizes[BACKWARD] < last[BACKWARD]:
             shares = _round_allocation(
@@ -1030,6 +1250,8 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
                         direction, stats.size, stats.survivors, stats.seconds, time.perf_counter() - started,
                     )
         _check(deadline)
+        combination_started = time.perf_counter()
+        best_fl, best_seq, combination_comparisons = search.pair()
     except _Expired:
         if setup_seconds is None:
             setup_seconds = time.perf_counter() - setup_started
@@ -1040,9 +1262,9 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
                 total_seconds=time.perf_counter() - started, timed_out=True,
             )
         ) from None
-
-    combination_started = time.perf_counter()
-    best_fl, best_seq, combination_comparisons = search.pair()
+    finally:
+        if workspace is not None:  # pairing was the last to read it
+            workspace.release()
 
     objective = total_feedback_length(dsm, best_seq)
     if abs(best_fl - objective) > _REL_TOL * max(1.0, abs(objective)):

@@ -8,7 +8,7 @@ significant digits so write-then-read round-trips bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import InputError, ParseError
@@ -79,7 +79,8 @@ class Solution:
 
 
 def write_solution(solution: Solution, path: str | Path) -> None:
-    payload = asdict(solution)
+    # the fields hold numbers and a tuple of ints, so no copy is needed, as ``asdict`` would make
+    payload = {f.name: getattr(solution, f.name) for f in fields(solution)}
     payload["sequence"] = list(solution.sequence)
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -9,33 +9,30 @@ meet-in-the-middle style: when both searches reach the meeting row, every
 prefix is paired with the suffix over its complement and the cheapest
 concatenation is the optimum.
 
-Activity a is bit a - 1 of a set's mask.  Rows are numpy arrays indexed by
-the lexicographic rank of their activity set: the best schedule's value
-(float64), for prefixes its lex rank among the row's schedules (int32), and
-the column that won it (int8) as its back-pointer, the parent being the set
-without its column-th smallest activity.  Only the winning prefix and
-suffix are ever rebuilt as tuples.  A row is expanded by pulling: each
-child of k members reads its k parents, one column at a time, and keeps a
-running best and its column, so no child depends on another's work and
+Activity a is bit a - 1 of a set's mask.  Rows are numpy arrays of the
+best schedule's value (float64), indexed by the lexicographic rank of
+their activity set; the sweeps keep values only.  A row is expanded by
+pulling: each child of k members reads its k parents, one column at a
+time, and keeps the least value, so no child depends on another's work and
 nothing is scattered.  Column j removes every child's j-th smallest
-activity and gathers those parents by rank.  Those ranks do not depend on
-the instance: a row's grow by column from the row above's, copying one
-slice per block of children that share their smallest activity.  Up to
-n = 17, where every rank is an int16, every row's are cached read-only by
-(n, size); above, each search grows its newest row's and drops them once
-read.  The row's masks grow from the row above's by the same slices, one
-activity added per block, and are cached read-only by (n, size), so the
-lexicographic layout has one owner, ``_parent_blocks``.  Going forward,
-only the winners get a lex rank.  ``cn`` splits each row's parents into
-contiguous chunks whose counters report what each would hand to a merge.
-Those counts depend only on (n, size, chunks), so each is made once per
-process, from the cached ranks with no values up to n = 17 and in the
-first sweep of its key above, and ``cn`` costs no time after that: every
-parent carries the label of its chunk, and each change of label between a
-child's consecutive parents is one more chunk handing that child over.
-Rows run in a fixed round order on the calling thread, so the schedule,
-objective and every counter are identical for any ``cn`` and meeting row.
-Up to n = 17 a solve takes its row-sized arrays and the cut table from a
+activity and gathers those parents by rank: one gather and one minimum.
+Those ranks do not depend on the instance: a row's grow by column from the
+row above's, copying one slice per block of children that share their
+smallest activity.  Up to n = 17, where every rank is an int16, every
+row's are cached read-only by (n, size); above, each search grows its
+newest row's and drops them once read.  The row's masks grow from the row
+above's by the same slices, one activity added per block, and are cached
+read-only by (n, size), so the lexicographic layout has one owner,
+``_parent_blocks``.  ``cn`` splits each row's parents into contiguous
+chunks whose counters report what each would hand to a merge.  Those
+counts depend only on (n, size, chunks), so each is made once per process,
+from the cached ranks with no values up to n = 17 and in the first sweep
+of its key above, and ``cn`` costs no time after that: every parent
+carries the label of its chunk, and each change of label between a child's
+consecutive parents is one more chunk handing that child over.  Rows run
+in a fixed round order on the calling thread, so the schedule, objective
+and every counter are identical for any ``cn`` and meeting row.  Up to
+n = 17 a solve takes its row-sized arrays and the cut table from a
 workspace kept for the next solve of its n, so a warm solve allocates
 nothing but short-lived temporaries.
 
@@ -48,11 +45,27 @@ non-members ascending, from 0.0 and never by differences: the summation
 order of the scalar loop, so values equal by symmetry tie exactly.  Each
 outflow extends the outflow into the same set without its largest
 activity, so the whole table costs O(n 2**n) additions where summing each
-cut afresh would cost O(n**2 2**n).  Ties go to the lexicographically
-smaller schedule, which is the smaller (parent lex rank, a) going forward,
-where children append ``a``, and the smaller ``a`` going backward, where
-they prepend it: a child's parents all differ in ``a``, so suffix rows
-keep no lex rank.
+cut afresh would cost O(n**2 2**n).  A prefix child's gain is added once,
+to its least parent value: rounding to nearest is monotone, so that is the
+least of the rounded sums, bit for bit.  A suffix child's gain depends on
+its parent alone and is added to the parent row before the sweep.
+
+Ties go to the lexicographically smaller schedule: the smaller (parent's
+schedule, a) going forward, where children append ``a``, and the smaller
+``a`` going backward, where they prepend it.  The one schedule that wins is
+rebuilt after pairing, from the values.  A parent is tight when its value
+plus the child's gain rounds to the child's value, and the tie rule keeps
+for each set the smallest chain of tight steps from the empty set.  The
+prefix witness keeps every prefix row, walks down from the tied pairings
+marking the tight parents of marked sets, then up from the empty set, each
+step adding the smallest activity whose set is marked and tight.  The walk
+down stops at a row whose sets are all marked, as with an all-zero matrix,
+below which any tight step will do unless it leads to a set with no tight
+child.  For the suffix, the suffix search runs again over the activities
+the prefix leaves, 2**(n - na) sets, which costs a few percent of the
+search and holds far less than keeping every suffix row would; the suffix
+witness walks its rows down from the complement, taking in each row the
+first column whose parent holds the least value.
 
 Three ablation switches degrade single strategies while preserving results:
 ``no-second-decomposition`` keeps one chunk per search, ``no-compression``
@@ -341,13 +354,9 @@ class CompressedChunk:
 
 _MASK = np.dtype(np.int32)  # activity bitmasks and subset ranks, for n <= 30
 _VALUE = np.dtype(np.float64)
-_LEX = np.dtype(np.int32)
-_KEY = np.dtype(np.int64)
 _INTP = np.dtype(np.intp)
-_COLUMN = np.dtype(np.int8)  # the column that won a child, its back-pointer
 _LABEL = np.dtype(np.int32)  # chunk of a parent, last chunk seen by a child
 _FLAG = np.dtype(np.bool_)
-_SORT_KEY = np.dtype(np.int16)  # a parent lex, when a row has fewer than 2**15 parents
 _MAX_N = 30
 _ROWS_CACHED = 8 * _MAX_N  # enough for every row of the eight most recently solved n
 _SOLVE_OBJECTS = 64 * 1024  # bytes; a solve's non-array allocations measured 11-17 KB at n=8..12
@@ -359,6 +368,8 @@ _HEAD_STEPS = 10  # outflow doublings the cut table builds for every member at o
 # 1.05 MB at n=16 and 2.2 MB at n=17, and a solve's workspace is kept for the next solve of its n
 _SMALL_N = 17
 _HANDOVERS_CACHED = 4096  # (n, size, chunks) counts ``_handovers`` holds before it starts over
+_ESTIMATES_CACHED = 1024  # (n, na) memory estimates ``_search_bytes`` holds
+_WALK_BLOCK = 1 << 14  # parent ranks the prefix witness gathers at once, at most
 
 
 class _Workspace:
@@ -547,21 +558,49 @@ def _grown_columns(n: int, size: int, above: list[np.ndarray | None]) -> Iterato
 
 
 @lru_cache(maxsize=_ROWS_CACHED)
-def _parent_columns(n: int, size: int) -> tuple[np.ndarray, ...]:
-    """Row ``size``'s parent ranks by column for n <= ``_SMALL_N``, read-only.
+def _parent_columns(n: int, size: int) -> np.ndarray:
+    """Row ``size``'s parent ranks by column for n <= ``_SMALL_N``, read-only: one row of the array per column.
 
     Column j ranks each child without its j-th smallest activity among the
     row above's sets, counted from 0, in ``_parent_dtype(n)``; row 1's one
     column is the empty set's rank, 0.  Grown from the row above's columns,
     which are cached too, so every row's are built once per n.
     """
-    if size == 1:
-        columns: tuple[np.ndarray, ...] = (np.zeros(n, dtype=_parent_dtype(n)),)
-    else:
-        columns = tuple(_grown_columns(n, size, list(_parent_columns(n, size - 1))))
-    for ranks in columns:
-        ranks.flags.writeable = False
+    columns = np.zeros((size, comb(n, size)), dtype=_parent_dtype(n))
+    if size > 1:
+        for column, ranks in enumerate(_grown_columns(n, size, list(_parent_columns(n, size - 1)))):
+            columns[column] = ranks
+    columns.flags.writeable = False
     return columns
+
+
+@lru_cache(maxsize=_MAX_N + 1)
+def _binomials(n: int) -> np.ndarray:
+    """C(x, y) at [x, y] for 0 <= x, y <= n, zero where y > x, read-only."""
+    table = np.array([[comb(x, y) for y in range(n + 1)] for x in range(n + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _drop_ranks(n: int, size: int, children: np.ndarray) -> np.ndarray:
+    """The parent ranks of the children at ranks ``children`` of row ``size``, by column: ``size`` rows.
+
+    Up to ``_SMALL_N`` the columns are cached.  Above, the rank of a k-set
+    c_0 < ... < c_(k-1) is C(n, k) - 1 less the sum of C(n - c_i, k - i),
+    activities counted from 1, and dropping c_j takes one from k - i for
+    the members before it and leaves the terms of those after it as they
+    are.
+    """
+    if n <= _SMALL_N:
+        return _parent_columns(n, size).take(children, axis=1)
+    masks = _row_masks(n, size)[children]
+    members = np.nonzero(masks[:, None] >> np.arange(n, dtype=_MASK) & 1)[1].reshape(-1, size)  # activity - 1
+    left = n - 1 - members
+    index = np.arange(size)
+    after = _binomials(n)[left, size - index]  # the child's own terms
+    before = _binomials(n)[left, size - 1 - index]
+    dropped = np.cumsum(before, axis=1) - before + after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)
+    return (comb(n, size - 1) - 1 - dropped).T
 
 
 class _Handovers:
@@ -607,111 +646,139 @@ def _check_size(n: int, na: int, table: BinomialTable, cap: int) -> None:
     widest = f"row {worst_size} needs C({n},{worst_size}) = {table.c(n, worst_size)} subsets"
     if n > _MAX_N:
         raise ResourceLimitError(f"{widest}; subset masks are int32, which limits n to {_MAX_N}")
-    needed = _search_bytes(n, na, table)
+    needed = _search_bytes(n, na)
     if needed > cap:
         raise ResourceLimitError(f"{widest} and the search {needed} bytes, over the cap of {cap} bytes")
 
 
-def _search_bytes(n: int, na: int, table: BinomialTable) -> int:
+@lru_cache(maxsize=_ESTIMATES_CACHED)
+def _search_bytes(n: int, na: int) -> int:
     """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes, with every cache cold.
 
     The search holds the row masks, at most an int per subset of the n
     activities (each row is built from the row above straight into its own
     array, so their build holds nothing more), and the cut table (a float
     per subset).  The table's build also holds an outflow half as large as
-    the table, the head and numpy's buffers for its strided adds.  Above
-    ``_SMALL_N`` the rows come after the build: every row's back-pointers
-    (one byte per child), both searches' last rows (values, and lex ranks
-    for prefixes), and the widest column sweep's arrays.  Those are, per
-    parent, the row and its chunk label; the parent ranks of the row above
-    and of the row swept, as many as any column holds at once (each column
-    of the row above is dropped once read, and a last row keeps none), with
-    column 0's ramp and each child's block shift; and per child the running
-    best value and its column, and one column's gather indices, values,
-    selection term, arriving and last chunk labels and flags; going forward
-    also the prefix gain, the running best's parent lex and one column's
-    lexes.  Ranking the winners by their tie keys afterwards holds less.
-    Up to ``_SMALL_N`` the workspace keeps everything it hands out, so the
-    search holds every row's cached parent columns, the outflow and head,
-    every row's back-pointers, and each named array of ``_ArraySearch`` at
-    its widest, per child of the widest row the search reaches: two rows'
-    values per direction, the gain, the complements, one column's values,
-    selection term and flags; going forward also two rows' lexes, the
-    running best's parent lex, one column's lexes and flags and the sort
-    keys.  On top of that come, one at a time, the table build's buffers,
-    a gather's indices, the sort's order, scratch and ramp, or the chunk
-    count's labels, gather indices and flags.  A fixed allowance covers
-    the report, the row statistics and the other small interpreter objects
-    of a solve.
+    the table, the head and numpy's buffers for its strided adds.  Every
+    prefix row's values stay, for the prefix witness.  Up to ``_SMALL_N``
+    the workspace keeps everything it hands out, so the search holds every
+    row's cached parent columns, the outflow and head, the two arrays the
+    suffix rows take turns in, the suffix search run again over the n - na
+    activities the prefix leaves (all of its rows, the inflow into every
+    local set, and its global and row masks and cached columns), and per
+    child of the widest row the search reaches the gain, one column's values
+    and the complements; on top of that come, one at a time, the table
+    build's buffers, a gather's indices, the chunk count's labels, gather
+    indices and flags, or the prefix witness.  Above ``_SMALL_N`` the rows
+    come after the build, with an intp gather index per child of the widest
+    row, held to the end: the suffix search's last row and the widest column
+    sweep (``_sweep_bytes``), while the other search holds the parent ranks
+    of its newest row, then the prefix witness, then the suffix search
+    again, with its sweep or, up to ``_SMALL_N``, a row's gain, values and
+    gather indices.  The prefix witness holds, at worst (every set good),
+    every prefix row's good ranks, a row's gains and values and a flag per
+    set of the row below, and one block's parent ranks, gather indices,
+    values and flags, above ``_SMALL_N`` with the masks, members and
+    binomial terms that rank them.  A fixed allowance covers the report, the
+    row statistics and the other small interpreter objects of a solve.
     """
     subsets = 1 << n
-    rank = _parent_dtype(n).itemsize
     masks = subsets * _MASK.itemsize
     cuts = subsets * _VALUE.itemsize
     outflows = cuts // 2 + n * _head_width(n) * _VALUE.itemsize
     buffers = min(_ADD_BUFFERS, 8 * cuts)
+    m = n - na
+    prefixes = sum(comb(n, size) for size in range(1, na + 1))
+    forward = max(comb(n, size) for size in range(1, na + 1))
+    # per element of a block: parent ranks, as intp too, the gathered values, flags and the tight ones' ranks;
+    # above _SMALL_N, ranks made from each member's bit and two binomial terms each
     if n <= _SMALL_N:
-        deepest = max(na, n - na)
-        columns = sum(size * table.c(n, size) for size in range(1, deepest + 1)) * rank
-        pointers = sum(table.c(n, size) for last in (na, n - na) for size in range(2, last + 1)) * _COLUMN.itemsize
-        forward = max(table.c(n, size) for size in range(1, na + 1))
-        backward = max(table.c(n, size) for size in range(1, n - na + 1))
+        per_rank = _parent_dtype(n).itemsize + 2 * _INTP.itemsize + _VALUE.itemsize + _FLAG.itemsize
+    else:
+        per_rank = 8 * _INTP.itemsize + 4 * n
+    walk = (
+        _INTP.itemsize * prefixes
+        + (2 * _VALUE.itemsize + _MASK.itemsize + _FLAG.itemsize) * forward
+        + per_rank * min(na * forward, _WALK_BLOCK)
+    )
+    # the suffix search again: its rows and the inflow, and its global and row masks
+    again = (1 << m) * (2 * _VALUE.itemsize + 2 * _MASK.itemsize)
+    if n <= _SMALL_N:
+        columns = sum(size * comb(n, size) for size in range(1, max(na, m) + 1)) * _parent_dtype(n).itemsize
+        backward = max(comb(n, size) for size in range(1, m + 1))
         widest = max(forward, backward)
-        rows = 2 * _VALUE.itemsize * (forward + backward)
-        # gain, one column's values, complements, selection flag and term
-        shared = (2 * _VALUE.itemsize + _MASK.itemsize + _FLAG.itemsize + _COLUMN.itemsize) * widest
-        # two rows' lexes, the running best's, one column's, its two flags and the sort keys
-        prefix = (4 * _LEX.itemsize + 2 * _FLAG.itemsize + _SORT_KEY.itemsize) * forward
-        held = pointers + rows + shared + prefix
-        sorting = (2 * _INTP.itemsize + _LEX.itemsize) * forward
+        rows = _VALUE.itemsize * (prefixes + 2 * backward)
+        again += (m << (m - 1)) * _parent_dtype(m).itemsize
+        # gain, one column's values and the complements
+        shared = (2 * _VALUE.itemsize + _MASK.itemsize) * widest
         counting = (3 * _LABEL.itemsize + _INTP.itemsize + _FLAG.itemsize) * widest
-        passing = max(buffers, _INTP.itemsize * widest, sorting, counting)
-        return _SOLVE_OBJECTS + masks + columns + cuts + outflows + held + passing
-    running = _VALUE.itemsize + _COLUMN.itemsize
-    column = _INTP.itemsize + _VALUE.itemsize + _COLUMN.itemsize + 2 * _LABEL.itemsize + 4
-    pointers = newest = widest = 0
-    for last, forward in ((na, True), (n - na, False)):
-        lex = _LEX.itemsize if forward else 0
-        newest += (_VALUE.itemsize + lex) * table.c(n, last)
-        per_parent = _VALUE.itemsize + lex + _LABEL.itemsize
-        per_child = running + column + (_VALUE.itemsize + 2 * lex if forward else 0)
-        for size in range(2, last + 1):
-            parents, children = table.c(n, size - 1), table.c(n, size)
-            pointers += children * _COLUMN.itemsize
-            # column 0 holds every column of the row above and the ramp, the last column one of
-            # them and every new column kept; each holds the block shifts and one new column
-            held = max(size * parents, parents + (size if size < last else 1) * children)
-            ranks = (held + 2 * children) * rank
-            widest = max(widest, parents * per_parent + children * per_child + ranks)
-    return _SOLVE_OBJECTS + masks + cuts + max(outflows + buffers, pointers + newest + widest)
+        passing = max(buffers, _INTP.itemsize * widest, counting, walk)
+        return _SOLVE_OBJECTS + masks + columns + cuts + outflows + rows + again + shared + passing
+    rank = _parent_dtype(n).itemsize
+    newest = _VALUE.itemsize * comb(n, m)
+    indices = _INTP.itemsize * max(comb(n, size) for size in range(1, max(na, m) + 1))
+    # while one search sweeps, the other holds its newest row's parent ranks, unless that row is its last
+    kept = {last: max((size * comb(n, size) for size in range(2, last)), default=0) * rank for last in (na, m)}
+    sweeps = max(_sweep_bytes(n, na, True) + kept[m], _sweep_bytes(n, m, False) + kept[na])
+    if m > _SMALL_N:
+        again += _sweep_bytes(m, m, False)
+    else:  # the columns, then a row's gain and values, and its gather's indices
+        local = comb(m, m // 2)
+        again += (m << (m - 1)) * _parent_dtype(m).itemsize + (2 * _VALUE.itemsize + _INTP.itemsize) * local
+    searching = _VALUE.itemsize * prefixes + newest + indices + max(sweeps, walk, again)
+    return _SOLVE_OBJECTS + masks + cuts + max(outflows + buffers, searching)
+
+
+def _sweep_bytes(n: int, last: int, forward: bool) -> int:
+    """Bytes of the widest column sweep of a search over n > ``_SMALL_N`` activities up to row ``last``.
+
+    Per parent, its chunk label and, for suffixes, the row; the parent
+    ranks of the row above and of the row swept, as many as any column
+    holds at once (each column of the row above is dropped once read, and
+    a last row keeps none), with column 0's ramp and each child's block
+    shift; and per child, for suffixes, the row, and one column's values,
+    arriving and last chunk labels and flags.  A prefix row's values are
+    counted with the prefix rows, the gather indices with the search, and
+    the gain added after a prefix sweep holds less than the sweep.
+    """
+    rank = _parent_dtype(n).itemsize
+    row = 0 if forward else _VALUE.itemsize
+    per_child = _VALUE.itemsize + 2 * _LABEL.itemsize + _FLAG.itemsize + row
+    widest = 0
+    for size in range(2, last + 1):
+        parents, children = comb(n, size - 1), comb(n, size)
+        # column 0 holds every column of the row above and the ramp, the last column one of
+        # them and every new column kept; each holds the block shifts and one new column
+        held = max(size * parents, parents + (size if size < last else 1) * children)
+        ranks = (held + 2 * children) * rank
+        widest = max(widest, parents * (_LABEL.itemsize + row) + children * per_child + ranks)
+    return widest
 
 
 @dataclass
 class _Row:
     """One search's newest row, by subset rank.
 
-    The best schedule's value, for prefixes its lex rank, and, above
-    ``_SMALL_N``, ``parent_ranks``: column j ranks each set without its
-    j-th smallest activity, counted from 0, in the row above.  The next
-    row's sweep grows its own parent ranks from these and drops each column
-    once it has read it; a search's last row keeps none.  Up to
-    ``_SMALL_N`` every row's are cached instead (``_parent_columns``).
+    The best schedule's value and, above ``_SMALL_N``, ``parent_ranks``:
+    column j ranks each set without its j-th smallest activity, counted
+    from 0, in the row above.  The next row's sweep grows its own parent
+    ranks from these and drops each column once it has read it; a search's
+    last row keeps none.  Up to ``_SMALL_N`` every row's are cached instead
+    (``_parent_columns``).
     """
 
     size: int
     value: np.ndarray
-    lex: np.ndarray | None
     parent_ranks: list[np.ndarray | None]
 
 
 class _ArraySearch:
-    """The array kernel, with both searches' newest rows and every row's back-pointers.
+    """The array kernel: both searches' newest rows, every prefix row, and the witnesses.
 
     ``dense`` counts each chunk as handing over the whole row (no-compression).
-    Every row-sized array comes from ``workspace``: a row's values, lex
-    ranks and the sweep's running best from one of two arrays per
-    direction, by the parity of the row's size, so a row never overwrites
-    its parent row.
+    Every row-sized array comes from ``workspace``.  The prefix witness
+    reads every prefix row, so each is kept under its own size; a suffix
+    row is read by the next row alone, so they take turns in two arrays.
     """
 
     def __init__(
@@ -731,30 +798,29 @@ class _ArraySearch:
             if n <= _SMALL_N:
                 _parent_columns(n, size)
         self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline, workspace)
-        singles = np.arange(n, dtype=_LEX)  # lone activity a has rank a - 1
         empty = np.zeros(n, dtype=_parent_dtype(n))  # a lone activity's parent, the empty set, has rank 0
         self.rows = {
-            FORWARD: _Row(1, self.cut[_row_masks(n, 1)], singles, [empty]),
-            BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), None, [empty]),
+            FORWARD: _Row(1, self.cut[_row_masks(n, 1)], [empty]),
+            BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), [empty]),
         }
-        self.pointers: dict[str, list[np.ndarray]] = {FORWARD: [], BACKWARD: []}
+        self.widest = max(table.c(n, size) for size in range(1, max(na, n - na) + 1))
+        self.indices: np.ndarray | None = None  # above _SMALL_N, the sweeps' gather indices
+        self.prefixes = [self.rows[FORWARD].value]  # row k's values at k - 1
 
     def grow(self, direction: str, workers: int) -> RowStats:
-        """Grow the search's newest row in ``direction`` into the next, keeping the best child per subset.
+        """Grow the search's newest row in ``direction`` into the next, keeping the best value per subset.
 
-        The column sweep finds each child's winning column, its
-        back-pointer.  What ``workers`` chunks, at most one per parent,
-        would hand over depends only on (n, size, chunks), so it is counted
-        once per process and key (``_handovers``): up to ``_SMALL_N`` from
-        the cached columns before the sweep, above it by the sweep, over
-        the columns it grows anyway.  Going forward the winners then get a
-        lex rank, the order of (parent lex, a), as children append ``a``:
-        one parent's children rank in the order of their ``a``, so (parent
-        lex, child rank) sorts the same.  A stable sort on the parent lex
-        alone keeps that order among equal lexes, and numpy sorts int16
-        keys stably by radix, so rows of fewer than 2**15 parents sort
-        those.  The suffix search never reads a lex.  Above ``_SMALL_N`` the
-        new row keeps its parent ranks unless it is the search's last.
+        What ``workers`` chunks, at most one per parent, would hand over
+        depends only on (n, size, chunks), so it is counted once per process
+        and key (``_handovers``): up to ``_SMALL_N`` from the cached columns
+        before the sweep, above it by the sweep, over the columns it grows
+        anyway.  A prefix gains cut(child) and a suffix the cut of its
+        parent's complement, the inflow into the parent's set: the prefix
+        sweep adds it once to each child's least parent value, which rounds
+        as adding it to every parent's and taking the least would, and the
+        suffix sweep adds it to each parent's value first.  Above
+        ``_SMALL_N`` the new row keeps its parent ranks unless it is the
+        search's last.
         """
         n = self.n
         row = self.rows[direction]
@@ -772,22 +838,23 @@ class _ArraySearch:
                     counter.add(ranks)
                 transferred = _remember_handovers(key, counter.count)
                 counter = None
+        array = self.workspace.array
+        if direction == FORWARD:
+            best = array(f"forward value {size}", capacity, _VALUE)
+        else:
+            full = (1 << n) - 1
+            complements = np.bitwise_xor(_row_masks(n, size - 1), full, out=array("complements", parents, _MASK))
+            row.value += self.cut.take(complements, out=array("gain", parents, _VALUE), mode="wrap")
+            del complements  # so that above _SMALL_N the sweep does not hold it
+            best = array(f"backward value {size % 2}", capacity, _VALUE)
         keep = n > _SMALL_N and size < self.last[direction]
-        best, column, best_lex, grown = self._sweep(direction, row, keep, counter)
+        grown = self._sweep(n, row, best, keep, counter)
         if counter is not None:
             transferred = _remember_handovers(key, counter.count)
-        lex = None
         if direction == FORWARD:
-            if parents < 1 << 15:
-                keys = self.workspace.array("keys", capacity, _SORT_KEY)
-                keys[:] = best_lex
-                order = np.argsort(keys, kind="stable")
-            else:
-                order = np.argsort(best_lex.astype(_KEY) * capacity + np.arange(capacity))
-            lex = self.workspace.array(f"lex {size % 2}", capacity, _LEX)
-            lex[order] = np.arange(capacity, dtype=_LEX)
-        self.rows[direction] = _Row(size, best, lex, grown)
-        self.pointers[direction].append(column)
+            best += self.cut.take(_row_masks(n, size), out=array("gain", capacity, _VALUE), mode="wrap")
+            self.prefixes.append(best)
+        self.rows[direction] = _Row(size, best, grown)
         expanded = capacity * size
         survivors = int(np.count_nonzero(best < np.inf))
         return RowStats(
@@ -804,116 +871,191 @@ class _ArraySearch:
         )
 
     def _sweep(
-        self, direction: str, row: _Row, keep: bool, counter: _Handovers | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[np.ndarray | None]]:
-        """Pull every child of the row after ``row`` from its parents there, one column at a time.
+        self, n: int, row: _Row, best: np.ndarray, keep: bool, counter: _Handovers | None = None
+    ) -> list[np.ndarray | None]:
+        """Pull every child of the row after ``row`` from its parents there, one column at a time, into ``best``.
 
-        Column j reads each child's parent without its j-th smallest
-        activity, so no two children share any work.  Up to ``_SMALL_N`` its
-        ranks are cached; above, they grow from the parent row's column
-        j - 1 (``_grown_columns``), which is dropped once read, the new
-        columns are kept for the next row when ``keep`` holds, and each is
-        added to ``counter``, if given.  A candidate beats the child's
-        running best on a lower value or, on an equal value, a
-        lexicographically smaller schedule: the smaller parent lex going
-        forward, where a child's parents all differ, and the smaller ``a``
-        going backward, which is the earlier column.  Returns the running
-        best value, its column and, going forward, its parent's lex; and
-        the children's parent ranks by column, or none.
+        Each child's value is the least of its parents' in ``row.value``;
+        column j reads each child's parent without its j-th smallest
+        activity, so no two children share any work.  The rows hold the
+        sets of ``n`` activities.  Up to ``_SMALL_N`` the ranks are cached.
+        Above, they grow from the parent row's column j - 1
+        (``_grown_columns``), which is dropped once read; each is copied into
+        one intp buffer, the gather's own index type, made once per search as
+        long as its widest row, kept for the next row when ``keep`` holds, and
+        added to ``counter``, if given.  Returns the kept columns.
         """
-        n = self.n
         size = row.size + 1
-        masks = _row_masks(n, size)  # children, by rank
-        capacity = len(masks)
-        value, lex = row.value, row.lex
-        forward = direction == FORWARD
-        array = self.workspace.array
-        if forward:
-            gain = self.cut.take(masks, out=array("gain", capacity, _VALUE), mode="wrap")
-        else:
-            # every child of a suffix gains the inflow into the parent's set; the sweep consumes the
-            # parent row, so its values take the sum
-            parents = len(value)
-            complements = array("complements", parents, _MASK)
-            np.bitwise_xor(_row_masks(n, size - 1), (1 << n) - 1, out=complements)
-            value += self.cut.take(complements, out=array("gain", parents, _VALUE), mode="wrap")
-            del complements  # so that above _SMALL_N the sweep does not hold it
+        capacity = len(best)
+        value = row.value
+        indices = None
         if n <= _SMALL_N:
             columns: Iterable[np.ndarray] = _parent_columns(n, size)
         else:
             columns = _grown_columns(n, size, row.parent_ranks)
-        best = array(f"{direction} value {size % 2}", capacity, _VALUE)
-        best_j = array(f"{direction} pointers {size}", capacity, _COLUMN, zeroed=True)
-        v = array("values", capacity, _VALUE)
-        better = array("better", capacity, _FLAG)
-        taken = array("taken", capacity, _COLUMN)
-        best_lex = lex_p = tie = smaller = None
-        if forward:
-            best_lex = array("best lex", capacity, _LEX)
-            lex_p = array("lexes", capacity, _LEX)
-            tie = array("tie", capacity, _FLAG)
-            smaller = array("smaller", capacity, _FLAG)
+            if self.indices is None:
+                self.indices = np.empty(self.widest, dtype=_INTP)
+            indices = self.indices[:capacity]
+        v = self.workspace.array("values", capacity, _VALUE)
         ranks: list[np.ndarray | None] = []
         for column, p in enumerate(columns):
             _check(self.deadline)
             if keep:
                 ranks.append(p)
+            if indices is not None:
+                np.copyto(indices, p)
+                p = indices
             if counter is not None:
                 counter.add(p)
             # indices are ranks, always in range, and "wrap" writes straight into ``out`` where "raise" buffers
             if column == 0:
                 value.take(p, out=best, mode="wrap")
-                if forward:
-                    best += gain
-                    lex.take(p, out=best_lex, mode="wrap")
-                continue
-            value.take(p, out=v, mode="wrap")
-            if forward:
-                v += gain
-                lex.take(p, out=lex_p, mode="wrap")
-            np.less(v, best, out=better)
-            if forward:
-                np.equal(v, best, out=tie)
-                np.less(lex_p, best_lex, out=smaller)
-                tie &= smaller
-                better |= tie
-                # x ^= (x ^ y) * better takes y where better holds, without the
-                # branches that make a masked copy several times slower
-                lex_p ^= best_lex
-                lex_p *= better
-                best_lex ^= lex_p
-            # tied values are equal bits (sums from +0.0 never give -0.0), so this is the winner's
-            np.minimum(best, v, out=best)
-            np.bitwise_xor(best_j, column, out=taken)
-            taken *= better
-            best_j ^= taken
-        return best, best_j, best_lex, ranks
-
-    def _trace(self, direction: str, i: int) -> list[int]:
-        """Activities of entry ``i`` of the newest row, the most recently added first."""
-        pointers = self.pointers[direction]
-        n = self.n
-        mask = int(_row_masks(n, len(pointers) + 1)[i])
-        members = [b for b in range(1, n + 1) if mask >> (b - 1) & 1]
-        acts = []
-        for column in reversed(pointers):
-            acts.append(members.pop(int(column[i])))
-            i = rank_sorted(members, n, self.table) - 1
-        acts.append(i + 1)
-        return acts
+            else:
+                value.take(p, out=v, mode="wrap")
+                np.minimum(best, v, out=best)
+        return ranks
 
     def pair(self) -> tuple[float, tuple[int, ...], int]:
-        prefixes = self.rows[FORWARD]
-        suffixes = self.rows[BACKWARD]
-        # the complement of the prefix set at rank i has rank C - 1 - i
-        fl = self.workspace.array("values", len(prefixes.value), _VALUE)
-        np.add(prefixes.value, suffixes.value[::-1], out=fl)
-        ties = np.flatnonzero(fl == fl.min())
-        lex = prefixes.lex[ties]
-        i = int(ties[lex == lex.min()][0])
-        prefix = self._trace(FORWARD, i)[::-1]
-        suffix = self._trace(BACKWARD, len(fl) - 1 - i)
-        return float(fl[i]), tuple(prefix + suffix), 0
+        """Pair every prefix with the suffix over its complement and rebuild the winning schedule.
+
+        The complement of the prefix set at rank i has rank C - 1 - i.
+        Ties go to the lexicographically smallest prefix, whose suffix comes
+        from the suffix search run again over the activities it leaves.
+        """
+        n = self.n
+        prefixes = self.prefixes[-1]
+        fl = self.workspace.array("values", len(prefixes), _VALUE)
+        np.add(prefixes, self.rows[BACKWARD].value[::-1], out=fl)
+        best = fl.min()
+        prefix = self._prefix_witness(np.flatnonzero(fl == best))
+        rest = [a for a in range(1, n + 1) if a not in prefix]
+        return float(best), tuple(prefix + _suffix_walk(self._suffix_rows(rest), rest)), 0
+
+    def _prefix_witness(self, ties: np.ndarray) -> list[int]:
+        """The lexicographically smallest kept prefix among the sets at ranks ``ties`` of row na.
+
+        A parent P of a child C is tight when value(P) + cut(C) rounds to
+        value(C).  The sweep's tie rule keeps for each set the smallest
+        chain of tight steps from the empty set, so the smallest kept
+        prefix among the ties is the smallest such chain that reaches any
+        of them.  Walking down from the ties, a set is good when it is a
+        tight parent of a good set (``_tight_parents``); walking up from the
+        empty set, each step adds the smallest activity whose set is good
+        and has the current set as a tight parent (``_walk_up``).  The walk
+        down stops at the first row whose sets are all good: every chain
+        that reaches that row goes on to a tie, so below it the walk up may
+        take the smallest tight step to any set, and the chain it finds is
+        the smallest to that row unless it meets a set with no tight child.
+        Only then does the walk down go on to the lone activities and the
+        walk up start again.
+        """
+        rows = self.prefixes
+        good: list[np.ndarray | None] = [None] * (len(rows) - 1) + [ties]  # row k's good ranks at k - 1, if known
+        bottom, to_full_row = len(rows), True
+        while True:
+            while bottom > 1 and not (to_full_row and len(good[bottom - 1]) == len(rows[bottom - 1])):
+                _check(self.deadline)
+                good[bottom - 2] = self._tight_parents(bottom, good[bottom - 1])
+                bottom -= 1
+            prefix = self._walk_up(good)
+            if prefix is not None:
+                return prefix
+            to_full_row = False
+
+    def _tight_parents(self, size: int, children: np.ndarray) -> np.ndarray:
+        """The ranks of the tight parents of the prefixes at ranks ``children`` of row ``size``, ascending.
+
+        Vectorised over the children, in blocks of at most ``_WALK_BLOCK``
+        parent ranks.
+        """
+        n = self.n
+        gain = self.cut.take(_row_masks(n, size).take(children))
+        value = self.prefixes[size - 1].take(children)
+        above = self.prefixes[size - 2]
+        marks = np.zeros(len(above), dtype=_FLAG)
+        step = max(1, _WALK_BLOCK // size)
+        for start in range(0, len(children), step):
+            block = slice(start, start + step)
+            parents = _drop_ranks(n, size, children[block]).astype(_INTP, copy=False)  # both index below
+            reach = above.take(parents)
+            reach += gain[block]
+            marks[parents[reach == value[block]]] = True
+        return marks.nonzero()[0]
+
+    def _walk_up(self, good: list[np.ndarray | None]) -> list[int] | None:
+        """The smallest chain of tight steps from the empty set through the sets ``good`` holds, or None if it ends.
+
+        ``good`` holds, for each prefix row, the ranks of the sets a step
+        may reach, ascending, or None for any set of the row.  Among the
+        children of a set, one of smaller rank adds a smaller activity.  A
+        known good set has a good tight child, so a step only looks when
+        there is a choice.
+        """
+        n = self.n
+        prefix = []
+        mask, total = 0, 0.0  # the empty set's, from which every lone activity's step is tight
+        for size, ranks in enumerate(good, start=1):
+            masks = _row_masks(n, size)
+            known = ranks is not None
+            if not known:
+                ranks = np.flatnonzero(masks & mask == mask)  # the current set's children
+            if len(ranks) > 1 or not known:
+                held = masks.take(ranks)
+                tight = (held & mask == mask) & (total + self.cut.take(held) == self.prefixes[size - 1].take(ranks))
+                first = int(tight.argmax())
+                if not tight[first]:
+                    return None  # the current set has no tight child
+                ranks = ranks[first:]
+            i = int(ranks[0])
+            prefix.append((int(masks[i]) ^ mask).bit_length())
+            mask, total = int(masks[i]), self.prefixes[size - 1][i]
+        return prefix
+
+    def _suffix_rows(self, activities: list[int]) -> list[np.ndarray]:
+        """The suffix search's rows over ``activities`` alone, each but the last with its inflow added.
+
+        Local masks map to global ones only to read the inflow into each
+        parent set, the cut of its complement among all n activities, so
+        every value equals the full search's bit for bit.
+        """
+        n = self.n
+        m = len(activities)
+        array = self.workspace.array
+        # the complement of each local mask among all n activities, then the inflow into the local set
+        outside = array("outside", 1 << m, _MASK)
+        outside[0] = (1 << n) - 1
+        for bit, a in enumerate(activities):
+            np.bitwise_xor(outside[: 1 << bit], 1 << (a - 1), out=outside[1 << bit : 2 << bit])
+        inflow = self.cut.take(outside, out=array("inflow", 1 << m, _VALUE), mode="wrap")
+        del outside
+        row = _Row(1, np.zeros(m, dtype=_VALUE), [np.zeros(m, dtype=_parent_dtype(m))])
+        rows = [row.value]
+        for size in range(2, m + 1):
+            row.value += inflow.take(_row_masks(m, size - 1), out=array("gain", len(row.value), _VALUE), mode="wrap")
+            best = array(f"suffix value {size}", comb(m, size), _VALUE)
+            row = _Row(size, best, self._sweep(m, row, best, m > _SMALL_N and size < m))
+            rows.append(best)
+        return rows
+
+
+def _suffix_walk(rows: list[np.ndarray], activities: list[int]) -> list[int]:
+    """The kept suffix of all of ``activities``, ascending, from the rows of a suffix search over them alone.
+
+    Each of ``rows`` but the last has its inflow added, so a child's value
+    is the least of its parents'.  The first column whose parent holds that
+    least value is the kept suffix's first activity, which prepends the
+    smaller activity on ties.
+    """
+    activities = list(activities)
+    m = len(activities)
+    suffix = []
+    i = 0  # the rank of the one set of all m
+    for size in range(m, 1, -1):
+        parents = _drop_ranks(m, size, np.array([i]))[:, 0]
+        column = int(rows[size - 2].take(parents).argmin())
+        suffix.append(activities.pop(column))
+        i = int(parents[column])
+    return suffix + activities
 
 
 # ---------------------------------------------------------------- scalar reference kernel

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -71,6 +72,25 @@ def test_solution_round_trip(tmp_path):
     assert read_solution(path) == solution
     payload = json.loads(path.read_text())
     assert payload["sequence"] == [3, 2, 1, 4]
+
+
+def test_solution_file_bytes_are_unchanged(tmp_path):
+    # the payload as the dataclass's own deep copy builds it, so the file's bytes stay those of earlier releases
+    solution = Solution(
+        n=5,
+        objective=0.1 + 0.2,
+        sequence=(5, 3, 1, 2, 4),
+        time_ms=1e-5,
+        nodes_expanded=2**40,
+        nodes_pruned=0,
+        cores_used=3,
+        na=2,
+    )
+    path = tmp_path / "sol.json"
+    write_solution(solution, path)
+    payload = dataclasses.asdict(solution)
+    payload["sequence"] = list(solution.sequence)
+    assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
 
 def test_solution_objective_revalidates(tmp_path, dsm4):

@@ -7,10 +7,13 @@ first size whose parent ranks are int32: n in {14, 16, 18}, real and
 quarter-quantised degrees, cn in {1, 2}, na in {5, 7} and the ``full``
 variant.  For each solve a file holds the sequence, the objective's hex
 form, ``combination_comparisons`` and every row's counters (all but
-``seconds``).  A change to the search that is meant to keep results and
-counters must reproduce both exactly.
+``seconds``).  ``solve_counters_ties.json`` covers instances full of
+exact ties: all-zero matrices and density-0.05 matrices with
+quarter-quantised degrees, n in 12..16, cn in {1, 2}, na in {2, 5, n - 5}
+and the ``full`` variant.  A change to the search that is meant to keep
+results and counters must reproduce every file exactly.
 
-Run this module as a script to rewrite both files from the current code:
+Run this module as a script to rewrite every file from the current code:
 
     PYTHONPATH=src python tests/test_solve_counters.py
 
@@ -28,16 +31,21 @@ from dsmseq.solver import VARIANT_FULL, VARIANTS
 
 DATA = Path(__file__).parent / "data"
 
-# file name: (n values, degree kinds, cn values, na values, variants)
+# file name: (n values, degree kinds, cn values, na values of n, variants)
 GRIDS = {
-    "solve_counters.json": ((5, 8, 11), ("real", "quarters"), (1, 2, 3, 8), (2, 5), VARIANTS),
-    "solve_counters_large.json": ((14, 16, 18), ("real", "quarters"), (1, 2), (5, 7), (VARIANT_FULL,)),
+    "solve_counters.json": ((5, 8, 11), ("real", "quarters"), (1, 2, 3, 8), lambda n: (2, 5), VARIANTS),
+    "solve_counters_large.json": ((14, 16, 18), ("real", "quarters"), (1, 2), lambda n: (5, 7), (VARIANT_FULL,)),
+    "solve_counters_ties.json": (
+        range(12, 17), ("zero", "sparse-quarters"), (1, 2), lambda n: (2, 5, n - 5), (VARIANT_FULL,)
+    ),
 }
 QUARTERS = (0.25, 0.5, 0.75, 1.0)
 
 
 def _instance(n: int, kind: str) -> Dsm:
-    dsm = generate_instance(n, 0.6, 900 + n)
+    if kind == "zero":
+        return Dsm.from_rows([[0.0] * n for _ in range(n)])
+    dsm = generate_instance(n, 0.05 if kind == "sparse-quarters" else 0.6, 900 + n)
     if kind == "real":
         return dsm
     return Dsm.from_rows(
@@ -47,12 +55,12 @@ def _instance(n: int, kind: str) -> Dsm:
 
 def record(name: str) -> list[dict]:
     """Solve every configuration of the named grid and return what its file stores, in grid order."""
-    n_values, kinds, cn_values, na_values, variants = GRIDS[name]
+    n_values, kinds, cn_values, na_of, variants = GRIDS[name]
     entries = []
     for n, kind in product(n_values, kinds):
         dsm = _instance(n, kind)
         table = BinomialTable(n)
-        for cn, na, variant in product(cn_values, na_values, variants):
+        for cn, na, variant in product(cn_values, na_of(n), variants):
             report = solve(dsm, SolverConfig(cn=cn, na=na, variant=variant), table=table)
             entries.append(
                 {
@@ -86,6 +94,10 @@ def test_solve_reproduces_the_recorded_counters():
 
 def test_solve_reproduces_the_recorded_counters_at_benchmark_sizes():
     _check("solve_counters_large.json")
+
+
+def test_solve_reproduces_the_recorded_counters_on_tie_heavy_instances():
+    _check("solve_counters_ties.json")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dsmseq
@@ -49,6 +49,7 @@ from dsmseq import solver
 from dsmseq.solver import (
     _ArraySearch,
     _cut_table,
+    _drop_ranks,
     _handovers,
     _parent_blocks,
     _parent_columns,
@@ -500,7 +501,7 @@ def test_memory_cap():
 )
 def test_memory_cap_counts_bytes(n, na):
     table = BinomialTable(n)
-    estimate = _search_bytes(n, na, table)
+    estimate = _search_bytes(n, na)
     dsm = generate_instance(n, 0.5, 4)
     for cn in (1, 3):  # cn=3 splits rows, so the chunk labels are held too
         _clear_caches()  # so the solve pays for the row masks, parent columns, chunk counts and workspace too
@@ -545,7 +546,7 @@ def test_first_solve_of_a_process_stays_within_the_estimate():
         "tracemalloc.start()\n"
         "solve(dsm, SolverConfig(cn=1, na=2))\n"
         "peak = tracemalloc.get_traced_memory()[1]\n"
-        "estimate = _search_bytes(14, 2, BinomialTable(14))\n"
+        "estimate = _search_bytes(14, 2)\n"
         "assert peak <= estimate <= 2 * peak, (peak, estimate)\n"
     )
 
@@ -556,12 +557,10 @@ def test_importing_the_package_leaves_logging_unloaded():
 
 
 def test_default_memory_cap_admits_n_22():
-    table = BinomialTable(22)
     cap = SolverConfig().memory_cap
-    assert all(_search_bytes(22, na, table) <= cap for na in range(2, 21))
-    assert _search_bytes(26, 5, BinomialTable(26)) <= cap
-    table = BinomialTable(27)
-    assert all(_search_bytes(27, na, table) > cap for na in range(2, 26))
+    assert all(_search_bytes(22, na) <= cap for na in range(2, 21))
+    assert _search_bytes(26, 5) <= cap
+    assert all(_search_bytes(27, na) > cap for na in range(2, 26))
 
 
 def test_phase_timings_add_up():
@@ -672,8 +671,14 @@ def _tie_heavy_dsm(draw):
     return Dsm.from_rows(rows)
 
 
+# all six pairings tie, so the prefix witness's walk down stops at once, but {1}, the walk up's first step, is no
+# child's tight parent, so the walk down goes on and the walk up starts again
+_DEAD_END = Dsm.from_rows([[0.0, 0.0, 0.5, 1.0], [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]])
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(dsm=_tie_heavy_dsm(), cn=st.integers(min_value=1, max_value=3), na=st.integers(min_value=2, max_value=6))
+@example(dsm=_DEAD_END, cn=1, na=2)
 def test_tie_heavy_sequences_match_brute_force(dsm, cn, na):
     report = solve(dsm, SolverConfig(cn=cn, na=na))
     seq, objective = brute_force_optimum(dsm)
@@ -706,6 +711,80 @@ def test_array_kernel_matches_scalar_reference_on_ties(n, levels):
             for report in (full, scalar)
         ]
         assert counters[0] == counters[1]
+
+
+@st.composite
+def _quarter_dsm(draw):
+    """n <= 8 with degrees in {0, 1/4, 1/2, 3/4, 1} and some rows and columns all zero: exact sums, many ties."""
+    n = draw(st.integers(min_value=4, max_value=8))
+    degree = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+    silent = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n // 2))  # zero rows
+    deaf = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n // 2))  # zero columns
+    return Dsm.from_rows(
+        [[0.0 if i == j or i in silent or j in deaf else draw(degree) for j in range(n)] for i in range(n)]
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dsm=_quarter_dsm())
+def test_quarter_degree_sequences_match_brute_force_at_every_meeting_row(dsm):
+    # the witnesses rebuild the lexicographically smallest optimum wherever the searches meet
+    seq, objective = brute_force_optimum(dsm)
+    for na in range(2, dsm.n - 1):
+        for cn in (1, 3):
+            report = solve(dsm, SolverConfig(cn=cn, na=na))
+            assert (report.sequence, report.objective) == (seq, objective)
+
+
+def _isolated(n: int) -> Dsm:
+    """Quarter degrees with every third activity isolated: no dependence into or out of it."""
+    rows = [list(row) for row in _quantised(generate_instance(n, 0.3, 300 + n), (0.25, 0.5, 0.75, 1.0)).d]
+    for a in range(0, n, 3):
+        for b in range(n):
+            rows[a][b] = rows[b][a] = 0.0
+    return Dsm.from_rows(rows)
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_tied_optima_give_one_sequence_for_every_meeting_row_and_chunk_count(n):
+    table = BinomialTable(n)
+    zero = Dsm.from_rows([[0.0] * n for _ in range(n)])
+    for dsm, expected in ((zero, tuple(range(1, n + 1))), (_isolated(n), None)):
+        sequences = {
+            solve(dsm, SolverConfig(cn=cn, na=na), table=table).sequence for na in range(2, n - 1) for cn in (1, 2, 8)
+        }
+        assert len(sequences) == 1
+        if expected:
+            assert sequences == {expected}
+
+
+@pytest.mark.parametrize("small_n", [_SMALL_N, 3])
+@pytest.mark.parametrize("n, seed", [(9, 1), (11, 2), (12, 3)])
+def test_suffix_search_over_a_subset_reproduces_the_full_rows(monkeypatch, small_n, n, seed):
+    # with _SMALL_N at 3 the search over the subset grows its parent ranks instead of reading the cached ones
+    monkeypatch.setattr(solver, "_SMALL_N", small_n)
+    dsm = _quantised(generate_instance(n, 0.6, seed), (1 / 3, 2 / 3, 1.0))
+    search = _ArraySearch(dsm, BinomialTable(n), False, None, 0, _Workspace(n, kept=False))
+    rows = [search.rows[BACKWARD].value.copy()]
+    for _ in range(2, n + 1):
+        search.grow(BACKWARD, 1)
+        rows.append(search.rows[BACKWARD].value.copy())  # before the next row adds the inflow
+    rank = _rank_map(n)
+    full = (1 << n) - 1
+    rng = np.random.default_rng(seed)
+    for m in (3, n - 3, n - 1):
+        activities = sorted(int(a) for a in rng.choice(np.arange(1, n + 1), size=m, replace=False))
+        again = search._suffix_rows(activities)
+        assert len(again) == m
+        for size in range(1, m + 1):
+            local = _row_masks(m, size)
+            spread = np.zeros(len(local), dtype=np.int64)
+            for bit, a in enumerate(activities):
+                spread |= (local >> bit & 1).astype(np.int64) << (a - 1)
+            expected = rows[size - 1][rank[spread]]
+            if size < m:  # every row but the last holds its inflow
+                expected = expected + search.cut[full ^ spread]
+            assert again[size - 1].view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------- cut table
@@ -808,6 +887,18 @@ def test_parent_ranks_grown_row_by_row_match_the_rank_map():
                 if column:
                     # descending across columns, so the chunk labels count hand-overs
                     assert (parents < columns[column - 1]).all()
+
+
+def test_parent_ranks_from_the_masks_match_the_cached_columns(monkeypatch):
+    # above _SMALL_N the prefix witness and the suffix walk rank each child's parents from its mask
+    monkeypatch.setattr(solver, "_SMALL_N", 3)
+    rng = np.random.default_rng(5)
+    for n in range(4, 13):
+        for size in range(2, n + 1):
+            count = math.comb(n, size)
+            children = np.unique(rng.integers(0, count, size=min(count, 40)))
+            expected = _parent_columns(n, size)[:, children]
+            assert _drop_ranks(n, size, children).tolist() == expected.tolist()
 
 
 def test_every_rank_of_a_small_n_fits_the_cached_columns():

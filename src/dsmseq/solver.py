@@ -19,22 +19,23 @@ activity and gathers those parents by rank: one gather and one minimum.
 Those ranks do not depend on the instance: a row's grow by column from the
 row above's, copying one slice per block of children that share their
 smallest activity.  Up to n = 17, where every rank is an int16, every
-row's are cached read-only by (n, size); above, each search grows its
+row's are kept read-only in n's tables; above, each search grows its
 newest row's and drops them once read.  The row's masks grow from the row
-above's by the same slices, one activity added per block, and are cached
-read-only by (n, size), so the lexicographic layout has one owner,
-``_parent_blocks``.  ``cn`` splits each row's parents into contiguous
+above's by the same slices, one activity added per block, and are kept
+read-only in n's tables, so the lexicographic layout has one owner,
+``_parent_blocks``.  n's tables also hold a solve's row-sized arrays and
+cut table, by name.  They follow one rule: a solve claims them and gives
+them back after pairing, and up to n = 17 they are kept for the next
+solve of n, which then builds no row and allocates nothing but
+short-lived temporaries; above, they go with the solve, so none of its
+arrays outlives it.  ``cn`` splits each row's parents into contiguous
 chunks whose counters report what each would hand to a merge.  Those
 counts depend only on (n, size, chunks), so each is made once per process,
-from the cached ranks with no values up to n = 17 and in the first sweep
-of its key above, and ``cn`` costs no time after that: every parent
-carries the label of its chunk, and each change of label between a child's
-consecutive parents is one more chunk handing that child over.  Rows run
-in a fixed round order on the calling thread, so the schedule, objective
-and every counter are identical for any ``cn`` and meeting row.  Up to
-n = 17 a solve takes its row-sized arrays and the cut table from a
-workspace kept for the next solve of its n, so a warm solve allocates
-nothing but short-lived temporaries.
+in the first sweep of its key, and ``cn`` costs no time after that: every
+parent carries the label of its chunk, and each change of label between a
+child's consecutive parents is one more chunk handing that child over.
+Rows run in a fixed round order on the calling thread, so the schedule,
+objective and every counter are identical for any ``cn`` and meeting row.
 
 Prefix values grow by cut(C), the dependence flowing out of the child set
 C to its complement, and suffix values by cut of the complement of the
@@ -83,7 +84,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, isfinite
 from typing import Iterable, Iterator, Sequence
 
@@ -149,9 +150,9 @@ class SolverConfig:
     the prefix length at which the two searches meet; ``solve`` clamps it
     with ``meeting_row``.  ``memory_cap`` is in bytes: a search whose arrays
     would need more is refused before any of them is allocated.  A
-    non-integer ``cn`` or ``na``, a ``cn`` below 1, a negative or NaN
-    ``time_limit`` or ``memory_cap`` or an unknown ``variant`` raises
-    InputError.
+    ``cn`` or ``na`` that is not an integer (a bool is not), a ``cn`` below
+    1, a ``time_limit`` or ``memory_cap`` that is not a number, or is
+    negative or NaN, or an unknown ``variant`` raises InputError.
     """
 
     cn: int = 8
@@ -163,20 +164,25 @@ class SolverConfig:
     def __post_init__(self) -> None:
         _check_integer(self.cn, "worker count", 1)
         _check_integer(self.na, "meeting row")
-        if self.time_limit is not None and not self.time_limit >= 0:  # NaN compares false
-            raise InputError(f"time limit must be a non-negative number of seconds, got {self.time_limit}")
-        if not self.memory_cap >= 0:  # NaN compares false
-            raise InputError(f"memory cap must be a non-negative number of bytes, got {self.memory_cap}")
+        if self.time_limit is not None and not _is_amount(self.time_limit):
+            raise InputError(f"time limit must be a non-negative number of seconds, got {self.time_limit!r}")
+        if not _is_amount(self.memory_cap):
+            raise InputError(f"memory cap must be a non-negative number of bytes, got {self.memory_cap!r}")
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}")
 
 
 def _check_integer(value: object, what: str, least: int | None = None) -> None:
-    """Raise InputError unless ``value`` is an integer, a numpy one included, and at least ``least``."""
-    if not isinstance(value, (int, np.integer)):
+    """Raise InputError unless ``value`` is an integer, a numpy one included but not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise InputError(f"{what} must be at least {least}, got {value}")
+
+
+def _is_amount(value: object) -> bool:
+    """Whether ``value`` is a real number, a numpy one included but not a bool, and at least 0, which NaN is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool) and value >= 0
 
 
 def meeting_row(na: int, n: int) -> int:
@@ -358,48 +364,101 @@ _INTP = np.dtype(np.intp)
 _LABEL = np.dtype(np.int32)  # chunk of a parent, last chunk seen by a child
 _FLAG = np.dtype(np.bool_)
 _MAX_N = 30
-_ROWS_CACHED = 8 * _MAX_N  # enough for every row of the eight most recently solved n
-_SOLVE_OBJECTS = 64 * 1024  # bytes; a solve's non-array allocations measured 11-17 KB at n=8..12
+# bytes of a solve's objects beyond the arrays: its tracemalloc peak at n=8 measured 0.4-1.7 KB over the arrays alone
+_SOLVE_OBJECTS = 16 * 1024
 # bytes numpy's buffered strided adds hold in a cut table's build: measured 15, 64 and 151 KB at n=8, 10 and 12,
 # under eight times the table, and 201 KB from n=16 to 20
 _ADD_BUFFERS = 256 * 1024
 _HEAD_STEPS = 10  # outflow doublings the cut table builds for every member at once, in one (n, 1024) head
-# up to this n every subset rank is an int16 (``_parent_dtype``): every row's parent columns are cached,
-# 1.05 MB at n=16 and 2.2 MB at n=17, and a solve's workspace is kept for the next solve of its n
+# up to this n every subset rank is an int16 (``_parent_dtype``), n's tables hold every row's parent columns,
+# 1.05 MB at n=16 and 2.2 MB at n=17, and they are kept for the next solve of n
 _SMALL_N = 17
 _HANDOVERS_CACHED = 4096  # (n, size, chunks) counts ``_handovers`` holds before it starts over
 _ESTIMATES_CACHED = 1024  # (n, na) memory estimates ``_search_bytes`` holds
 _WALK_BLOCK = 1 << 14  # parent ranks the prefix witness gathers at once, at most
 
 
-class _Workspace:
-    """One solve's arrays by name; up to ``_SMALL_N`` activities, kept from one solve of n to the next.
+class _Tables:
+    """One n's row tables and a solve's arrays by name, kept from one solve of n to the next up to ``_SMALL_N``.
 
-    Arrays that every solve allocates afresh and frees at its end let the
-    allocator hand the top of the heap back to the system, and the next
-    solve then faults each page in again.  A kept workspace gives a name
-    the same array in every solve, grown whenever a request is longer, so
-    after the first solve of n nothing is allocated but short-lived
-    temporaries.  Above ``_SMALL_N`` nothing is kept: each request is a
-    fresh array, held only as long as its caller holds it.  ``claim``
-    takes the one kept for n with a dict ``pop``, which is atomic, so a
-    concurrent solve of the same n lays out its own; ``release`` keeps it
-    for the next solve, whether the last one finished or not.
+    The tables depend on n alone and are read-only: each row's masks
+    (``masks``) and, up to ``_SMALL_N``, its parent columns
+    (``parent_columns``), each row built from the one above.  ``array``
+    hands out a solve's row-sized arrays by name.  Arrays that every solve
+    allocates afresh and frees at its end let the allocator hand the top of
+    the heap back to the system, and the next solve then faults each page
+    in again; so a kept object gives a name the same array in every solve,
+    grown whenever a request is longer.  One rule keeps it all: a solve
+    ``claim``s n's object with a dict ``pop``, which is atomic, so a
+    concurrent solve of the same n lays out its own, and ``release``s it
+    after pairing, whether it finished or not.  Up to ``_SMALL_N`` it is
+    kept for the next solve of n; above, it goes with its solve, and each
+    array request is a fresh array, held only as long as its caller holds
+    it.
     """
 
-    def __init__(self, n: int, kept: bool) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.kept = kept
+        self.kept = n <= _SMALL_N
+        self.rows: list[np.ndarray] = []  # row k's masks at k - 1
+        self.columns: list[np.ndarray] = []  # row k's parent columns at k - 1
         self.arrays: dict[str, np.ndarray] = {}
         self.views: dict[tuple[str, int], np.ndarray] = {}  # each request's slice of ``arrays``, made once
 
     @staticmethod
-    def claim(n: int) -> _Workspace:
-        return _workspaces.pop(n, None) or _Workspace(n, n <= _SMALL_N)
+    def claim(n: int) -> _Tables:
+        return _kept.pop(n, None) or _Tables(n)
 
     def release(self) -> None:
         if self.kept:
-            _workspaces[self.n] = self
+            _kept[self.n] = self
+
+    def masks(self, size: int) -> np.ndarray:
+        """The ``size``-subsets of the n activities as bitmasks in rank order, read-only.
+
+        Activity a is bit a - 1, and rank order is lexicographic, ascending
+        ``subsets.rank_subset``.  Row 1 is the lone activities; row k holds,
+        per block of ``_parent_blocks``, the slice of row k - 1 that block's
+        parents are cut from, with the block's smallest activity added.  The
+        rows below are built first, each once.
+        """
+        n, rows = self.n, self.rows
+        while len(rows) < size:
+            if rows:
+                starts, counts, _ = _parent_blocks(n, len(rows) + 1)
+                masks = np.empty(sum(counts), dtype=_MASK)
+                first = 0
+                for a, (start, count) in enumerate(zip(starts, counts), start=1):
+                    np.bitwise_or(rows[-1][start:], 1 << (a - 1), out=masks[first : first + count])
+                    first += count
+            else:
+                masks = np.left_shift(1, np.arange(n, dtype=_MASK), dtype=_MASK)
+            masks.flags.writeable = False
+            rows.append(masks)
+        return rows[size - 1]
+
+    def parent_columns(self, size: int) -> np.ndarray:
+        """Row ``size``'s parent ranks by column, for n <= ``_SMALL_N``, read-only: one row of the array per column.
+
+        Column j ranks each child without its j-th smallest activity among
+        the row above's sets, counted from 0, in ``_parent_dtype(n)``; row
+        1's one column is the empty set's rank, 0.  Grown from the row
+        above's columns, which are built first, each once.
+        """
+        n, rows = self.n, self.columns
+        while len(rows) < size:
+            columns = np.zeros((len(rows) + 1, comb(n, len(rows) + 1)), dtype=_parent_dtype(n))
+            if rows:
+                for column, ranks in enumerate(_grown_columns(n, len(columns), list(rows[-1]))):
+                    columns[column] = ranks
+            columns.flags.writeable = False
+            rows.append(columns)
+        return rows[size - 1]
+
+    @cached_property
+    def binomials(self) -> np.ndarray:
+        """C(x, y) at [x, y] for 0 <= x, y <= n, zero where y > x."""
+        return np.array([[comb(x, y) for y in range(self.n + 1)] for x in range(self.n + 1)], dtype=np.int64)
 
     def array(self, name: str, count: int, dtype: np.dtype, zeroed: bool = False) -> np.ndarray:
         """``count`` elements of ``dtype`` under ``name``, all zero if ``zeroed``, else as the last user left them."""
@@ -417,7 +476,7 @@ class _Workspace:
         return view
 
 
-_workspaces: dict[int, _Workspace] = {}  # by n, each free for the next solve to claim
+_kept: dict[int, _Tables] = {}  # by n <= _SMALL_N, each free for the next solve to claim
 
 
 def _head_width(n: int) -> int:
@@ -425,7 +484,7 @@ def _head_width(n: int) -> int:
     return 1 << min(n - 1, _HEAD_STEPS)
 
 
-def _cut_table(d: np.ndarray, deadline: float | None = None, workspace: _Workspace | None = None) -> np.ndarray:
+def _cut_table(d: np.ndarray, deadline: float | None = None, tables: _Tables | None = None) -> np.ndarray:
     """cut(S) for all 2**n masks S: the dependence of S's members on the activities outside S.
 
     Sums members ascending, each member's outflow over non-members
@@ -446,15 +505,15 @@ def _cut_table(d: np.ndarray, deadline: float | None = None, workspace: _Workspa
     allows: bits 1-3 are strided complex pairs (complex addition is
     componentwise, so exact), and the others blocks of 2**u, every other
     mask for bit 0.  Holds the table, one outflow, half as long, and the
-    head, all from ``workspace``, or a new one.
+    head, all from ``tables``, or new ones.
     """
     n = len(d)
     count = 1 << n
     width = _head_width(n)
-    workspace = workspace or _Workspace(n, kept=False)
-    total = workspace.array("cut", count, _VALUE, zeroed=True)
-    outflow = workspace.array("outflow", count >> 1, _VALUE)
-    head = workspace.array("head", n * width, _VALUE).reshape(n, width)
+    tables = tables or _Tables(n)
+    total = tables.array("cut", count, _VALUE, zeroed=True)
+    outflow = tables.array("outflow", count >> 1, _VALUE)
+    head = tables.array("head", n * width, _VALUE).reshape(n, width)
     others = d[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # row u: d[u][v] for every v != u, ascending
     head[:, -1] = 0.0  # into the empty complement
     steps = min(n - 1, _HEAD_STEPS)
@@ -485,7 +544,6 @@ def _parent_dtype(n: int) -> np.dtype:
     return np.dtype(np.int16) if comb(n, n // 2) < 1 << 15 else _MASK
 
 
-@lru_cache(maxsize=_ROWS_CACHED)
 def _parent_blocks(n: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
     """How row ``size`` in lexicographic order follows from row ``size - 1``.
 
@@ -500,40 +558,14 @@ def _parent_blocks(n: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...],
     C(n - a + 1, size - 1) sets of the parents' row whose smallest activity
     is below a, ranks the same set with a put back.  Returns, per block,
     where its sets start in the row above, how many there are, and that
-    shift, read-only, as every caller shares it.
+    shift.
     """
     above = comb(n, size - 1)
     firsts = range(1, n - size + 2)
     counts = tuple(comb(n - a, size - 1) for a in firsts)
     starts = tuple(above - count for count in counts)
     shifts = [above - comb(n - a + 1, size - 1) - comb(n, size - 2) + comb(n - a, size - 2) for a in firsts]
-    shift = np.array(shifts, dtype=_parent_dtype(n))
-    shift.flags.writeable = False
-    return starts, counts, shift
-
-
-@lru_cache(maxsize=_ROWS_CACHED)
-def _row_masks(n: int, size: int) -> np.ndarray:
-    """The ``size``-subsets of the n activities as bitmasks in rank order, read-only.
-
-    Activity a is bit a - 1, and rank order is lexicographic, ascending
-    ``subsets.rank_subset``.  Row 1 is the lone activities; row k holds, per
-    block of ``_parent_blocks``, the slice of row k - 1 that block's parents
-    are cut from, with the block's smallest activity added.  Cached, so a
-    row and the rows it grew from are built once per n.
-    """
-    if size == 1:
-        masks = np.left_shift(1, np.arange(n, dtype=_MASK), dtype=_MASK)
-    else:
-        above = _row_masks(n, size - 1)
-        starts, counts, _ = _parent_blocks(n, size)
-        masks = np.empty(sum(counts), dtype=_MASK)
-        first = 0
-        for a, (start, count) in enumerate(zip(starts, counts), start=1):
-            np.bitwise_or(above[start:], 1 << (a - 1), out=masks[first : first + count])
-            first += count
-    masks.flags.writeable = False
-    return masks
+    return starts, counts, np.array(shifts, dtype=_parent_dtype(n))
 
 
 def _grown_columns(n: int, size: int, above: list[np.ndarray | None]) -> Iterator[np.ndarray]:
@@ -557,48 +589,24 @@ def _grown_columns(n: int, size: int, above: list[np.ndarray | None]) -> Iterato
         yield ranks
 
 
-@lru_cache(maxsize=_ROWS_CACHED)
-def _parent_columns(n: int, size: int) -> np.ndarray:
-    """Row ``size``'s parent ranks by column for n <= ``_SMALL_N``, read-only: one row of the array per column.
+def _drop_ranks(tables: _Tables, size: int, children: np.ndarray) -> np.ndarray:
+    """The parent ranks of the children at ranks ``children`` of ``tables``' row ``size``, by column: ``size`` rows.
 
-    Column j ranks each child without its j-th smallest activity among the
-    row above's sets, counted from 0, in ``_parent_dtype(n)``; row 1's one
-    column is the empty set's rank, 0.  Grown from the row above's columns,
-    which are cached too, so every row's are built once per n.
-    """
-    columns = np.zeros((size, comb(n, size)), dtype=_parent_dtype(n))
-    if size > 1:
-        for column, ranks in enumerate(_grown_columns(n, size, list(_parent_columns(n, size - 1)))):
-            columns[column] = ranks
-    columns.flags.writeable = False
-    return columns
-
-
-@lru_cache(maxsize=_MAX_N + 1)
-def _binomials(n: int) -> np.ndarray:
-    """C(x, y) at [x, y] for 0 <= x, y <= n, zero where y > x, read-only."""
-    table = np.array([[comb(x, y) for y in range(n + 1)] for x in range(n + 1)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
-def _drop_ranks(n: int, size: int, children: np.ndarray) -> np.ndarray:
-    """The parent ranks of the children at ranks ``children`` of row ``size``, by column: ``size`` rows.
-
-    Up to ``_SMALL_N`` the columns are cached.  Above, the rank of a k-set
+    Up to ``_SMALL_N`` they are the columns.  Above, the rank of a k-set
     c_0 < ... < c_(k-1) is C(n, k) - 1 less the sum of C(n - c_i, k - i),
     activities counted from 1, and dropping c_j takes one from k - i for
     the members before it and leaves the terms of those after it as they
     are.
     """
+    n = tables.n
     if n <= _SMALL_N:
-        return _parent_columns(n, size).take(children, axis=1)
-    masks = _row_masks(n, size)[children]
+        return tables.parent_columns(size).take(children, axis=1)
+    masks = tables.masks(size)[children]
     members = np.nonzero(masks[:, None] >> np.arange(n, dtype=_MASK) & 1)[1].reshape(-1, size)  # activity - 1
     left = n - 1 - members
     index = np.arange(size)
-    after = _binomials(n)[left, size - index]  # the child's own terms
-    before = _binomials(n)[left, size - 1 - index]
+    after = tables.binomials[left, size - index]  # the child's own terms
+    before = tables.binomials[left, size - 1 - index]
     dropped = np.cumsum(before, axis=1) - before + after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)
     return (comb(n, size - 1) - 1 - dropped).T
 
@@ -653,7 +661,10 @@ def _check_size(n: int, na: int, table: BinomialTable, cap: int) -> None:
 
 @lru_cache(maxsize=_ESTIMATES_CACHED)
 def _search_bytes(n: int, na: int) -> int:
-    """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes, with every cache cold.
+    """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes, with its tables built afresh.
+
+    That is a solve that finds no tables kept for n or n - na, as every
+    solve above ``_SMALL_N`` does, and none of its arrays outlives it.
 
     The search holds the row masks, at most an int per subset of the n
     activities (each row is built from the row above straight into its own
@@ -661,15 +672,16 @@ def _search_bytes(n: int, na: int) -> int:
     per subset).  The table's build also holds an outflow half as large as
     the table, the head and numpy's buffers for its strided adds.  Every
     prefix row's values stay, for the prefix witness.  Up to ``_SMALL_N``
-    the workspace keeps everything it hands out, so the search holds every
-    row's cached parent columns, the outflow and head, the two arrays the
-    suffix rows take turns in, the suffix search run again over the n - na
+    the tables keep everything they hand out, so the search holds every
+    row's parent columns, the outflow and head, the two arrays the suffix
+    rows take turns in, the suffix search run again over the n - na
     activities the prefix leaves (all of its rows, the inflow into every
-    local set, and its global and row masks and cached columns), and per
+    local set, and its global and row masks and parent columns), and per
     child of the widest row the search reaches the gain, one column's values
     and the complements; on top of that come, one at a time, the table
-    build's buffers, a gather's indices, the chunk count's labels, gather
-    indices and flags, or the prefix witness.  Above ``_SMALL_N`` the rows
+    build's buffers, a sweep's gather indices or, in the first sweep of a
+    key, the chunk count's labels, gather indices and flags, which outweigh
+    them, or the prefix witness.  Above ``_SMALL_N`` the rows
     come after the build, with an intp gather index per child of the widest
     row, held to the end: the suffix search's last row and the widest column
     sweep (``_sweep_bytes``), while the other search holds the parent ranks
@@ -763,8 +775,8 @@ class _Row:
     column j ranks each set without its j-th smallest activity, counted
     from 0, in the row above.  The next row's sweep grows its own parent
     ranks from these and drops each column once it has read it; a search's
-    last row keeps none.  Up to ``_SMALL_N`` every row's are cached instead
-    (``_parent_columns``).
+    last row keeps none.  Up to ``_SMALL_N`` every row's are in the
+    tables instead (``_Tables.parent_columns``).
     """
 
     size: int
@@ -776,13 +788,14 @@ class _ArraySearch:
     """The array kernel: both searches' newest rows, every prefix row, and the witnesses.
 
     ``dense`` counts each chunk as handing over the whole row (no-compression).
-    Every row-sized array comes from ``workspace``.  The prefix witness
-    reads every prefix row, so each is kept under its own size; a suffix
-    row is read by the next row alone, so they take turns in two arrays.
+    Every row table and row-sized array comes from ``tables``.  The prefix
+    witness reads every prefix row, so each is kept under its own size; a
+    suffix row is read by the next row alone, so they take turns in two
+    arrays.
     """
 
     def __init__(
-        self, dsm: Dsm, table: BinomialTable, dense: bool, deadline: float | None, na: int, workspace: _Workspace
+        self, dsm: Dsm, table: BinomialTable, dense: bool, deadline: float | None, na: int, tables: _Tables
     ) -> None:
         n = dsm.n
         self.n = n
@@ -790,17 +803,17 @@ class _ArraySearch:
         self.last = {FORWARD: na, BACKWARD: n - na}
         self.dense = dense
         self.deadline = deadline
-        self.workspace = workspace
-        # every row's masks, and up to _SMALL_N their parent columns, so the rows only read the caches
+        self.tables = tables
+        # every row's masks, and up to _SMALL_N their parent columns, so the rows only read the tables
         for size in range(1, max(na, n - na) + 1):
             _check(deadline)
-            _row_masks(n, size)
+            tables.masks(size)
             if n <= _SMALL_N:
-                _parent_columns(n, size)
-        self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline, workspace)
+                tables.parent_columns(size)
+        self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline, tables)
         empty = np.zeros(n, dtype=_parent_dtype(n))  # a lone activity's parent, the empty set, has rank 0
         self.rows = {
-            FORWARD: _Row(1, self.cut[_row_masks(n, 1)], [empty]),
+            FORWARD: _Row(1, self.cut[tables.masks(1)], [empty]),
             BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), [empty]),
         }
         self.widest = max(table.c(n, size) for size in range(1, max(na, n - na) + 1))
@@ -812,13 +825,12 @@ class _ArraySearch:
 
         What ``workers`` chunks, at most one per parent, would hand over
         depends only on (n, size, chunks), so it is counted once per process
-        and key (``_handovers``): up to ``_SMALL_N`` from the cached columns
-        before the sweep, above it by the sweep, over the columns it grows
-        anyway.  A prefix gains cut(child) and a suffix the cut of its
-        parent's complement, the inflow into the parent's set: the prefix
-        sweep adds it once to each child's least parent value, which rounds
-        as adding it to every parent's and taking the least would, and the
-        suffix sweep adds it to each parent's value first.  Above
+        and key (``_handovers``), by the key's first sweep, over the columns
+        it reads anyway.  A prefix gains cut(child) and a suffix the cut of
+        its parent's complement, the inflow into the parent's set: the
+        prefix sweep adds it once to each child's least parent value, which
+        rounds as adding it to every parent's and taking the least would,
+        and the suffix sweep adds it to each parent's value first.  Above
         ``_SMALL_N`` the new row keeps its parent ranks unless it is the
         search's last.
         """
@@ -830,29 +842,22 @@ class _ArraySearch:
         capacity = self.table.c(n, size)
         key = (n, size, chunks)
         transferred = chunks * capacity if chunks == 1 or self.dense else _handovers.get(key)
-        counter = None
-        if transferred is None:
-            counter = _Handovers(parents, capacity, chunks)
-            if n <= _SMALL_N:  # the columns are cached, so they are counted now, with no values
-                for ranks in _parent_columns(n, size):
-                    counter.add(ranks)
-                transferred = _remember_handovers(key, counter.count)
-                counter = None
-        array = self.workspace.array
+        counter = None if transferred is not None else _Handovers(parents, capacity, chunks)
+        masks, array = self.tables.masks, self.tables.array
         if direction == FORWARD:
             best = array(f"forward value {size}", capacity, _VALUE)
         else:
             full = (1 << n) - 1
-            complements = np.bitwise_xor(_row_masks(n, size - 1), full, out=array("complements", parents, _MASK))
+            complements = np.bitwise_xor(masks(size - 1), full, out=array("complements", parents, _MASK))
             row.value += self.cut.take(complements, out=array("gain", parents, _VALUE), mode="wrap")
             del complements  # so that above _SMALL_N the sweep does not hold it
             best = array(f"backward value {size % 2}", capacity, _VALUE)
         keep = n > _SMALL_N and size < self.last[direction]
-        grown = self._sweep(n, row, best, keep, counter)
+        grown = self._sweep(self.tables, row, best, keep, counter)
         if counter is not None:
             transferred = _remember_handovers(key, counter.count)
         if direction == FORWARD:
-            best += self.cut.take(_row_masks(n, size), out=array("gain", capacity, _VALUE), mode="wrap")
+            best += self.cut.take(masks(size), out=array("gain", capacity, _VALUE), mode="wrap")
             self.prefixes.append(best)
         self.rows[direction] = _Row(size, best, grown)
         expanded = capacity * size
@@ -871,32 +876,34 @@ class _ArraySearch:
         )
 
     def _sweep(
-        self, n: int, row: _Row, best: np.ndarray, keep: bool, counter: _Handovers | None = None
+        self, tables: _Tables, row: _Row, best: np.ndarray, keep: bool, counter: _Handovers | None = None
     ) -> list[np.ndarray | None]:
         """Pull every child of the row after ``row`` from its parents there, one column at a time, into ``best``.
 
         Each child's value is the least of its parents' in ``row.value``;
         column j reads each child's parent without its j-th smallest
         activity, so no two children share any work.  The rows hold the
-        sets of ``n`` activities.  Up to ``_SMALL_N`` the ranks are cached.
-        Above, they grow from the parent row's column j - 1
-        (``_grown_columns``), which is dropped once read; each is copied into
-        one intp buffer, the gather's own index type, made once per search as
-        long as its widest row, kept for the next row when ``keep`` holds, and
-        added to ``counter``, if given.  Returns the kept columns.
+        sets of ``tables.n`` activities.  Up to ``_SMALL_N`` the ranks are
+        the tables' columns.  Above, they grow from the parent row's column
+        j - 1 (``_grown_columns``), which is dropped once read; each is
+        copied into one intp buffer, the gather's own index type, made once
+        per search as long as its widest row, and kept for the next row when
+        ``keep`` holds.  Every column is added to ``counter``, if given.
+        Returns the kept columns.
         """
+        n = tables.n
         size = row.size + 1
         capacity = len(best)
         value = row.value
         indices = None
         if n <= _SMALL_N:
-            columns: Iterable[np.ndarray] = _parent_columns(n, size)
+            columns: Iterable[np.ndarray] = tables.parent_columns(size)
         else:
             columns = _grown_columns(n, size, row.parent_ranks)
             if self.indices is None:
                 self.indices = np.empty(self.widest, dtype=_INTP)
             indices = self.indices[:capacity]
-        v = self.workspace.array("values", capacity, _VALUE)
+        v = self.tables.array("values", capacity, _VALUE)
         ranks: list[np.ndarray | None] = []
         for column, p in enumerate(columns):
             _check(self.deadline)
@@ -920,16 +927,20 @@ class _ArraySearch:
 
         The complement of the prefix set at rank i has rank C - 1 - i.
         Ties go to the lexicographically smallest prefix, whose suffix comes
-        from the suffix search run again over the activities it leaves.
+        from the suffix search run again over the activities it leaves,
+        which reads the tables of their number.
         """
         n = self.n
         prefixes = self.prefixes[-1]
-        fl = self.workspace.array("values", len(prefixes), _VALUE)
+        fl = self.tables.array("values", len(prefixes), _VALUE)
         np.add(prefixes, self.rows[BACKWARD].value[::-1], out=fl)
         best = fl.min()
         prefix = self._prefix_witness(np.flatnonzero(fl == best))
         rest = [a for a in range(1, n + 1) if a not in prefix]
-        return float(best), tuple(prefix + _suffix_walk(self._suffix_rows(rest), rest)), 0
+        local = _Tables.claim(len(rest))
+        suffix = _suffix_walk(self._suffix_rows(rest, local), rest, local)
+        local.release()
+        return float(best), tuple(prefix + suffix), 0
 
     def _prefix_witness(self, ties: np.ndarray) -> list[int]:
         """The lexicographically smallest kept prefix among the sets at ranks ``ties`` of row na.
@@ -968,15 +979,14 @@ class _ArraySearch:
         Vectorised over the children, in blocks of at most ``_WALK_BLOCK``
         parent ranks.
         """
-        n = self.n
-        gain = self.cut.take(_row_masks(n, size).take(children))
+        gain = self.cut.take(self.tables.masks(size).take(children))
         value = self.prefixes[size - 1].take(children)
         above = self.prefixes[size - 2]
         marks = np.zeros(len(above), dtype=_FLAG)
         step = max(1, _WALK_BLOCK // size)
         for start in range(0, len(children), step):
             block = slice(start, start + step)
-            parents = _drop_ranks(n, size, children[block]).astype(_INTP, copy=False)  # both index below
+            parents = _drop_ranks(self.tables, size, children[block]).astype(_INTP, copy=False)  # both index below
             reach = above.take(parents)
             reach += gain[block]
             marks[parents[reach == value[block]]] = True
@@ -991,11 +1001,10 @@ class _ArraySearch:
         known good set has a good tight child, so a step only looks when
         there is a choice.
         """
-        n = self.n
         prefix = []
         mask, total = 0, 0.0  # the empty set's, from which every lone activity's step is tight
         for size, ranks in enumerate(good, start=1):
-            masks = _row_masks(n, size)
+            masks = self.tables.masks(size)
             known = ranks is not None
             if not known:
                 ranks = np.flatnonzero(masks & mask == mask)  # the current set's children
@@ -1011,16 +1020,17 @@ class _ArraySearch:
             mask, total = int(masks[i]), self.prefixes[size - 1][i]
         return prefix
 
-    def _suffix_rows(self, activities: list[int]) -> list[np.ndarray]:
+    def _suffix_rows(self, activities: list[int], local: _Tables) -> list[np.ndarray]:
         """The suffix search's rows over ``activities`` alone, each but the last with its inflow added.
 
-        Local masks map to global ones only to read the inflow into each
-        parent set, the cut of its complement among all n activities, so
-        every value equals the full search's bit for bit.
+        Local masks, from ``local``, the tables of ``len(activities)``, map
+        to global ones only to read the inflow into each parent set, the cut
+        of its complement among all n activities, so every value equals the
+        full search's bit for bit.
         """
         n = self.n
         m = len(activities)
-        array = self.workspace.array
+        array = self.tables.array
         # the complement of each local mask among all n activities, then the inflow into the local set
         outside = array("outside", 1 << m, _MASK)
         outside[0] = (1 << n) - 1
@@ -1031,27 +1041,28 @@ class _ArraySearch:
         row = _Row(1, np.zeros(m, dtype=_VALUE), [np.zeros(m, dtype=_parent_dtype(m))])
         rows = [row.value]
         for size in range(2, m + 1):
-            row.value += inflow.take(_row_masks(m, size - 1), out=array("gain", len(row.value), _VALUE), mode="wrap")
+            row.value += inflow.take(local.masks(size - 1), out=array("gain", len(row.value), _VALUE), mode="wrap")
             best = array(f"suffix value {size}", comb(m, size), _VALUE)
-            row = _Row(size, best, self._sweep(m, row, best, m > _SMALL_N and size < m))
+            row = _Row(size, best, self._sweep(local, row, best, m > _SMALL_N and size < m))
             rows.append(best)
         return rows
 
 
-def _suffix_walk(rows: list[np.ndarray], activities: list[int]) -> list[int]:
+def _suffix_walk(rows: list[np.ndarray], activities: list[int], local: _Tables) -> list[int]:
     """The kept suffix of all of ``activities``, ascending, from the rows of a suffix search over them alone.
 
     Each of ``rows`` but the last has its inflow added, so a child's value
     is the least of its parents'.  The first column whose parent holds that
     least value is the kept suffix's first activity, which prepends the
-    smaller activity on ties.
+    smaller activity on ties.  ``local`` holds the tables of
+    ``len(activities)``.
     """
     activities = list(activities)
     m = len(activities)
     suffix = []
     i = 0  # the rank of the one set of all m
     for size in range(m, 1, -1):
-        parents = _drop_ranks(m, size, np.array([i]))[:, 0]
+        parents = _drop_ranks(local, size, np.array([i]))[:, 0]
         column = int(rows[size - 2].take(parents).argmin())
         suffix.append(activities.pop(column))
         i = int(parents[column])
@@ -1351,9 +1362,9 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
 
     setup_started = time.perf_counter()
     setup_seconds: float | None = None  # set once the search is built
-    workspace = None
+    tables = None
     if n >= 4 and variant != VARIANT_NO_HASH:
-        workspace = _Workspace.claim(n)
+        tables = _Tables.claim(n)
     try:
         if n < 4:
             setup_seconds = 0.0
@@ -1366,7 +1377,7 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
         if variant == VARIANT_NO_HASH:
             search: _ScanSearch | _ArraySearch = _ScanSearch(dsm, deadline)
         else:
-            search = _ArraySearch(dsm, table, variant == VARIANT_NO_COMPRESSION, deadline, na, workspace)
+            search = _ArraySearch(dsm, table, variant == VARIANT_NO_COMPRESSION, deadline, na, tables)
         setup_seconds = time.perf_counter() - setup_started
         while sizes[FORWARD] < last[FORWARD] or sizes[BACKWARD] < last[BACKWARD]:
             shares = _round_allocation(
@@ -1405,8 +1416,8 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
             )
         ) from None
     finally:
-        if workspace is not None:  # pairing was the last to read it
-            workspace.release()
+        if tables is not None:  # pairing was the last to read them
+            tables.release()
 
     objective = total_feedback_length(dsm, best_seq)
     if abs(best_fl - objective) > _REL_TOL * max(1.0, abs(objective)):

@@ -1,3 +1,4 @@
+import gc
 import logging
 import math
 import os
@@ -51,19 +52,26 @@ from dsmseq.solver import (
     _cut_table,
     _drop_ranks,
     _handovers,
-    _parent_blocks,
-    _parent_columns,
+    _kept,
     _parent_dtype,
     _part_bounds,
-    _row_masks,
     _scalar_cut,
     _search_bytes,
     _SMALL_N,
-    _Workspace,
-    _workspaces,
+    _Tables,
 )
 
 REL = 1e-9
+
+
+def _row_masks(n: int, size: int) -> np.ndarray:
+    """Row ``size``'s masks of n activities, from tables built afresh."""
+    return _Tables(n).masks(size)
+
+
+def _parent_columns(n: int, size: int) -> np.ndarray:
+    """Row ``size``'s parent columns of n activities, from tables built afresh."""
+    return _Tables(n).parent_columns(size)
 
 
 # ---------------------------------------------------------------- seeding
@@ -397,19 +405,14 @@ def test_timeout_at_start():
 
 def test_timeout_mid_search_keeps_counters():
     # the limit lies midway between the end of an untimed solve's first row and its end, so the deadline
-    # passes mid-search on a machine of any speed; the row masks and chunk counts are made beforehand
+    # passes mid-search on a machine of any speed; the chunk counts are made beforehand
     dsm = generate_instance(21, 0.5, 4)
-    for size in range(1, 17):  # the backward search's rows reach 21 - 5
-        _row_masks(21, size)
-    try:
-        solve(dsm, SolverConfig(cn=2))  # counts the chunks, which later solves read
-        untimed = solve(dsm, SolverConfig(cn=2))
-        first_row_ends = untimed.setup_seconds + untimed.rows[0].seconds
-        limit = (first_row_ends + untimed.total_seconds) / 2
-        with pytest.raises(SolveTimeout) as err:
-            solve(dsm, SolverConfig(cn=2, time_limit=limit))
-    finally:
-        _row_masks.cache_clear()
+    solve(dsm, SolverConfig(cn=2))  # counts the chunks, which later solves read
+    untimed = solve(dsm, SolverConfig(cn=2))
+    first_row_ends = untimed.setup_seconds + untimed.rows[0].seconds
+    limit = (first_row_ends + untimed.total_seconds) / 2
+    with pytest.raises(SolveTimeout) as err:
+        solve(dsm, SolverConfig(cn=2, time_limit=limit))
     report = err.value.report
     assert report.timed_out and report.sequence is None
     assert report.rows
@@ -418,17 +421,12 @@ def test_timeout_mid_search_keeps_counters():
 
 
 def test_timeout_while_building_the_cut_table():
-    # n=22's cut table alone takes several times the limit; the row masks are built beforehand
-    for size in range(1, 22):
-        _row_masks(22, size)
+    # n=22's cut table alone takes several times the limit, and its row masks a few milliseconds
     dsm = generate_instance(22, 0.5, 4)
-    try:
-        started = time.perf_counter()
-        with pytest.raises(SolveTimeout) as err:
-            solve(dsm, SolverConfig(cn=1, time_limit=0.05))
-        assert time.perf_counter() - started < 0.3
-    finally:
-        _row_masks.cache_clear()
+    started = time.perf_counter()
+    with pytest.raises(SolveTimeout) as err:
+        solve(dsm, SolverConfig(cn=1, time_limit=0.05))
+    assert time.perf_counter() - started < 0.3
     report = err.value.report
     assert report.timed_out and report.sequence is None
     assert report.rows == []
@@ -439,22 +437,11 @@ def test_timeout_while_building_the_row_masks():
     # a cold build of n=25's rows 1..20 alone takes three to five times the limit (0.066-0.1 s on a 2-vCPU VM)
     dsm = generate_instance(25, 0.5, 4)
     _clear_caches()
-    try:
-        started = time.perf_counter()
-        with pytest.raises(SolveTimeout) as err:
-            solve(dsm, SolverConfig(cn=1, time_limit=0.02))
-        assert time.perf_counter() - started < 0.3
-        # a build cut short caches whole rows only, built in order: each equals a fresh build from the one
-        # above, and reading them builds nothing
-        built = _row_masks.cache_info().currsize
-        assert built < 20
-        misses = _row_masks.cache_info().misses
-        for size in range(1, built + 1):
-            assert np.array_equal(_row_masks(25, size), _row_masks.__wrapped__(25, size))
-        assert _row_masks.cache_info().misses == misses
-        assert _parent_columns.cache_info().currsize == 0  # above _SMALL_N a sweep grows its own
-    finally:
-        _row_masks.cache_clear()
+    started = time.perf_counter()
+    with pytest.raises(SolveTimeout) as err:
+        solve(dsm, SolverConfig(cn=1, time_limit=0.02))
+    assert time.perf_counter() - started < 0.3
+    assert not _kept  # above _SMALL_N a build cut short goes with its solve
     report = err.value.report
     assert report.timed_out and report.sequence is None
     assert report.rows == []
@@ -474,18 +461,14 @@ def test_timeout_while_building_the_parent_columns(monkeypatch):
     with pytest.raises(SolveTimeout):
         solve(generate_instance(16, 0.5, 4), SolverConfig(cn=2, time_limit=60.0))
     monkeypatch.undo()
-    try:
-        # whole rows only, each equal to a fresh build from the cached row above, and reading them builds nothing
-        assert _parent_columns.cache_info().currsize == 5
-        misses = _parent_columns.cache_info().misses
-        for size in range(1, 6):
-            columns = _parent_columns(16, size)
-            fresh = _parent_columns.__wrapped__(16, size)
-            assert len(columns) == len(fresh) == size
-            assert all(np.array_equal(a, b) for a, b in zip(columns, fresh))
-        assert _parent_columns.cache_info().misses == misses
-    finally:
-        _clear_caches()
+    # n's tables are kept with whole rows only, each equal to a fresh build, and reading them builds nothing
+    tables, fresh = _kept[16], _Tables(16)
+    assert len(tables.rows) == len(tables.columns) == 5
+    for size in range(1, 6):
+        assert np.array_equal(tables.masks(size), fresh.masks(size))
+        assert np.array_equal(tables.parent_columns(size), fresh.parent_columns(size))
+    assert len(tables.rows) == len(tables.columns) == 5
+    _clear_caches()
 
 
 def test_memory_cap():
@@ -497,14 +480,15 @@ def test_memory_cap():
 @pytest.mark.parametrize(
     "n, na",
     # n=16 is labelled by na alone; n=18 is the first n whose parent ranks are int32
-    [pytest.param(16, na, id=str(na)) for na in (2, 5, 14)] + [pytest.param(18, na, id=f"18-{na}") for na in (5, 9)],
+    [pytest.param(16, na, id=str(na)) for na in (2, 5, 14)]
+    + [pytest.param(n, na, id=f"{n}-{na}") for n, na in ((8, 3), (8, 5), (12, 5), (18, 5), (18, 9))],
 )
 def test_memory_cap_counts_bytes(n, na):
     table = BinomialTable(n)
     estimate = _search_bytes(n, na)
     dsm = generate_instance(n, 0.5, 4)
     for cn in (1, 3):  # cn=3 splits rows, so the chunk labels are held too
-        _clear_caches()  # so the solve pays for the row masks, parent columns, chunk counts and workspace too
+        _clear_caches()  # so the solve pays for its tables and chunk counts too
         tracemalloc.start()
         try:
             solve(dsm, SolverConfig(cn=cn, na=na), table=table)
@@ -523,11 +507,9 @@ def test_memory_cap_counts_bytes(n, na):
 
 
 def _clear_caches() -> None:
-    """Empty every cache a solve fills: row masks, parent columns, chunk counts and kept workspaces."""
-    _row_masks.cache_clear()
-    _parent_columns.cache_clear()
+    """Empty what solves keep: every kept n's tables and the chunk counts."""
+    _kept.clear()
     _handovers.clear()
-    _workspaces.clear()
 
 
 def _fresh_interpreter(code: str) -> None:
@@ -594,16 +576,16 @@ def test_solve_logs_each_row(caplog):
 def test_config_validation(dsm4):
     with pytest.raises(InputError):
         solve(dsm4, SolverConfig(cn=0))
-    for bad in ({"cn": 2.5}, {"cn": "2"}, {"na": 3.5}, {"na": "3"}, {"na": None}):
+    for bad in ({"cn": 2.5}, {"cn": "2"}, {"cn": True}, {"na": 3.5}, {"na": "3"}, {"na": None}, {"na": True}):
         with pytest.raises(InputError):
             SolverConfig(**bad)
     assert solve(dsm4, SolverConfig(cn=np.int64(2), na=np.int32(2))).sequence is not None
     with pytest.raises(InputError):
         solve(dsm4, SolverConfig(variant="fancy"))
-    for time_limit in (math.nan, -1.0, -math.inf):
+    for time_limit in (math.nan, -1.0, -math.inf, "5"):
         with pytest.raises(InputError):
             SolverConfig(time_limit=time_limit)
-    for memory_cap in (math.nan, -1, -math.inf):  # a NaN cap would admit every search
+    for memory_cap in (math.nan, -1, -math.inf, "big", None):  # a NaN cap would admit every search
         with pytest.raises(InputError):
             SolverConfig(memory_cap=memory_cap)
     assert solve(dsm4, SolverConfig(time_limit=math.inf)).sequence is not None
@@ -764,7 +746,7 @@ def test_suffix_search_over_a_subset_reproduces_the_full_rows(monkeypatch, small
     # with _SMALL_N at 3 the search over the subset grows its parent ranks instead of reading the cached ones
     monkeypatch.setattr(solver, "_SMALL_N", small_n)
     dsm = _quantised(generate_instance(n, 0.6, seed), (1 / 3, 2 / 3, 1.0))
-    search = _ArraySearch(dsm, BinomialTable(n), False, None, 0, _Workspace(n, kept=False))
+    search = _ArraySearch(dsm, BinomialTable(n), False, None, 0, _Tables(n))
     rows = [search.rows[BACKWARD].value.copy()]
     for _ in range(2, n + 1):
         search.grow(BACKWARD, 1)
@@ -774,7 +756,7 @@ def test_suffix_search_over_a_subset_reproduces_the_full_rows(monkeypatch, small
     rng = np.random.default_rng(seed)
     for m in (3, n - 3, n - 1):
         activities = sorted(int(a) for a in rng.choice(np.arange(1, n + 1), size=m, replace=False))
-        again = search._suffix_rows(activities)
+        again = search._suffix_rows(activities, _Tables(m))
         assert len(again) == m
         for size in range(1, m + 1):
             local = _row_masks(m, size)
@@ -898,7 +880,7 @@ def test_parent_ranks_from_the_masks_match_the_cached_columns(monkeypatch):
             count = math.comb(n, size)
             children = np.unique(rng.integers(0, count, size=min(count, 40)))
             expected = _parent_columns(n, size)[:, children]
-            assert _drop_ranks(n, size, children).tolist() == expected.tolist()
+            assert _drop_ranks(_Tables(n), size, children).tolist() == expected.tolist()
 
 
 def test_every_rank_of_a_small_n_fits_the_cached_columns():
@@ -948,7 +930,7 @@ def test_chunk_counts_equal_a_direct_label_count():
                     if attempt == 0:
                         _handovers.clear()
                     # the suffix search runs to row n
-                    search = _ArraySearch(dsm, table, dense, None, 0, _Workspace(n, kept=False))
+                    search = _ArraySearch(dsm, table, dense, None, 0, _Tables(n))
                     for size in range(2, n + 1):
                         stats = search.grow(BACKWARD, chunks)
                         assert stats.chunks == min(chunks, math.comb(n, size - 1))
@@ -960,33 +942,33 @@ def test_chunk_counts_equal_a_direct_label_count():
 
 def test_cached_rows_are_read_only_and_unchanged_by_a_solve():
     n = 10
-    rows = {size: _row_masks(n, size).copy() for size in range(1, n + 1)}
-    columns = {size: [ranks.copy() for ranks in _parent_columns(n, size)] for size in range(1, n + 1)}
     dsm = generate_instance(n, 0.5, 3)
+    _kept.clear()
+    solve(dsm, SolverConfig(cn=2, na=4))
+    tables = _kept[n]
+    rows = {size: tables.masks(size).copy() for size in range(1, n + 1)}
+    columns = {size: tables.parent_columns(size).copy() for size in range(1, n + 1)}
     solve(dsm, SolverConfig(cn=2, na=4))
     parents = seed_rows(dsm)[0].entries()
     expand_and_prune_chunk(dsm, parents, FORWARD)
+    assert _kept[n] is tables
     for size, before in rows.items():
-        masks = _row_masks(n, size)
+        masks = tables.masks(size)
         assert not masks.flags.writeable
         assert masks.tolist() == before.tolist()
-        if size > 1:
-            assert not _parent_blocks(n, size)[2].flags.writeable
-        cached = _parent_columns(n, size)
-        assert len(cached) == len(columns[size])
-        for ranks, copy in zip(cached, columns[size]):
-            assert not ranks.flags.writeable
-            assert ranks.tolist() == copy.tolist()
+        cached = tables.parent_columns(size)
+        assert not cached.flags.writeable
+        assert cached.tolist() == columns[size].tolist()
 
 
 def _cut_tables(monkeypatch) -> list:
-    """Record the workspace each solve hands the cut table from now on, and the table it gets back."""
+    """Record the tables each solve hands the cut table from now on, and the table it gets back."""
     seen = []
     build = solver._cut_table
 
-    def recording(d, deadline=None, workspace=None):
-        table = build(d, deadline, workspace)
-        seen.append((workspace, table))
+    def recording(d, deadline=None, tables=None):
+        table = build(d, deadline, tables)
+        seen.append((tables, table))
         return table
 
     monkeypatch.setattr(solver, "_cut_table", recording)
@@ -996,43 +978,54 @@ def _cut_tables(monkeypatch) -> list:
 def test_warm_solves_reuse_one_workspace(monkeypatch):
     n = 12
     dsms = [generate_instance(n, 0.5, seed) for seed in (5, 6)]
-    _workspaces.clear()
+    _kept.clear()
     fresh = [solve(dsm, SolverConfig(cn=2, na=5)) for dsm in dsms]
-    kept = _workspaces[n]
+    kept = _kept[n]
     cut = kept.arrays["cut"]
     seen = _cut_tables(monkeypatch)
-    # what the last solve left in the workspace changes nothing
+    # what the last solve left in the kept arrays changes nothing
     for array in kept.arrays.values():
         array.fill(np.nan if array.dtype.kind == "f" else 1)
     warm = [solve(dsm, SolverConfig(cn=2, na=5)) for dsm in dsms]
-    assert [workspace for workspace, _ in seen] == [kept, kept]
+    assert [tables for tables, _ in seen] == [kept, kept]
     assert all(table.base is cut for _, table in seen)
     for report, expected in zip(warm, fresh):
         assert (report.sequence, report.objective) == (expected.sequence, expected.objective)
         assert [r.transferred_records for r in report.rows] == [r.transferred_records for r in expected.rows]
-    # a solve that finds the workspace claimed lays out its own, and one that times out still gives it back
-    claimed = _Workspace.claim(n)
-    assert claimed is kept and n not in _workspaces
+    # a solve that finds the tables claimed lays out its own, and one that times out still gives them back
+    claimed = _Tables.claim(n)
+    assert claimed is kept and n not in _kept
     assert solve(dsms[0], SolverConfig(cn=2, na=5)).sequence == fresh[0].sequence
     other = seen[-1][0]
-    assert other is not kept and _workspaces[n] is other
+    assert other is not kept and _kept[n] is other
     claimed.release()
     with pytest.raises(SolveTimeout):
         solve(dsms[0], SolverConfig(cn=2, time_limit=0.0))
-    assert _workspaces[n] is kept
+    assert _kept[n] is kept
     solve(dsms[1], SolverConfig(cn=2, na=5))
-    assert seen[-1][0] is kept and seen[-1][1].base is cut and _workspaces[n] is kept
+    assert seen[-1][0] is kept and seen[-1][1].base is cut and _kept[n] is kept
 
 
 def test_large_n_keeps_no_workspace():
-    _workspaces.clear()
-    report = solve(generate_instance(18, 0.5, 1), SolverConfig(cn=1, na=8))
-    assert report.sequence is not None and not _workspaces
+    # a solve above _SMALL_N leaves no array of its n behind: all it still holds is the tables of the
+    # n - na activities its suffix search ran over again, kept as every n up to _SMALL_N is
+    dsm = generate_instance(22, 0.5, 1)
+    _kept.clear()
+    tracemalloc.start()
+    try:
+        report = solve(dsm, SolverConfig(cn=2, na=5))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.sequence is not None and list(_kept) == [17]
+    kept = sum(a.nbytes for tables in _kept.values() for a in [*tables.rows, *tables.columns, *tables.arrays.values()])
+    assert kept <= held <= kept + 64 * 1024, (kept, held)
 
 
 def test_concurrent_solves_never_share_a_workspace():
-    # more threads than cores and a short switch interval, so solves of one n interleave mid-table; a
-    # workspace shared by two of them would corrupt one's cut table
+    # more threads than cores and a short switch interval, so solves of one n interleave mid-table; n's
+    # tables shared by two of them would corrupt one's cut table
     dsms = [generate_instance(11, 0.5, seed) for seed in range(6)]
     expected = [solve(dsm, SolverConfig(cn=2)) for dsm in dsms]
     results: list[list[tuple]] = [[] for _ in range(6)]

@@ -62,11 +62,12 @@ marking the tight parents of marked sets, then up from the empty set, each
 step adding the smallest activity whose set is marked and tight.  The walk
 down stops at a row whose sets are all marked, as with an all-zero matrix,
 below which any tight step will do unless it leads to a set with no tight
-child.  For the suffix, the suffix search runs again over the activities
-the prefix leaves, 2**(n - na) sets, which costs a few percent of the
-search and holds far less than keeping every suffix row would; the suffix
-witness walks its rows down from the complement, taking in each row the
-first column whose parent holds the least value.
+child.  The suffix witness walks suffix rows down from the set the prefix
+leaves, taking in each row the first column whose parent holds the least
+value.  Up to n = 17 those are the search's own rows, all kept, 1 MB at
+most; above, where keeping them would cost about 0.5 GB at n = 26, the
+suffix search runs again over the activities the prefix leaves, 2**(n - na)
+sets, under 1% of a cold solve, and the walk reads its rows.
 
 Three ablation switches degrade single strategies while preserving results:
 ``no-second-decomposition`` keeps one chunk per search, ``no-compression``
@@ -366,12 +367,15 @@ _FLAG = np.dtype(np.bool_)
 _MAX_N = 30
 # bytes of a solve's objects beyond the arrays: its tracemalloc peak at n=8 measured 0.4-1.7 KB over the arrays alone
 _SOLVE_OBJECTS = 16 * 1024
-# bytes numpy's buffered strided adds hold in a cut table's build: measured 15, 64 and 151 KB at n=8, 10 and 12,
-# under eight times the table, and 201 KB from n=16 to 20
-_ADD_BUFFERS = 256 * 1024
+# bytes numpy's buffered strided adds hold in a cut table's build, with ``_FOLD_BUFSIZE``: measured 15-17 KB from
+# n=8 to 20, against 15-197 KB with the default size
+_ADD_BUFFERS = 20 * 1024
+# elements numpy's ufunc buffers hold while the cut table is built: with the default 8192 the held adds of members
+# 4-11 took 450-500 µs of the n=16 build, with this 225-235 µs, and the head's 80-86 µs against 52-64 µs
+_FOLD_BUFSIZE = 512
 _HEAD_STEPS = 10  # outflow doublings the cut table builds for every member at once, in one (n, 1024) head
 # up to this n every subset rank is an int16 (``_parent_dtype``), n's tables hold every row's parent columns,
-# 1.05 MB at n=16 and 2.2 MB at n=17, and they are kept for the next solve of n
+# 1.05 MB at n=16 and 2.2 MB at n=17, and a solve's every suffix row, and they are kept for the next solve of n
 _SMALL_N = 17
 _HANDOVERS_CACHED = 4096  # (n, size, chunks) counts ``_handovers`` holds before it starts over
 _ESTIMATES_CACHED = 1024  # (n, na) memory estimates ``_search_bytes`` holds
@@ -504,8 +508,14 @@ def _cut_table(d: np.ndarray, deadline: float | None = None, tables: _Tables | N
     The term then goes into the held masks in as few calls as their layout
     allows: bits 1-3 are strided complex pairs (complex addition is
     componentwise, so exact), and the others blocks of 2**u, every other
-    mask for bit 0.  Holds the table, one outflow, half as long, and the
-    head, all from ``tables``, or new ones.
+    mask for bit 0.  numpy buffers these strided adds, and with its default
+    8192-element buffers the blocks of members 4-11 cost about twice what
+    they do with ``_FOLD_BUFSIZE``, whose buffers stay in the first-level
+    cache; so the whole build runs with that size, which numpy keeps per
+    thread, and the caller's size is put back however the build ends.  The
+    additions and their order are the same at any size.  Holds the table,
+    one outflow, half as long, and the head, all from ``tables``, or new
+    ones.
     """
     n = len(d)
     count = 1 << n
@@ -517,25 +527,29 @@ def _cut_table(d: np.ndarray, deadline: float | None = None, tables: _Tables | N
     others = d[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # row u: d[u][v] for every v != u, ascending
     head[:, -1] = 0.0  # into the empty complement
     steps = min(n - 1, _HEAD_STEPS)
-    for b in range(steps):
-        above = width - (1 << b)
-        np.add(head[:, above:], others[:, b : b + 1], out=head[:, above - (1 << b) : above])
-    for u in range(n):
-        _check(deadline)
-        outflow[-width:] = head[u]
-        for b in range(steps, n - 1):
-            above = len(outflow) - (1 << b)
-            np.add(outflow[above:], others[u, b], out=outflow[above - (1 << b) : above])
-        if 1 <= u <= 3:
-            # a block of 2**(u+1) masks is 2**u pairs, the upper half holding u
-            total_pairs = total.view(np.complex128)
-            outflow_pairs = outflow.view(np.complex128)
-            half = 1 << (u - 1)
-            for pair in range(half):
-                total_pairs[half + pair :: 2 * half] += outflow_pairs[pair::half]
-        else:
-            held = total.reshape(-1, 2, 1 << u)[:, 1, :]
-            held += outflow.reshape(-1, 1 << u)
+    bufsize = np.setbufsize(_FOLD_BUFSIZE)  # this thread's alone, and given back however the build ends
+    try:
+        for b in range(steps):
+            above = width - (1 << b)
+            np.add(head[:, above:], others[:, b : b + 1], out=head[:, above - (1 << b) : above])
+        for u in range(n):
+            _check(deadline)
+            outflow[-width:] = head[u]
+            for b in range(steps, n - 1):
+                above = len(outflow) - (1 << b)
+                np.add(outflow[above:], others[u, b], out=outflow[above - (1 << b) : above])
+            if 1 <= u <= 3:
+                # a block of 2**(u+1) masks is 2**u pairs, the upper half holding u
+                total_pairs = total.view(np.complex128)
+                outflow_pairs = outflow.view(np.complex128)
+                half = 1 << (u - 1)
+                for pair in range(half):
+                    total_pairs[half + pair :: 2 * half] += outflow_pairs[pair::half]
+            else:
+                held = total.reshape(-1, 2, 1 << u)[:, 1, :]
+                held += outflow.reshape(-1, 1 << u)
+    finally:
+        np.setbufsize(bufsize)
     return total
 
 
@@ -670,20 +684,18 @@ def _search_bytes(n: int, na: int) -> int:
     activities (each row is built from the row above straight into its own
     array, so their build holds nothing more), and the cut table (a float
     per subset).  The table's build also holds an outflow half as large as
-    the table, the head and numpy's buffers for its strided adds.  Every
-    prefix row's values stay, for the prefix witness.  Up to ``_SMALL_N``
-    the tables keep everything they hand out, so the search holds every
-    row's parent columns, the outflow and head, the two arrays the suffix
-    rows take turns in, the suffix search run again over the n - na
-    activities the prefix leaves (all of its rows, the inflow into every
-    local set, and its global and row masks and parent columns), and per
-    child of the widest row the search reaches the gain, one column's values
-    and the complements; on top of that come, one at a time, the table
-    build's buffers, a sweep's gather indices or, in the first sweep of a
-    key, the chunk count's labels, gather indices and flags, which outweigh
-    them, or the prefix witness.  Above ``_SMALL_N`` the rows
-    come after the build, with an intp gather index per child of the widest
-    row, held to the end: the suffix search's last row and the widest column
+    the table, the head and numpy's buffers for its strided adds, which
+    ``_FOLD_BUFSIZE`` keeps small.  Every prefix row's values stay, for the
+    prefix witness.  Up to ``_SMALL_N`` the tables keep everything they hand
+    out, so the search holds every row's parent columns, the outflow and
+    head, every suffix row's values, which the suffix witness walks down,
+    and per child of the widest row the search reaches the gain, one
+    column's values and the complements; on top of that come, one at a
+    time, the table build's buffers, a sweep's gather indices or, in the
+    first sweep of a key, the chunk count's labels, gather indices and
+    flags, which outweigh them, or the prefix witness.  Above ``_SMALL_N``
+    the rows come after the build, with an intp gather index per child of
+    the widest row, held to the end: the suffix search's last row and the widest column
     sweep (``_sweep_bytes``), while the other search holds the parent ranks
     of its newest row, then the prefix witness, then the suffix search
     again, with its sweep or, up to ``_SMALL_N``, a row's gain, values and
@@ -713,19 +725,17 @@ def _search_bytes(n: int, na: int) -> int:
         + (2 * _VALUE.itemsize + _MASK.itemsize + _FLAG.itemsize) * forward
         + per_rank * min(na * forward, _WALK_BLOCK)
     )
-    # the suffix search again: its rows and the inflow, and its global and row masks
-    again = (1 << m) * (2 * _VALUE.itemsize + 2 * _MASK.itemsize)
     if n <= _SMALL_N:
         columns = sum(size * comb(n, size) for size in range(1, max(na, m) + 1)) * _parent_dtype(n).itemsize
-        backward = max(comb(n, size) for size in range(1, m + 1))
-        widest = max(forward, backward)
-        rows = _VALUE.itemsize * (prefixes + 2 * backward)
-        again += (m << (m - 1)) * _parent_dtype(m).itemsize
+        widest = max(comb(n, size) for size in range(1, max(na, m) + 1))
+        rows = _VALUE.itemsize * (prefixes + sum(comb(n, size) for size in range(1, m + 1)))
         # gain, one column's values and the complements
         shared = (2 * _VALUE.itemsize + _MASK.itemsize) * widest
         counting = (3 * _LABEL.itemsize + _INTP.itemsize + _FLAG.itemsize) * widest
         passing = max(buffers, _INTP.itemsize * widest, counting, walk)
-        return _SOLVE_OBJECTS + masks + columns + cuts + outflows + rows + again + shared + passing
+        return _SOLVE_OBJECTS + masks + columns + cuts + outflows + rows + shared + passing
+    # the suffix search again: its rows and the inflow, and its global and row masks
+    again = (1 << m) * (2 * _VALUE.itemsize + 2 * _MASK.itemsize)
     rank = _parent_dtype(n).itemsize
     newest = _VALUE.itemsize * comb(n, m)
     indices = _INTP.itemsize * max(comb(n, size) for size in range(1, max(na, m) + 1))
@@ -788,10 +798,11 @@ class _ArraySearch:
     """The array kernel: both searches' newest rows, every prefix row, and the witnesses.
 
     ``dense`` counts each chunk as handing over the whole row (no-compression).
-    Every row table and row-sized array comes from ``tables``.  The prefix
-    witness reads every prefix row, so each is kept under its own size; a
-    suffix row is read by the next row alone, so they take turns in two
-    arrays.
+    Every row table and row-sized array comes from ``tables``, each row
+    under its own size.  The prefix witness reads every prefix row, so all
+    are kept (``prefixes``); up to ``_SMALL_N`` the suffix witness reads
+    every suffix row, so those are kept too (``suffixes``), and above, each
+    is dropped once the next row is grown.
     """
 
     def __init__(
@@ -819,6 +830,8 @@ class _ArraySearch:
         self.widest = max(table.c(n, size) for size in range(1, max(na, n - na) + 1))
         self.indices: np.ndarray | None = None  # above _SMALL_N, the sweeps' gather indices
         self.prefixes = [self.rows[FORWARD].value]  # row k's values at k - 1
+        # up to _SMALL_N row k's values at k - 1, each with its inflow once the next row is grown; above, none
+        self.suffixes = [self.rows[BACKWARD].value] if n <= _SMALL_N else None
 
     def grow(self, direction: str, workers: int) -> RowStats:
         """Grow the search's newest row in ``direction`` into the next, keeping the best value per subset.
@@ -851,7 +864,7 @@ class _ArraySearch:
             complements = np.bitwise_xor(masks(size - 1), full, out=array("complements", parents, _MASK))
             row.value += self.cut.take(complements, out=array("gain", parents, _VALUE), mode="wrap")
             del complements  # so that above _SMALL_N the sweep does not hold it
-            best = array(f"backward value {size % 2}", capacity, _VALUE)
+            best = array(f"backward value {size}", capacity, _VALUE)
         keep = n > _SMALL_N and size < self.last[direction]
         grown = self._sweep(self.tables, row, best, keep, counter)
         if counter is not None:
@@ -859,6 +872,8 @@ class _ArraySearch:
         if direction == FORWARD:
             best += self.cut.take(masks(size), out=array("gain", capacity, _VALUE), mode="wrap")
             self.prefixes.append(best)
+        elif self.suffixes is not None:
+            self.suffixes.append(best)
         self.rows[direction] = _Row(size, best, grown)
         expanded = capacity * size
         survivors = int(np.count_nonzero(best < np.inf))
@@ -926,9 +941,11 @@ class _ArraySearch:
         """Pair every prefix with the suffix over its complement and rebuild the winning schedule.
 
         The complement of the prefix set at rank i has rank C - 1 - i.
-        Ties go to the lexicographically smallest prefix, whose suffix comes
-        from the suffix search run again over the activities it leaves,
-        which reads the tables of their number.
+        Ties go to the lexicographically smallest prefix.  Up to
+        ``_SMALL_N`` its suffix is walked down the kept suffix rows from the
+        set of the activities it leaves; above, it comes from the suffix
+        search run again over those activities alone, which reads the tables
+        of their number.
         """
         n = self.n
         prefixes = self.prefixes[-1]
@@ -937,9 +954,12 @@ class _ArraySearch:
         best = fl.min()
         prefix = self._prefix_witness(np.flatnonzero(fl == best))
         rest = [a for a in range(1, n + 1) if a not in prefix]
-        local = _Tables.claim(len(rest))
-        suffix = _suffix_walk(self._suffix_rows(rest, local), rest, local)
-        local.release()
+        if self.suffixes is not None:
+            suffix = _suffix_walk(self.suffixes, rest, self.tables, rank_sorted(rest, n, self.table) - 1)
+        else:
+            local = _Tables.claim(len(rest))
+            suffix = _suffix_walk(self._suffix_rows(rest, local), rest, local, 0)
+            local.release()
         return float(best), tuple(prefix + suffix), 0
 
     def _prefix_witness(self, ties: np.ndarray) -> list[int]:
@@ -1048,24 +1068,24 @@ class _ArraySearch:
         return rows
 
 
-def _suffix_walk(rows: list[np.ndarray], activities: list[int], local: _Tables) -> list[int]:
-    """The kept suffix of all of ``activities``, ascending, from the rows of a suffix search over them alone.
+def _suffix_walk(rows: list[np.ndarray], activities: list[int], tables: _Tables, rank: int) -> list[int]:
+    """The kept suffix of all of ``activities``, ascending, the set at ``rank`` of ``tables``' row of their number.
 
-    Each of ``rows`` but the last has its inflow added, so a child's value
-    is the least of its parents'.  The first column whose parent holds that
-    least value is the kept suffix's first activity, which prepends the
-    smaller activity on ties.  ``local`` holds the tables of
-    ``len(activities)``.
+    ``rows`` are a suffix search's rows over the activities of ``tables``,
+    all n (``rank`` as it falls) or ``activities`` alone (rank 0), up to
+    at least row ``len(activities) - 1``; each of those has its inflow
+    added, so a child's value is the least of its parents'.  The first
+    column whose parent holds that least value is the kept suffix's first
+    activity, which prepends the smaller activity on ties.
     """
     activities = list(activities)
     m = len(activities)
     suffix = []
-    i = 0  # the rank of the one set of all m
     for size in range(m, 1, -1):
-        parents = _drop_ranks(local, size, np.array([i]))[:, 0]
+        parents = _drop_ranks(tables, size, np.array([rank]))[:, 0]
         column = int(rows[size - 2].take(parents).argmin())
         suffix.append(activities.pop(column))
-        i = int(parents[column])
+        rank = int(parents[column])
     return suffix + activities
 
 
@@ -1362,6 +1382,7 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
 
     setup_started = time.perf_counter()
     setup_seconds: float | None = None  # set once the search is built
+    timed_out: SolveReport | None = None
     tables = None
     if n >= 4 and variant != VARIANT_NO_HASH:
         tables = _Tables.claim(n)
@@ -1408,16 +1429,19 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     except _Expired:
         if setup_seconds is None:
             setup_seconds = time.perf_counter() - setup_started
-        raise SolveTimeout(
-            SolveReport(
-                n=n, cn=config.cn, na=na, variant=variant,
-                sequence=None, objective=None, rows=rows, setup_seconds=setup_seconds,
-                total_seconds=time.perf_counter() - started, timed_out=True,
-            )
-        ) from None
+        timed_out = SolveReport(
+            n=n, cn=config.cn, na=na, variant=variant,
+            sequence=None, objective=None, rows=rows, setup_seconds=setup_seconds,
+            total_seconds=time.perf_counter() - started, timed_out=True,
+        )
     finally:
         if tables is not None:  # pairing was the last to read them
             tables.release()
+    if timed_out is not None:
+        # raised out here, with the search dropped, so that neither its context (the _Expired, whose traceback
+        # holds the search's frames) nor this frame, which the traceback holds, keeps the search alive
+        search = tables = None
+        raise SolveTimeout(timed_out)
 
     objective = total_feedback_length(dsm, best_seq)
     if abs(best_fl - objective) > _REL_TOL * max(1.0, abs(objective)):

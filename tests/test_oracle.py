@@ -11,6 +11,7 @@ from dsmseq import (
     generate_instance,
     total_feedback_length,
 )
+from dsmseq import oracle
 
 
 def test_three_activity_example(dsm3):
@@ -49,6 +50,18 @@ def test_agrees_with_scalar_enumeration():
             (total_feedback_length(dsm, seq), seq) for seq in permutations(range(1, 7))
         )
         assert brute_force_optimum(dsm) == (best[1], best[0])
+
+
+def test_orderings_are_lexicographic_and_kept_for_one_n():
+    for n in range(8):
+        assert oracle._permutations(n).tolist() == [list(seq) for seq in permutations(range(n))]
+    dsm = generate_instance(7, 0.6, 3)
+    first = brute_force_optimum(dsm)
+    kept = oracle._cached[7]
+    assert not kept.flags.writeable
+    assert brute_force_optimum(dsm) == first and oracle._cached[7] is kept
+    brute_force_optimum(generate_instance(6, 0.6, 3))
+    assert list(oracle._cached) == [6]
 
 
 def test_best_prefix_value_example(dsm3):

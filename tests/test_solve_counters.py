@@ -2,12 +2,13 @@
 
 ``solve_counters.json`` covers n in {5, 8, 11}, real and quarter-quantised
 degrees, cn in {1, 2, 3, 8}, na in {2, 5} and every variant.
-``solve_counters_large.json`` covers the sizes the benchmark runs and the
-first size whose parent ranks are int32: n in {14, 16, 18}, real and
-quarter-quantised degrees, cn in {1, 2}, na in {5, 7} and the ``full``
-variant.  For each solve a file holds the sequence, the objective's hex
-form, ``combination_comparisons`` and every row's counters (all but
-``seconds``).  ``solve_counters_ties.json`` covers instances full of
+``solve_counters_large.json`` covers the sizes the benchmark runs, the
+last size whose suffix rows are all kept for pairing and the first size
+whose parent ranks are int32 and whose pairing runs the suffix search
+again: n in {14, 16, 17, 18}, real and quarter-quantised degrees, cn in
+{1, 2}, na in {5, 7} and the ``full`` variant.  For each solve a file
+holds the sequence, the objective's hex form, ``combination_comparisons``
+and every row's counters (all but ``seconds``).  ``solve_counters_ties.json`` covers instances full of
 exact ties: all-zero matrices and density-0.05 matrices with
 quarter-quantised degrees, n in 12..16, cn in {1, 2}, na in {2, 5, n - 5}
 and the ``full`` variant.  A change to the search that is meant to keep
@@ -34,7 +35,7 @@ DATA = Path(__file__).parent / "data"
 # file name: (n values, degree kinds, cn values, na values of n, variants)
 GRIDS = {
     "solve_counters.json": ((5, 8, 11), ("real", "quarters"), (1, 2, 3, 8), lambda n: (2, 5), VARIANTS),
-    "solve_counters_large.json": ((14, 16, 18), ("real", "quarters"), (1, 2), lambda n: (5, 7), (VARIANT_FULL,)),
+    "solve_counters_large.json": ((14, 16, 17, 18), ("real", "quarters"), (1, 2), lambda n: (5, 7), (VARIANT_FULL,)),
     "solve_counters_ties.json": (
         range(12, 17), ("zero", "sparse-quarters"), (1, 2), lambda n: (2, 5, n - 5), (VARIANT_FULL,)
     ),

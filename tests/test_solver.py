@@ -58,6 +58,7 @@ from dsmseq.solver import (
     _scalar_cut,
     _search_bytes,
     _SMALL_N,
+    _suffix_walk,
     _Tables,
 )
 
@@ -471,6 +472,52 @@ def test_timeout_while_building_the_parent_columns(monkeypatch):
     _clear_caches()
 
 
+def test_a_kept_timeout_does_not_keep_the_search():
+    # n=22's cut table and rows take several times the limit; a caller holding the exception holds its traceback
+    dsm = generate_instance(22, 0.5, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolveTimeout) as err:
+            solve(dsm, SolverConfig(cn=2, na=5, time_limit=0.2))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert err.value.report.timed_out and err.value.__context__ is None
+    assert held < 1 << 20, held
+
+
+def test_the_cut_tables_buffer_size_is_its_threads_alone_and_given_back(monkeypatch):
+    default = np.getbufsize()
+    dsm = generate_instance(12, 0.5, 1)
+    seen = {}
+    check = solver._check
+
+    def probe(deadline):
+        # inside the cut table's fold another thread reads numpy's default buffer size
+        if np.getbufsize() == solver._FOLD_BUFSIZE and not seen:
+            reader = threading.Thread(target=lambda: seen.setdefault("other", np.getbufsize()))
+            reader.start()
+            reader.join()
+            seen["solving"] = np.getbufsize()
+        check(deadline)
+
+    monkeypatch.setattr(solver, "_check", probe)
+    solve(dsm, SolverConfig(cn=1, na=5))
+    assert seen == {"other": default, "solving": solver._FOLD_BUFSIZE}
+    assert np.getbufsize() == default
+
+    def expire_in_the_fold(deadline):
+        if np.getbufsize() == solver._FOLD_BUFSIZE:
+            raise solver._Expired()
+
+    monkeypatch.setattr(solver, "_check", expire_in_the_fold)
+    with pytest.raises(SolveTimeout) as err:
+        solve(dsm, SolverConfig(cn=1, na=5, time_limit=60.0))
+    assert err.value.report.rows == []
+    assert np.getbufsize() == default
+
+
 def test_memory_cap():
     dsm = generate_instance(10, 0.5, 4)
     with pytest.raises(ResourceLimitError, match=r"C\(10,5\) = 252"):
@@ -479,9 +526,13 @@ def test_memory_cap():
 
 @pytest.mark.parametrize(
     "n, na",
-    # n=16 is labelled by na alone; n=18 is the first n whose parent ranks are int32
+    # n=16 is labelled by na alone; n=17 is the last n that keeps every suffix row, n=18 the first n whose
+    # parent ranks are int32
     [pytest.param(16, na, id=str(na)) for na in (2, 5, 14)]
-    + [pytest.param(n, na, id=f"{n}-{na}") for n, na in ((8, 3), (8, 5), (12, 5), (18, 5), (18, 9))],
+    + [
+        pytest.param(n, na, id=f"{n}-{na}")
+        for n, na in ((8, 3), (8, 5), (12, 5), (17, 2), (17, 5), (18, 5), (18, 9))
+    ],
 )
 def test_memory_cap_counts_bytes(n, na):
     table = BinomialTable(n)
@@ -767,6 +818,32 @@ def test_suffix_search_over_a_subset_reproduces_the_full_rows(monkeypatch, small
             if size < m:  # every row but the last holds its inflow
                 expected = expected + search.cut[full ^ spread]
             assert again[size - 1].view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("kind", ["zero", "quarters", "thirds"])
+@pytest.mark.parametrize("n", [9, 13, _SMALL_N])
+def test_suffix_walked_on_kept_rows_equals_the_search_run_again(kind, n):
+    # up to _SMALL_N pairing walks the main search's suffix rows; above, it runs the search again over the rest
+    dsm = Dsm.from_rows([[0.0] * n for _ in range(n)]) if kind == "zero" else generate_instance(n, 0.6, 60 + n)
+    if kind != "zero":
+        dsm = _quantised(dsm, (0.25, 0.5, 0.75, 1.0) if kind == "quarters" else (1 / 3, 2 / 3, 1.0))
+    table = BinomialTable(n)
+    for na in (2, 5, n - 2):
+        m = n - na
+        tables = _Tables(n)
+        search = _ArraySearch(dsm, table, False, None, na, tables)
+        for _ in range(2, m + 1):
+            search.grow(BACKWARD, 1)
+        assert len(search.suffixes) == m
+        count = math.comb(n, m)
+        for rank in range(0, count, max(1, count // 12)):  # sets the prefix could leave, ranks spread out
+            mask = int(tables.masks(m)[rank])
+            rest = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
+            local = _Tables(m)
+            again = _suffix_walk(search._suffix_rows(rest, local), rest, local, 0)
+            assert _suffix_walk(search.suffixes, rest, tables, rank) == again
+            if kind == "zero":
+                assert again == rest  # every suffix ties, and the smaller activity goes first
 
 
 # ---------------------------------------------------------------- cut table

@@ -41,7 +41,7 @@ def read_dsm(path: str | Path) -> Dsm:
         raise ParseError(f"activity count must be at least 2, got {n}", str(path), 1)
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}", str(path), len(lines))
-    rows: list[list[float]] = []
+    rows: list[tuple[float, ...]] = []
     for i in range(n):
         lineno = i + 2
         fields = lines[i + 1].split()
@@ -60,8 +60,9 @@ def read_dsm(path: str | Path) -> Dsm:
             row.append(value)
         if row[i] != 0.0:
             raise ParseError(f"diagonal entry in column {i + 1} must be 0", str(path), lineno)
-        rows.append(row)
-    return Dsm.from_rows(rows)
+        rows.append(tuple(row))
+    # the values are floats already, so the rows go in as they are, without ``Dsm.from_rows`` converting each again
+    return Dsm(tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,15 @@ row's are kept read-only in n's tables; above, each search grows its
 newest row's and drops them once read.  The row's masks grow from the row
 above's by the same slices, one activity added per block, and are kept
 read-only in n's tables, so the lexicographic layout has one owner,
-``_parent_blocks``.  n's tables also hold a solve's row-sized arrays and
-cut table, by name.  They follow one rule: a solve claims them and gives
-them back after pairing, and up to n = 17 they are kept for the next
-solve of n, which then builds no row and allocates nothing but
-short-lived temporaries; above, they go with the solve, so none of its
-arrays outlives it.  ``cn`` splits each row's parents into contiguous
+``_parent_blocks``.  What a solve does that depends on (n, na, cn,
+variant) alone is built once per key, as one plan that n's tables hold:
+the rows in round order, each with its counters, its parent-column views
+and the masks its gains are read at, and, up to n = 17, every array a
+solve writes, the cut table's and the views its build writes through
+among them.  A solve claims n's tables and gives them back after pairing;
+up to n = 17 they are kept, plan and all, so the next solve of n builds
+none of it again and allocates no row-sized array, and above, the plan
+holds no array and goes with its solve.  ``cn`` splits each row's parents into contiguous
 chunks whose counters report what each would hand to a merge.  Those
 counts depend only on (n, size, chunks), so each is made once per process,
 in the first sweep of its key, and ``cn`` costs no time after that: every
@@ -86,6 +89,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import comb, isfinite
 from typing import Iterable, Iterator, Sequence
 
@@ -367,6 +371,9 @@ _FLAG = np.dtype(np.bool_)
 _MAX_N = 30
 # bytes of a solve's objects beyond the arrays: its tracemalloc peak at n=8 measured 0.4-1.7 KB over the arrays alone
 _SOLVE_OBJECTS = 16 * 1024
+# bytes per object of a plan, counted as a few per row, per parent column and per activity: the objects of kept
+# plans measured 16-44 KB at n=8..17, 125-150 bytes per object so counted
+_PLAN_OBJECT = 160
 # bytes numpy's buffered strided adds hold in a cut table's build, with ``_FOLD_BUFSIZE``: measured 15-17 KB from
 # n=8 to 20, against 15-197 KB with the default size
 _ADD_BUFFERS = 20 * 1024
@@ -383,22 +390,16 @@ _WALK_BLOCK = 1 << 14  # parent ranks the prefix witness gathers at once, at mos
 
 
 class _Tables:
-    """One n's row tables and a solve's arrays by name, kept from one solve of n to the next up to ``_SMALL_N``.
+    """One n's row tables and its last solve's plan, kept from one solve of n to the next up to ``_SMALL_N``.
 
     The tables depend on n alone and are read-only: each row's masks
     (``masks``) and, up to ``_SMALL_N``, its parent columns
-    (``parent_columns``), each row built from the one above.  ``array``
-    hands out a solve's row-sized arrays by name.  Arrays that every solve
-    allocates afresh and frees at its end let the allocator hand the top of
-    the heap back to the system, and the next solve then faults each page
-    in again; so a kept object gives a name the same array in every solve,
-    grown whenever a request is longer.  One rule keeps it all: a solve
-    ``claim``s n's object with a dict ``pop``, which is atomic, so a
+    (``parent_columns``), each row built from the one above.  ``plan`` is
+    the last solve's ``_Plan``; a solve of another key replaces it.  A
+    solve ``claim``s n's object with a dict ``pop``, which is atomic, so a
     concurrent solve of the same n lays out its own, and ``release``s it
-    after pairing, whether it finished or not.  Up to ``_SMALL_N`` it is
-    kept for the next solve of n; above, it goes with its solve, and each
-    array request is a fresh array, held only as long as its caller holds
-    it.
+    after pairing, however it ends: up to ``_SMALL_N`` it is then kept for
+    the next solve of n, and above, it goes with its solve.
     """
 
     def __init__(self, n: int) -> None:
@@ -406,8 +407,7 @@ class _Tables:
         self.kept = n <= _SMALL_N
         self.rows: list[np.ndarray] = []  # row k's masks at k - 1
         self.columns: list[np.ndarray] = []  # row k's parent columns at k - 1
-        self.arrays: dict[str, np.ndarray] = {}
-        self.views: dict[tuple[str, int], np.ndarray] = {}  # each request's slice of ``arrays``, made once
+        self.plan: _Plan | None = None
 
     @staticmethod
     def claim(n: int) -> _Tables:
@@ -416,6 +416,15 @@ class _Tables:
     def release(self) -> None:
         if self.kept:
             _kept[self.n] = self
+
+    def plan_for(self, na: int, cn: int, variant: str, deadline: float | None) -> _Plan:
+        """The plan of a solve meeting at row ``na`` with ``cn`` chunks: the last one if its key is the same."""
+        key = (na, cn, variant)
+        if self.plan is None or self.plan.key != key:
+            self.plan = None  # so that its arrays are freed before the new plan's are made
+            rounds = _round_order(variant, cn, na, self.n - na)
+            self.plan = _Plan(self, na, rounds, variant == VARIANT_NO_COMPRESSION, deadline, key)
+        return self.plan
 
     def masks(self, size: int) -> np.ndarray:
         """The ``size``-subsets of the n activities as bitmasks in rank order, read-only.
@@ -464,21 +473,6 @@ class _Tables:
         """C(x, y) at [x, y] for 0 <= x, y <= n, zero where y > x."""
         return np.array([[comb(x, y) for y in range(self.n + 1)] for x in range(self.n + 1)], dtype=np.int64)
 
-    def array(self, name: str, count: int, dtype: np.dtype, zeroed: bool = False) -> np.ndarray:
-        """``count`` elements of ``dtype`` under ``name``, all zero if ``zeroed``, else as the last user left them."""
-        if not self.kept:
-            return np.zeros(count, dtype=dtype) if zeroed else np.empty(count, dtype=dtype)
-        view = self.views.get((name, count))
-        if view is None:
-            held = self.arrays.get(name)
-            if held is None or len(held) < count:
-                held = self.arrays[name] = np.empty(count, dtype=dtype)
-                self.views.clear()  # so that no slice keeps a replaced array alive
-            view = self.views[name, count] = held[:count]
-        if zeroed:
-            view.fill(0)
-        return view
-
 
 _kept: dict[int, _Tables] = {}  # by n <= _SMALL_N, each free for the next solve to claim
 
@@ -488,8 +482,45 @@ def _head_width(n: int) -> int:
     return 1 << min(n - 1, _HEAD_STEPS)
 
 
-def _cut_table(d: np.ndarray, deadline: float | None = None, tables: _Tables | None = None) -> np.ndarray:
-    """cut(S) for all 2**n masks S: the dependence of S's members on the activities outside S.
+class _CutViews:
+    """The cut table of n activities, the buffers its build writes through and every view of them it uses.
+
+    ``others`` row u is d[u][v] for every v != u, ascending, taken at
+    ``offdiagonal``; ``doublings``, ``extensions`` and ``folds`` are the
+    additions of the head, of a member's outflow past it and of member u's
+    term into the table, as ``_cut_table`` describes them.
+    """
+
+    def __init__(self, n: int) -> None:
+        width = _head_width(n)
+        steps = min(n - 1, _HEAD_STEPS)
+        self.total = total = np.empty(1 << n, dtype=_VALUE)
+        self.outflow = outflow = np.empty(1 << (n - 1), dtype=_VALUE)
+        self.head = head = np.empty((n, width), dtype=_VALUE)
+        self.others = others = np.empty((n, n - 1), dtype=_VALUE)
+        self.offdiagonal = np.arange(n * n).reshape(n, n)[~np.eye(n, dtype=bool)]
+        self.offdiagonal.flags.writeable = False
+        self.flat_others = others.reshape(-1)
+        self.doublings = [
+            (head[:, width - (1 << b) :], others[:, b : b + 1], head[:, width - (2 << b) : width - (1 << b)])
+            for b in range(steps)
+        ]
+        self.top = outflow[-width:]
+        self.extensions = [
+            (outflow[len(outflow) - (1 << b) :], b, outflow[len(outflow) - (2 << b) : len(outflow) - (1 << b)])
+            for b in range(steps, n - 1)
+        ]
+        self.folds = []  # member u's (held masks, outflows), read from its row of the head while that is all of them
+        for u, outflows in enumerate(head if not self.extensions else [outflow] * n):
+            if 1 <= u <= 3:  # a block of 2**(u+1) masks is 2**u pairs, the upper half holding u
+                half, pairs = 1 << (u - 1), (total.view(np.complex128), outflows.view(np.complex128))
+                self.folds.append([(pairs[0][half + pair :: 2 * half], pairs[1][pair::half]) for pair in range(half)])
+            else:
+                self.folds.append([(total.reshape(-1, 2, 1 << u)[:, 1, :], outflows.reshape(-1, 1 << u))])
+
+
+def _cut_table(d: np.ndarray, deadline: float | None = None, views: _CutViews | None = None) -> np.ndarray:
+    """cut(S) for all 2**n masks S, from the (n, n) matrix ``d``: the dependence of S's members on the others.
 
     Sums members ascending, each member's outflow over non-members
     ascending, each from 0.0: bit for bit the order of the scalar loop, so
@@ -504,50 +535,36 @@ def _cut_table(d: np.ndarray, deadline: float | None = None, tables: _Tables | N
     same order: one contiguous add per other activity.  The first ten of
     those adds build the top 2**10 outflows of every member at once, in one
     (n, 2**10) head, and each member copies its row of the head into its
-    outflow before the rest; every element still gets the same additions.
+    outflow before the rest, unless that row is all of it, up to n = 11;
+    every element still gets the same additions.
     The term then goes into the held masks in as few calls as their layout
     allows: bits 1-3 are strided complex pairs (complex addition is
     componentwise, so exact), and the others blocks of 2**u, every other
     mask for bit 0.  numpy buffers these strided adds, and with its default
     8192-element buffers the blocks of members 4-11 cost about twice what
-    they do with ``_FOLD_BUFSIZE``, whose buffers stay in the first-level
-    cache; so the whole build runs with that size, which numpy keeps per
-    thread, and the caller's size is put back however the build ends.  The
-    additions and their order are the same at any size.  Holds the table,
-    one outflow, half as long, and the head, all from ``tables``, or new
-    ones.
+    they do with ``_FOLD_BUFSIZE``; so the whole build runs with that size,
+    which numpy keeps per thread, and the caller's is put back however the
+    build ends.  The additions and their order are the same at any size.
+    Writes through ``views``, or new ones, and returns their table.
     """
     n = len(d)
-    count = 1 << n
-    width = _head_width(n)
-    tables = tables or _Tables(n)
-    total = tables.array("cut", count, _VALUE, zeroed=True)
-    outflow = tables.array("outflow", count >> 1, _VALUE)
-    head = tables.array("head", n * width, _VALUE).reshape(n, width)
-    others = d[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # row u: d[u][v] for every v != u, ascending
+    views = views or _CutViews(n)
+    total, head, others = views.total, views.head, views.others
+    total.fill(0.0)
+    np.take(d, views.offdiagonal, out=views.flat_others)
     head[:, -1] = 0.0  # into the empty complement
-    steps = min(n - 1, _HEAD_STEPS)
     bufsize = np.setbufsize(_FOLD_BUFSIZE)  # this thread's alone, and given back however the build ends
     try:
-        for b in range(steps):
-            above = width - (1 << b)
-            np.add(head[:, above:], others[:, b : b + 1], out=head[:, above - (1 << b) : above])
-        for u in range(n):
+        for outflows, degrees, into in views.doublings:
+            np.add(outflows, degrees, out=into)
+        for u, folds in enumerate(views.folds):
             _check(deadline)
-            outflow[-width:] = head[u]
-            for b in range(steps, n - 1):
-                above = len(outflow) - (1 << b)
-                np.add(outflow[above:], others[u, b], out=outflow[above - (1 << b) : above])
-            if 1 <= u <= 3:
-                # a block of 2**(u+1) masks is 2**u pairs, the upper half holding u
-                total_pairs = total.view(np.complex128)
-                outflow_pairs = outflow.view(np.complex128)
-                half = 1 << (u - 1)
-                for pair in range(half):
-                    total_pairs[half + pair :: 2 * half] += outflow_pairs[pair::half]
-            else:
-                held = total.reshape(-1, 2, 1 << u)[:, 1, :]
-                held += outflow.reshape(-1, 1 << u)
+            if views.extensions:
+                np.copyto(views.top, head[u])
+            for outflows, b, into in views.extensions:
+                np.add(outflows, others[u, b], out=into)
+            for held, outflows in folds:
+                np.add(held, outflows, out=held)
     finally:
         np.setbufsize(bufsize)
     return total
@@ -651,26 +668,18 @@ class _Handovers:
 _handovers: dict[tuple[int, int, int], int] = {}
 
 
-def _remember_handovers(key: tuple[int, int, int], count: int) -> int:
-    if len(_handovers) >= _HANDOVERS_CACHED:
-        _handovers.clear()
-    _handovers[key] = count
-    return count
-
-
 def _check_size(n: int, na: int, table: BinomialTable, cap: int) -> None:
     """Refuse a search of n activities meeting at row ``na`` that int32 masks or ``cap`` bytes cannot hold.
 
     Raises ResourceLimitError, naming the widest row, before any array exists.
     """
-    deepest = max(na, n - na)
-    worst_size = max(range(2, deepest + 1), key=lambda s: table.c(n, s))
+    if n <= _MAX_N and (needed := _search_bytes(n, na)) <= cap:
+        return
+    worst_size = max(range(2, max(na, n - na) + 1), key=lambda s: table.c(n, s))
     widest = f"row {worst_size} needs C({n},{worst_size}) = {table.c(n, worst_size)} subsets"
     if n > _MAX_N:
         raise ResourceLimitError(f"{widest}; subset masks are int32, which limits n to {_MAX_N}")
-    needed = _search_bytes(n, na)
-    if needed > cap:
-        raise ResourceLimitError(f"{widest} and the search {needed} bytes, over the cap of {cap} bytes")
+    raise ResourceLimitError(f"{widest} and the search {needed} bytes, over the cap of {cap} bytes")
 
 
 @lru_cache(maxsize=_ESTIMATES_CACHED)
@@ -680,31 +689,31 @@ def _search_bytes(n: int, na: int) -> int:
     That is a solve that finds no tables kept for n or n - na, as every
     solve above ``_SMALL_N`` does, and none of its arrays outlives it.
 
-    The search holds the row masks, at most an int per subset of the n
-    activities (each row is built from the row above straight into its own
-    array, so their build holds nothing more), and the cut table (a float
-    per subset).  The table's build also holds an outflow half as large as
-    the table, the head and numpy's buffers for its strided adds, which
-    ``_FOLD_BUFSIZE`` keeps small.  Every prefix row's values stay, for the
-    prefix witness.  Up to ``_SMALL_N`` the tables keep everything they hand
-    out, so the search holds every row's parent columns, the outflow and
-    head, every suffix row's values, which the suffix witness walks down,
-    and per child of the widest row the search reaches the gain, one
-    column's values and the complements; on top of that come, one at a
-    time, the table build's buffers, a sweep's gather indices or, in the
-    first sweep of a key, the chunk count's labels, gather indices and
-    flags, which outweigh them, or the prefix witness.  Above ``_SMALL_N``
-    the rows come after the build, with an intp gather index per child of
-    the widest row, held to the end: the suffix search's last row and the widest column
-    sweep (``_sweep_bytes``), while the other search holds the parent ranks
-    of its newest row, then the prefix witness, then the suffix search
-    again, with its sweep or, up to ``_SMALL_N``, a row's gain, values and
-    gather indices.  The prefix witness holds, at worst (every set good),
-    every prefix row's good ranks, a row's gains and values and a flag per
-    set of the row below, and one block's parent ranks, gather indices,
-    values and flags, above ``_SMALL_N`` with the masks, members and
-    binomial terms that rank them.  A fixed allowance covers the report, the
-    row statistics and the other small interpreter objects of a solve.
+    The search holds the row masks, at most an int per subset (each row is
+    built straight into its own array), and the cut table, a float per
+    subset; its build also holds an outflow half as large, the head and
+    numpy's buffers for its strided adds, which ``_FOLD_BUFSIZE`` keeps
+    small.  Every prefix row's values stay, for the prefix witness.  Up to
+    ``_SMALL_N`` the tables and the plan keep all they hold, so the search
+    holds every row's parent columns, the outflow and head, every suffix
+    row's values and parents' complements, and per child of the widest row
+    the gain and one column's values; on top of that come, one at a time,
+    the table build's buffers, a sweep's gather indices or, in the first
+    sweep of a key, the chunk count's labels, gather indices and flags, or
+    the prefix witness.  Above ``_SMALL_N`` the rows come after the build,
+    with an intp gather index per child of the widest row, held to the end:
+    the suffix search's last row and the widest column sweep
+    (``_sweep_bytes``), while the other search holds the parent ranks of
+    its newest row, then the prefix witness, then the suffix search again,
+    with its sweep or, up to ``_SMALL_N``, a row's gain, values and gather
+    indices.  The prefix witness holds, at worst (every set good), every
+    prefix row's good ranks, a row's gains and values and a flag per set of
+    the row below, and one block's parent ranks, gather indices, values and
+    flags, above ``_SMALL_N`` with the masks, members and binomial terms
+    that rank them.  A fixed allowance covers the report, the row
+    statistics and other small objects of a solve, and ``_PLAN_OBJECT``
+    bytes each the plan's: a few per row, and up to ``_SMALL_N`` one per
+    parent column and a few per activity.
     """
     subsets = 1 << n
     masks = subsets * _MASK.itemsize
@@ -712,6 +721,7 @@ def _search_bytes(n: int, na: int) -> int:
     outflows = cuts // 2 + n * _head_width(n) * _VALUE.itemsize
     buffers = min(_ADD_BUFFERS, 8 * cuts)
     m = n - na
+    objects = _SOLVE_OBJECTS + _PLAN_OBJECT * 6 * (n - 2)  # n - 2 rows
     prefixes = sum(comb(n, size) for size in range(1, na + 1))
     forward = max(comb(n, size) for size in range(1, na + 1))
     # per element of a block: parent ranks, as intp too, the gathered values, flags and the tight ones' ranks;
@@ -729,11 +739,12 @@ def _search_bytes(n: int, na: int) -> int:
         columns = sum(size * comb(n, size) for size in range(1, max(na, m) + 1)) * _parent_dtype(n).itemsize
         widest = max(comb(n, size) for size in range(1, max(na, m) + 1))
         rows = _VALUE.itemsize * (prefixes + sum(comb(n, size) for size in range(1, m + 1)))
-        # gain, one column's values and the complements
-        shared = (2 * _VALUE.itemsize + _MASK.itemsize) * widest
+        # the gains, one column's values and each suffix row's parents' complements
+        shared = 2 * _VALUE.itemsize * widest + _MASK.itemsize * sum(comb(n, size) for size in range(1, m))
+        objects += _PLAN_OBJECT * (sum(range(2, na + 1)) + sum(range(2, m + 1)) + 6 * n + 10)
         counting = (3 * _LABEL.itemsize + _INTP.itemsize + _FLAG.itemsize) * widest
         passing = max(buffers, _INTP.itemsize * widest, counting, walk)
-        return _SOLVE_OBJECTS + masks + columns + cuts + outflows + rows + shared + passing
+        return objects + masks + columns + cuts + outflows + rows + shared + passing
     # the suffix search again: its rows and the inflow, and its global and row masks
     again = (1 << m) * (2 * _VALUE.itemsize + 2 * _MASK.itemsize)
     rank = _parent_dtype(n).itemsize
@@ -748,7 +759,7 @@ def _search_bytes(n: int, na: int) -> int:
         local = comb(m, m // 2)
         again += (m << (m - 1)) * _parent_dtype(m).itemsize + (2 * _VALUE.itemsize + _INTP.itemsize) * local
     searching = _VALUE.itemsize * prefixes + newest + indices + max(sweeps, walk, again)
-    return _SOLVE_OBJECTS + masks + cuts + max(outflows + buffers, searching)
+    return objects + masks + cuts + max(outflows + buffers, searching)
 
 
 def _sweep_bytes(n: int, last: int, forward: bool) -> int:
@@ -777,149 +788,159 @@ def _sweep_bytes(n: int, last: int, forward: bool) -> int:
     return widest
 
 
-@dataclass
-class _Row:
-    """One search's newest row, by subset rank.
+def _or_new(held: np.ndarray | None, count: int) -> np.ndarray:
+    """``held``, a kept plan's array, or, where the plan holds none, a new one of ``count`` values."""
+    return np.empty(count, dtype=_VALUE) if held is None else held
 
-    The best schedule's value and, above ``_SMALL_N``, ``parent_ranks``:
-    column j ranks each set without its j-th smallest activity, counted
-    from 0, in the row above.  The next row's sweep grows its own parent
-    ranks from these and drops each column once it has read it; a search's
-    last row keeps none.  Up to ``_SMALL_N`` every row's are in the
-    tables instead (``_Tables.parent_columns``).
+
+class _Plan:
+    """What a solve of n activities does that depends on (n, na, cn, variant) alone, made once per key.
+
+    ``steps`` are the rows both searches grow, in round order.  Up to
+    ``_SMALL_N`` the plan is kept with n's tables and holds every array a
+    solve writes, since arrays freed at each solve's end would let the
+    allocator hand their pages back, to be faulted in again by the next:
+    the cut table and its build's views (``_CutViews``), each row's values,
+    and the gains and one column's values, which the rows share, the latter
+    with the pairing's sums.  Above, it holds no array: each is made where
+    it is used and dropped once read, as ``_search_bytes`` counts them.
     """
 
-    size: int
-    value: np.ndarray
-    parent_ranks: list[np.ndarray | None]
+    def __init__(self, tables: _Tables, na: int, rounds: list, dense: bool, deadline=None, key=None) -> None:
+        n, kept = tables.n, tables.kept
+        self.key, self.kept = key, kept
+        last = {FORWARD: na, BACKWARD: n - na}
+        for size in range(1, max(last.values()) + 1):
+            _check(deadline)
+            tables.masks(size)
+            if kept:
+                tables.parent_columns(size)
+        self.widest = max(comb(n, size) for size in range(1, max(last.values()) + 1))
+        self.cut = _CutViews(n) if kept else None
+        self.gain = np.empty(self.widest, dtype=_VALUE) if kept else None
+        self.values = np.empty(self.widest, dtype=_VALUE) if kept else None
+        self.pairing = self.values[: comb(n, na)] if kept else None
+        self.steps = []
+        sizes = {FORWARD: 1, BACKWARD: 1}
+        for direction, workers in rounds:
+            sizes[direction] += 1
+            self.steps.append(_Step(self, tables, direction, workers, sizes[direction], last, dense))
+
+
+class _Step:
+    """One row a plan grows: its direction, size and chunks, its counters and what its sweep reads and writes.
+
+    ``index`` holds the masks the row's gains are read at: a prefix row's
+    own or, read-only, a suffix row's parents' complements.  A kept plan's
+    ``columns`` are the row's parent columns, ``best`` its values, and
+    ``gain`` and ``values`` slices of the plan's buffers; above ``_SMALL_N``
+    those and a suffix row's ``index`` are None, made in each sweep, and
+    ``keep`` says whether the row keeps its grown columns for the next.
+    ``transferred`` is None until the first sweep of ``key`` counts it.
+    """
+
+    __slots__ = ("direction", "forward", "workers", "size", "chunks", "capacity", "expanded", "key", "transferred",
+                 "keep", "columns", "index", "best", "gain", "values")
+
+    def __init__(self, plan: _Plan, tables: _Tables, direction: str, workers: int, size: int, last, dense) -> None:
+        n, kept = tables.n, plan.kept
+        parents, capacity = comb(n, size - 1), comb(n, size)
+        self.direction, self.forward, self.workers, self.size = direction, direction == FORWARD, workers, size
+        self.chunks = chunks = min(workers, parents)
+        self.capacity, self.expanded, self.key = capacity, capacity * size, (n, size, chunks)
+        self.transferred = chunks * capacity if chunks == 1 or dense else _handovers.get(self.key)
+        self.keep = not kept and size < last[direction]
+        self.columns = list(tables.parent_columns(size)) if kept else None
+        self.index = tables.masks(size) if self.forward else None
+        if kept and not self.forward:
+            self.index = np.bitwise_xor(tables.masks(size - 1), (1 << n) - 1)
+            self.index.flags.writeable = False
+        self.best = np.empty(capacity, dtype=_VALUE) if kept else None
+        self.gain = plan.gain[: capacity if self.forward else parents] if kept else None
+        self.values = plan.values[:capacity] if kept else None
 
 
 class _ArraySearch:
     """The array kernel: both searches' newest rows, every prefix row, and the witnesses.
 
-    ``dense`` counts each chunk as handing over the whole row (no-compression).
-    Every row table and row-sized array comes from ``tables``, each row
-    under its own size.  The prefix witness reads every prefix row, so all
-    are kept (``prefixes``); up to ``_SMALL_N`` the suffix witness reads
-    every suffix row, so those are kept too (``suffixes``), and above, each
-    is dropped once the next row is grown.
+    Grows the rows of ``plan`` over ``tables``.  The prefix witness reads
+    every prefix row, so all are kept (``prefixes``); up to ``_SMALL_N`` the
+    suffix witness reads every suffix row, so those are kept too
+    (``suffixes``), and above, each is dropped once the next row is grown,
+    as is each row's parent ranks (``ranks``).
     """
 
-    def __init__(
-        self, dsm: Dsm, table: BinomialTable, dense: bool, deadline: float | None, na: int, tables: _Tables
-    ) -> None:
+    def __init__(self, dsm: Dsm, tables: _Tables, plan: _Plan, deadline: float | None) -> None:
         n = dsm.n
-        self.n = n
-        self.table = table
-        self.last = {FORWARD: na, BACKWARD: n - na}
-        self.dense = dense
-        self.deadline = deadline
-        self.tables = tables
-        # every row's masks, and up to _SMALL_N their parent columns, so the rows only read the tables
-        for size in range(1, max(na, n - na) + 1):
-            _check(deadline)
-            tables.masks(size)
-            if n <= _SMALL_N:
-                tables.parent_columns(size)
-        self.cut = _cut_table(np.array(dsm.d, dtype=_VALUE), deadline, tables)
+        self.n, self.tables, self.plan, self.deadline = n, tables, plan, deadline
+        matrix = np.fromiter(chain.from_iterable(dsm.d), dtype=_VALUE, count=n * n).reshape(n, n)
+        self.cut = _cut_table(matrix, deadline, plan.cut)
         empty = np.zeros(n, dtype=_parent_dtype(n))  # a lone activity's parent, the empty set, has rank 0
-        self.rows = {
-            FORWARD: _Row(1, self.cut[tables.masks(1)], [empty]),
-            BACKWARD: _Row(1, np.zeros(n, dtype=_VALUE), [empty]),
-        }
-        self.widest = max(table.c(n, size) for size in range(1, max(na, n - na) + 1))
+        first = {FORWARD: self.cut[tables.masks(1)], BACKWARD: np.zeros(n, dtype=_VALUE)}
+        self.values = dict(first)  # each search's newest row
+        self.ranks = {FORWARD: [empty], BACKWARD: [empty]}  # above _SMALL_N, their parent ranks, if kept
         self.indices: np.ndarray | None = None  # above _SMALL_N, the sweeps' gather indices
-        self.prefixes = [self.rows[FORWARD].value]  # row k's values at k - 1
+        self.prefixes = [first[FORWARD]]  # row k's values at k - 1
         # up to _SMALL_N row k's values at k - 1, each with its inflow once the next row is grown; above, none
-        self.suffixes = [self.rows[BACKWARD].value] if n <= _SMALL_N else None
+        self.suffixes = [first[BACKWARD]] if plan.kept else None
 
-    def grow(self, direction: str, workers: int) -> RowStats:
-        """Grow the search's newest row in ``direction`` into the next, keeping the best value per subset.
+    def grow(self, step: _Step) -> RowStats:
+        """Grow the newest row of ``step``'s search into the next, keeping the best value per subset.
 
-        What ``workers`` chunks, at most one per parent, would hand over
-        depends only on (n, size, chunks), so it is counted once per process
-        and key (``_handovers``), by the key's first sweep, over the columns
-        it reads anyway.  A prefix gains cut(child) and a suffix the cut of
-        its parent's complement, the inflow into the parent's set: the
-        prefix sweep adds it once to each child's least parent value, which
-        rounds as adding it to every parent's and taking the least would,
-        and the suffix sweep adds it to each parent's value first.  Above
-        ``_SMALL_N`` the new row keeps its parent ranks unless it is the
-        search's last.
+        What ``step.chunks`` chunks would hand over is counted once per
+        process and key (``_handovers``), by the key's first sweep, over the
+        columns it reads anyway.  A prefix gains cut(child) and a suffix the
+        inflow into its parent's set: the prefix sweep adds it once to each
+        child's least parent value, which rounds as adding it to every
+        parent's and taking the least would, and the suffix sweep adds it to
+        each parent's value first.
         """
-        n = self.n
-        row = self.rows[direction]
-        size = row.size + 1
-        parents = len(row.value)
-        chunks = min(workers, parents)
-        capacity = self.table.c(n, size)
-        key = (n, size, chunks)
-        transferred = chunks * capacity if chunks == 1 or self.dense else _handovers.get(key)
-        counter = None if transferred is not None else _Handovers(parents, capacity, chunks)
-        masks, array = self.tables.masks, self.tables.array
-        if direction == FORWARD:
-            best = array(f"forward value {size}", capacity, _VALUE)
-        else:
-            full = (1 << n) - 1
-            complements = np.bitwise_xor(masks(size - 1), full, out=array("complements", parents, _MASK))
-            row.value += self.cut.take(complements, out=array("gain", parents, _VALUE), mode="wrap")
+        direction, size, capacity = step.direction, step.size, step.capacity
+        value = self.values[direction]
+        counter = None if step.transferred is not None else _Handovers(len(value), capacity, step.chunks)
+        best = _or_new(step.best, capacity)
+        if not step.forward:
+            complements = step.index if step.index is not None else self.tables.masks(size - 1) ^ ((1 << self.n) - 1)
+            value += self.cut.take(complements, out=step.gain, mode="wrap")
             del complements  # so that above _SMALL_N the sweep does not hold it
-            best = array(f"backward value {size}", capacity, _VALUE)
-        keep = n > _SMALL_N and size < self.last[direction]
-        grown = self._sweep(self.tables, row, best, keep, counter)
+        grown = step.columns is None
+        columns = _grown_columns(self.n, size, self.ranks[direction]) if grown else step.columns
+        ranks = self._sweep(columns, value, best, _or_new(step.values, capacity), step.keep, counter, grown)
         if counter is not None:
-            transferred = _remember_handovers(key, counter.count)
-        if direction == FORWARD:
-            best += self.cut.take(masks(size), out=array("gain", capacity, _VALUE), mode="wrap")
+            if len(_handovers) >= _HANDOVERS_CACHED:
+                _handovers.clear()
+            step.transferred = _handovers[step.key] = counter.count
+        if step.forward:
+            best += self.cut.take(step.index, out=step.gain, mode="wrap")
             self.prefixes.append(best)
         elif self.suffixes is not None:
             self.suffixes.append(best)
-        self.rows[direction] = _Row(size, best, grown)
-        expanded = capacity * size
+        self.values[direction], self.ranks[direction] = best, ranks
         survivors = int(np.count_nonzero(best < np.inf))
         return RowStats(
-            direction=direction,
-            size=size,
-            workers=workers,
-            chunks=chunks,
-            expanded=expanded,
-            pruned=expanded - survivors,
-            survivors=survivors,
-            transferred_records=transferred,
-            comparisons=0,
-            seconds=0.0,
+            direction=direction, size=size, workers=step.workers, chunks=step.chunks, expanded=step.expanded,
+            pruned=step.expanded - survivors, survivors=survivors, transferred_records=step.transferred,
+            comparisons=0, seconds=0.0,
         )
 
-    def _sweep(
-        self, tables: _Tables, row: _Row, best: np.ndarray, keep: bool, counter: _Handovers | None = None
-    ) -> list[np.ndarray | None]:
-        """Pull every child of the row after ``row`` from its parents there, one column at a time, into ``best``.
+    def _sweep(self, columns: Iterable[np.ndarray], value, best, v, keep, counter=None, grown=False) -> list:
+        """Pull every child of the row after ``value``'s from its parents there, one column at a time, into ``best``.
 
-        Each child's value is the least of its parents' in ``row.value``;
-        column j reads each child's parent without its j-th smallest
-        activity, so no two children share any work.  The rows hold the
-        sets of ``tables.n`` activities.  Up to ``_SMALL_N`` the ranks are
-        the tables' columns.  Above, they grow from the parent row's column
-        j - 1 (``_grown_columns``), which is dropped once read; each is
+        Each child's value is the least of its parents' in ``value``;
+        column j of ``columns`` ranks each child's parent without its j-th
+        smallest activity, so no two children share any work; ``v`` holds
+        one column's values.  Grown columns (``_grown_columns``) are each
         copied into one intp buffer, the gather's own index type, made once
         per search as long as its widest row, and kept for the next row when
         ``keep`` holds.  Every column is added to ``counter``, if given.
         Returns the kept columns.
         """
-        n = tables.n
-        size = row.size + 1
-        capacity = len(best)
-        value = row.value
         indices = None
-        if n <= _SMALL_N:
-            columns: Iterable[np.ndarray] = tables.parent_columns(size)
-        else:
-            columns = _grown_columns(n, size, row.parent_ranks)
+        if grown:
             if self.indices is None:
-                self.indices = np.empty(self.widest, dtype=_INTP)
-            indices = self.indices[:capacity]
-        v = self.tables.array("values", capacity, _VALUE)
-        ranks: list[np.ndarray | None] = []
+                self.indices = np.empty(self.plan.widest, dtype=_INTP)
+            indices = self.indices[: len(best)]
+        ranks: list[np.ndarray] = []
         for column, p in enumerate(columns):
             _check(self.deadline)
             if keep:
@@ -949,21 +970,21 @@ class _ArraySearch:
         """
         n = self.n
         prefixes = self.prefixes[-1]
-        fl = self.tables.array("values", len(prefixes), _VALUE)
-        np.add(prefixes, self.rows[BACKWARD].value[::-1], out=fl)
+        fl = _or_new(self.plan.pairing, len(prefixes))
+        np.add(prefixes, self.values[BACKWARD][::-1], out=fl)
         best = fl.min()
-        prefix = self._prefix_witness(np.flatnonzero(fl == best))
+        prefix, rank = self._prefix_witness(np.flatnonzero(fl == best))
         rest = [a for a in range(1, n + 1) if a not in prefix]
         if self.suffixes is not None:
-            suffix = _suffix_walk(self.suffixes, rest, self.tables, rank_sorted(rest, n, self.table) - 1)
+            suffix = _suffix_walk(self.suffixes, rest, self.tables, len(prefixes) - 1 - rank)
         else:
             local = _Tables.claim(len(rest))
             suffix = _suffix_walk(self._suffix_rows(rest, local), rest, local, 0)
             local.release()
         return float(best), tuple(prefix + suffix), 0
 
-    def _prefix_witness(self, ties: np.ndarray) -> list[int]:
-        """The lexicographically smallest kept prefix among the sets at ranks ``ties`` of row na.
+    def _prefix_witness(self, ties: np.ndarray) -> tuple[list[int], int]:
+        """The lexicographically smallest kept prefix among the sets at ranks ``ties`` of row na, and its rank.
 
         A parent P of a child C is tight when value(P) + cut(C) rounds to
         value(C).  The sweep's tie rule keeps for each set the smallest
@@ -988,9 +1009,9 @@ class _ArraySearch:
                 _check(self.deadline)
                 good[bottom - 2] = self._tight_parents(bottom, good[bottom - 1])
                 bottom -= 1
-            prefix = self._walk_up(good)
-            if prefix is not None:
-                return prefix
+            found = self._walk_up(good)
+            if found is not None:
+                return found
             to_full_row = False
 
     def _tight_parents(self, size: int, children: np.ndarray) -> np.ndarray:
@@ -999,21 +1020,19 @@ class _ArraySearch:
         Vectorised over the children, in blocks of at most ``_WALK_BLOCK``
         parent ranks.
         """
-        gain = self.cut.take(self.tables.masks(size).take(children))
-        value = self.prefixes[size - 1].take(children)
-        above = self.prefixes[size - 2]
+        masks, value, above = self.tables.masks(size), self.prefixes[size - 1], self.prefixes[size - 2]
         marks = np.zeros(len(above), dtype=_FLAG)
         step = max(1, _WALK_BLOCK // size)
         for start in range(0, len(children), step):
-            block = slice(start, start + step)
-            parents = _drop_ranks(self.tables, size, children[block]).astype(_INTP, copy=False)  # both index below
+            block = children[start : start + step]
+            parents = _drop_ranks(self.tables, size, block).astype(_INTP, copy=False)  # both index below
             reach = above.take(parents)
-            reach += gain[block]
-            marks[parents[reach == value[block]]] = True
+            reach += self.cut.take(masks.take(block))
+            marks[parents[reach == value.take(block)]] = True
         return marks.nonzero()[0]
 
-    def _walk_up(self, good: list[np.ndarray | None]) -> list[int] | None:
-        """The smallest chain of tight steps from the empty set through the sets ``good`` holds, or None if it ends.
+    def _walk_up(self, good: list[np.ndarray | None]) -> tuple[list[int], int] | None:
+        """The smallest chain of tight steps through the sets ``good`` holds and its last set's rank, or None.
 
         ``good`` holds, for each prefix row, the ranks of the sets a step
         may reach, ascending, or None for any set of the row.  Among the
@@ -1022,7 +1041,7 @@ class _ArraySearch:
         there is a choice.
         """
         prefix = []
-        mask, total = 0, 0.0  # the empty set's, from which every lone activity's step is tight
+        mask, total, i = 0, 0.0, 0  # the empty set's, from which every lone activity's step is tight
         for size, ranks in enumerate(good, start=1):
             masks = self.tables.masks(size)
             known = ranks is not None
@@ -1033,12 +1052,12 @@ class _ArraySearch:
                 tight = (held & mask == mask) & (total + self.cut.take(held) == self.prefixes[size - 1].take(ranks))
                 first = int(tight.argmax())
                 if not tight[first]:
-                    return None  # the current set has no tight child
+                    return None  # the current set has no tight child, so the chain ends early
                 ranks = ranks[first:]
             i = int(ranks[0])
             prefix.append((int(masks[i]) ^ mask).bit_length())
             mask, total = int(masks[i]), self.prefixes[size - 1][i]
-        return prefix
+        return prefix, i
 
     def _suffix_rows(self, activities: list[int], local: _Tables) -> list[np.ndarray]:
         """The suffix search's rows over ``activities`` alone, each but the last with its inflow added.
@@ -1050,21 +1069,22 @@ class _ArraySearch:
         """
         n = self.n
         m = len(activities)
-        array = self.tables.array
         # the complement of each local mask among all n activities, then the inflow into the local set
-        outside = array("outside", 1 << m, _MASK)
+        outside = np.empty(1 << m, dtype=_MASK)
         outside[0] = (1 << n) - 1
         for bit, a in enumerate(activities):
             np.bitwise_xor(outside[: 1 << bit], 1 << (a - 1), out=outside[1 << bit : 2 << bit])
-        inflow = self.cut.take(outside, out=array("inflow", 1 << m, _VALUE), mode="wrap")
+        inflow = self.cut.take(outside, mode="wrap")
         del outside
-        row = _Row(1, np.zeros(m, dtype=_VALUE), [np.zeros(m, dtype=_parent_dtype(m))])
-        rows = [row.value]
+        value = np.zeros(m, dtype=_VALUE)
+        rows, ranks, grown = [value], [np.zeros(m, dtype=_parent_dtype(m))], not local.kept
         for size in range(2, m + 1):
-            row.value += inflow.take(local.masks(size - 1), out=array("gain", len(row.value), _VALUE), mode="wrap")
-            best = array(f"suffix value {size}", comb(m, size), _VALUE)
-            row = _Row(size, best, self._sweep(local, row, best, m > _SMALL_N and size < m))
+            value += inflow.take(local.masks(size - 1), mode="wrap")
+            best = np.empty(comb(m, size), dtype=_VALUE)
+            columns = _grown_columns(m, size, ranks) if grown else local.parent_columns(size)
+            ranks = self._sweep(columns, value, best, np.empty(len(best), _VALUE), grown and size < m, grown=grown)
             rows.append(best)
+            value = best
         return rows
 
 
@@ -1082,7 +1102,10 @@ def _suffix_walk(rows: list[np.ndarray], activities: list[int], tables: _Tables,
     m = len(activities)
     suffix = []
     for size in range(m, 1, -1):
-        parents = _drop_ranks(tables, size, np.array([rank]))[:, 0]
+        if tables.kept:
+            parents = tables.parent_columns(size)[:, rank]
+        else:
+            parents = _drop_ranks(tables, size, np.array([rank]))[:, 0]
         column = int(rows[size - 2].take(parents).argmin())
         suffix.append(activities.pop(column))
         rank = int(parents[column])
@@ -1161,7 +1184,9 @@ class _ScanSearch:
             expanded += 1
         return store, expanded
 
-    def grow(self, direction: str, workers: int) -> RowStats:
+    def grow(self, step: tuple[str, int]) -> RowStats:
+        """Grow the newest row of the search in direction ``step[0]`` in ``step[1]`` parts."""
+        direction, workers = step
         size = self.stores[direction].size + 1
         # a row of k entries fills at most k parts, and every part asked for costs a loop
         parts = partition_row(self.stores[direction], min(workers, self.stores[direction].occupied))
@@ -1175,18 +1200,10 @@ class _ScanSearch:
             transferred += store.occupied
             comparisons += store.comparisons
         self.stores[direction] = merged
-        return RowStats(
-            direction=direction,
-            size=size,
-            workers=workers,
-            chunks=len(parts),
-            expanded=expanded,
-            pruned=expanded - merged.occupied,
-            survivors=merged.occupied,
-            transferred_records=transferred,
-            # merge scans count too
-            comparisons=comparisons + merged.comparisons,
-            seconds=0.0,
+        return RowStats(  # merge scans count too
+            direction=direction, size=size, workers=workers, chunks=len(parts), expanded=expanded,
+            pruned=expanded - merged.occupied, survivors=merged.occupied, transferred_records=transferred,
+            comparisons=comparisons + merged.comparisons, seconds=0.0,
         )
 
     def pair(self) -> tuple[float, tuple[int, ...], int]:
@@ -1204,9 +1221,7 @@ class _ScanSearch:
                         best = candidate
                     break
             else:
-                raise InternalInvariantError(
-                    f"no suffix found for prefix set mask {prefix_mask:#x}"
-                )
+                raise InternalInvariantError(f"no suffix found for prefix set mask {prefix_mask:#x}")
         assert best is not None
         return best[0], best[1], comparisons
 
@@ -1310,9 +1325,7 @@ def restore_and_merge(row: RowStore, chunks: Sequence[CompressedChunk]) -> RowSt
     for chunk in chunks:
         for ha, node in chunk.triples:
             if not 1 <= ha <= capacity:
-                raise InternalInvariantError(
-                    f"address {ha} outside row capacity {capacity} (size {row.size})"
-                )
+                raise InternalInvariantError(f"address {ha} outside row capacity {capacity} (size {row.size})")
             row.install(ha, node)
     return row
 
@@ -1320,27 +1333,30 @@ def restore_and_merge(row: RowStore, chunks: Sequence[CompressedChunk]) -> RowSt
 # ---------------------------------------------------------------- solve
 
 
-def _round_allocation(variant: str, cn: int, fwd_left: int, bwd_left: int) -> tuple[int, int]:
-    """Chunks for each search this round, from remaining-row bookkeeping.
+def _round_order(variant: str, cn: int, forward_last: int, backward_last: int) -> list[tuple[str, int]]:
+    """The rows both searches grow from row 1 to their last, in order, as (direction, chunks asked for).
 
-    While both searches have rows left each gets half the chunks, an odd
-    spare going to the one with more rows remaining (forward on ties); a
-    finished search hands everything to the other.  The single-decomposition
-    variant pins each search to one chunk.
+    Each round grows a row of each search that has rows left, prefix
+    first.  While both have, each gets half the chunks, an odd spare going
+    to the one with more rows left (forward on ties); a finished search
+    hands everything to the other.  The single-decomposition variant pins
+    each search to one chunk.
     """
-    if variant == VARIANT_NO_SECOND_DECOMPOSITION:
-        return (1 if fwd_left else 0), (1 if bwd_left else 0)
-    if not fwd_left:
-        return 0, cn
-    if not bwd_left:
-        return cn, 0
-    forward_share = backward_share = cn // 2
-    if cn % 2:
-        if fwd_left >= bwd_left:
-            forward_share += 1
+    order = []
+    left = {FORWARD: forward_last - 1, BACKWARD: backward_last - 1}
+    while left[FORWARD] or left[BACKWARD]:
+        if variant == VARIANT_NO_SECOND_DECOMPOSITION:
+            shares = {FORWARD: 1, BACKWARD: 1}
+        elif not (left[FORWARD] and left[BACKWARD]):
+            shares = {FORWARD: cn, BACKWARD: cn}
         else:
-            backward_share += 1
-    return forward_share, backward_share
+            spare = FORWARD if left[FORWARD] >= left[BACKWARD] else BACKWARD
+            shares = {direction: cn // 2 + (cn % 2 if direction == spare else 0) for direction in left}
+        for direction in (FORWARD, BACKWARD):
+            if left[direction] and shares[direction]:
+                order.append((direction, shares[direction]))
+                left[direction] -= 1
+    return order
 
 
 def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable | None = None) -> SolveReport:
@@ -1363,9 +1379,7 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     n = dsm.n
 
     started = time.perf_counter()
-    deadline: float | None = None
-    if config.time_limit is not None:
-        deadline = time.monotonic() + config.time_limit
+    deadline = None if config.time_limit is None else time.monotonic() + config.time_limit
     na = 0
     if n >= 4:
         na = meeting_row(config.na, n)
@@ -1377,13 +1391,11 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     logging = sys.modules.get("logging")
     variant = config.variant
     rows: list[RowStats] = []
-    sizes = {FORWARD: 1, BACKWARD: 1}
-    last = {FORWARD: na, BACKWARD: n - na}
 
     setup_started = time.perf_counter()
     setup_seconds: float | None = None  # set once the search is built
     timed_out: SolveReport | None = None
-    tables = None
+    tables = plan = None
     if n >= 4 and variant != VARIANT_NO_HASH:
         tables = _Tables.claim(n)
     try:
@@ -1397,32 +1409,27 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
             )
         if variant == VARIANT_NO_HASH:
             search: _ScanSearch | _ArraySearch = _ScanSearch(dsm, deadline)
+            steps: list = _round_order(variant, config.cn, na, n - na)
         else:
-            search = _ArraySearch(dsm, table, variant == VARIANT_NO_COMPRESSION, deadline, na, tables)
+            plan = tables.plan_for(na, config.cn, variant, deadline)
+            search, steps = _ArraySearch(dsm, tables, plan, deadline), plan.steps
         setup_seconds = time.perf_counter() - setup_started
-        while sizes[FORWARD] < last[FORWARD] or sizes[BACKWARD] < last[BACKWARD]:
-            shares = _round_allocation(
-                variant, config.cn, last[FORWARD] - sizes[FORWARD], last[BACKWARD] - sizes[BACKWARD]
-            )
-            for direction, workers in zip((FORWARD, BACKWARD), shares):
-                if workers == 0:
-                    continue
-                row_started = time.perf_counter()
-                stats = search.grow(direction, workers)
-                stats.seconds = time.perf_counter() - row_started
-                capacity = table.c(n, stats.size)
-                if stats.survivors != capacity:
-                    raise InternalInvariantError(
-                        f"{direction} row {stats.size} holds {stats.survivors} subsets, "
-                        f"expected C({n},{stats.size}) = {capacity}"
-                    )
-                rows.append(stats)
-                sizes[direction] = stats.size
-                if logging:
-                    logging.getLogger(__name__).info(
-                        "%s row %d: %d survivors in %.3f s, %.3f s elapsed",
-                        direction, stats.size, stats.survivors, stats.seconds, time.perf_counter() - started,
-                    )
+        for step in steps:
+            row_started = time.perf_counter()
+            stats = search.grow(step)
+            stats.seconds = time.perf_counter() - row_started
+            capacity = table.c(n, stats.size)
+            if stats.survivors != capacity:
+                raise InternalInvariantError(
+                    f"{stats.direction} row {stats.size} holds {stats.survivors} subsets, "
+                    f"expected C({n},{stats.size}) = {capacity}"
+                )
+            rows.append(stats)
+            if logging:
+                logging.getLogger(__name__).info(
+                    "%s row %d: %d survivors in %.3f s, %.3f s elapsed",
+                    stats.direction, stats.size, stats.survivors, stats.seconds, time.perf_counter() - started,
+                )
         _check(deadline)
         combination_started = time.perf_counter()
         best_fl, best_seq, combination_comparisons = search.pair()
@@ -1430,9 +1437,8 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
         if setup_seconds is None:
             setup_seconds = time.perf_counter() - setup_started
         timed_out = SolveReport(
-            n=n, cn=config.cn, na=na, variant=variant,
-            sequence=None, objective=None, rows=rows, setup_seconds=setup_seconds,
-            total_seconds=time.perf_counter() - started, timed_out=True,
+            n=n, cn=config.cn, na=na, variant=variant, sequence=None, objective=None, rows=rows,
+            setup_seconds=setup_seconds, total_seconds=time.perf_counter() - started, timed_out=True,
         )
     finally:
         if tables is not None:  # pairing was the last to read them
@@ -1440,26 +1446,16 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     if timed_out is not None:
         # raised out here, with the search dropped, so that neither its context (the _Expired, whose traceback
         # holds the search's frames) nor this frame, which the traceback holds, keeps the search alive
-        search = tables = None
+        search = tables = plan = steps = None
         raise SolveTimeout(timed_out)
 
     objective = total_feedback_length(dsm, best_seq)
     if abs(best_fl - objective) > _REL_TOL * max(1.0, abs(objective)):
-        raise InternalInvariantError(
-            f"paired value {best_fl!r} disagrees with schedule objective {objective!r}"
-        )
+        raise InternalInvariantError(f"paired value {best_fl!r} disagrees with schedule objective {objective!r}")
 
     finished = time.perf_counter()
     return SolveReport(
-        n=n,
-        cn=config.cn,
-        na=na,
-        variant=variant,
-        sequence=best_seq,
-        objective=objective,
-        rows=rows,
-        setup_seconds=setup_seconds,
-        combination_seconds=finished - combination_started,
-        total_seconds=finished - started,
-        combination_comparisons=combination_comparisons,
+        n=n, cn=config.cn, na=na, variant=variant, sequence=best_seq, objective=objective, rows=rows,
+        setup_seconds=setup_seconds, combination_seconds=finished - combination_started,
+        total_seconds=finished - started, combination_comparisons=combination_comparisons,
     )

@@ -55,6 +55,7 @@ from dsmseq.solver import (
     _kept,
     _parent_dtype,
     _part_bounds,
+    _Plan,
     _scalar_cut,
     _search_bytes,
     _SMALL_N,
@@ -73,6 +74,15 @@ def _row_masks(n: int, size: int) -> np.ndarray:
 def _parent_columns(n: int, size: int) -> np.ndarray:
     """Row ``size``'s parent columns of n activities, from tables built afresh."""
     return _Tables(n).parent_columns(size)
+
+
+def _suffix_search(dsm: Dsm, na: int, tables: _Tables) -> _ArraySearch:
+    """A search over ``tables`` whose suffix rows are grown to row n - na, and no prefix row."""
+    plan = _Plan(tables, na, [(BACKWARD, 1)] * (dsm.n - na - 1), False)
+    search = _ArraySearch(dsm, tables, plan, None)
+    for step in plan.steps:
+        search.grow(step)
+    return search
 
 
 # ---------------------------------------------------------------- seeding
@@ -797,11 +807,13 @@ def test_suffix_search_over_a_subset_reproduces_the_full_rows(monkeypatch, small
     # with _SMALL_N at 3 the search over the subset grows its parent ranks instead of reading the cached ones
     monkeypatch.setattr(solver, "_SMALL_N", small_n)
     dsm = _quantised(generate_instance(n, 0.6, seed), (1 / 3, 2 / 3, 1.0))
-    search = _ArraySearch(dsm, BinomialTable(n), False, None, 0, _Tables(n))
-    rows = [search.rows[BACKWARD].value.copy()]
-    for _ in range(2, n + 1):
-        search.grow(BACKWARD, 1)
-        rows.append(search.rows[BACKWARD].value.copy())  # before the next row adds the inflow
+    tables = _Tables(n)
+    plan = _Plan(tables, 0, [(BACKWARD, 1)] * (n - 1), False)
+    search = _ArraySearch(dsm, tables, plan, None)
+    rows = [search.values[BACKWARD].copy()]
+    for step in plan.steps:
+        search.grow(step)
+        rows.append(search.values[BACKWARD].copy())  # before the next row adds the inflow
     rank = _rank_map(n)
     full = (1 << n) - 1
     rng = np.random.default_rng(seed)
@@ -827,13 +839,10 @@ def test_suffix_walked_on_kept_rows_equals_the_search_run_again(kind, n):
     dsm = Dsm.from_rows([[0.0] * n for _ in range(n)]) if kind == "zero" else generate_instance(n, 0.6, 60 + n)
     if kind != "zero":
         dsm = _quantised(dsm, (0.25, 0.5, 0.75, 1.0) if kind == "quarters" else (1 / 3, 2 / 3, 1.0))
-    table = BinomialTable(n)
     for na in (2, 5, n - 2):
         m = n - na
         tables = _Tables(n)
-        search = _ArraySearch(dsm, table, False, None, na, tables)
-        for _ in range(2, m + 1):
-            search.grow(BACKWARD, 1)
+        search = _suffix_search(dsm, na, tables)
         assert len(search.suffixes) == m
         count = math.comb(n, m)
         for rank in range(0, count, max(1, count // 12)):  # sets the prefix could leave, ranks spread out
@@ -978,6 +987,7 @@ def test_grown_parent_ranks_solve_as_the_cached_ones(monkeypatch, n, na):
 
     cached = {cn: run(cn) for cn in (1, 2, 3, 8)}
     monkeypatch.setattr(solver, "_SMALL_N", 3)
+    _kept.clear()  # so that n's tables, and their plans, are laid out afresh above the patched bound
     for _ in range(2):  # the first solve counts the chunks in its sweeps, the second reads the counts
         _handovers.clear()
         for cn, expected in cached.items():
@@ -1000,16 +1010,17 @@ def _direct_handovers(n: int, size: int, chunks: int) -> int:
 def test_chunk_counts_equal_a_direct_label_count():
     for n in range(4, 13):
         dsm = generate_instance(n, 0.5, n)
-        table = BinomialTable(n)
         for dense in (False, True):
             for chunks in range(1, 9):
                 for attempt in range(2):  # counted, then read from the cache
                     if attempt == 0:
                         _handovers.clear()
                     # the suffix search runs to row n
-                    search = _ArraySearch(dsm, table, dense, None, 0, _Tables(n))
-                    for size in range(2, n + 1):
-                        stats = search.grow(BACKWARD, chunks)
+                    tables = _Tables(n)
+                    plan = _Plan(tables, 0, [(BACKWARD, chunks)] * (n - 1), dense)
+                    search = _ArraySearch(dsm, tables, plan, None)
+                    for size, step in enumerate(plan.steps, start=2):
+                        stats = search.grow(step)
                         assert stats.chunks == min(chunks, math.comb(n, size - 1))
                         if dense:
                             assert stats.transferred_records == stats.chunks * math.comb(n, size)
@@ -1039,17 +1050,43 @@ def test_cached_rows_are_read_only_and_unchanged_by_a_solve():
 
 
 def _cut_tables(monkeypatch) -> list:
-    """Record the tables each solve hands the cut table from now on, and the table it gets back."""
+    """Record the views each solve hands the cut table from now on, and the table it gets back."""
     seen = []
     build = solver._cut_table
 
-    def recording(d, deadline=None, tables=None):
-        table = build(d, deadline, tables)
-        seen.append((tables, table))
+    def recording(d, deadline=None, views=None):
+        table = build(d, deadline, views)
+        seen.append((views, table))
         return table
 
     monkeypatch.setattr(solver, "_cut_table", recording)
     return seen
+
+
+def _plan_arrays(tables: _Tables) -> list[np.ndarray]:
+    """Every array the plan of ``tables`` holds, by the array owning its memory, each once, n's row tables left out."""
+    tabled = {id(a) for a in [*tables.rows, *tables.columns]}
+    owners: dict[int, np.ndarray] = {}
+    seen, todo = set(), [tables.plan]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            owner = item if item.base is None else item.base
+            if id(owner) not in tabled:
+                owners[id(owner)] = owner
+        elif isinstance(item, (_Plan, solver._Step, solver._CutViews, list, tuple, dict)):
+            todo.extend(gc.get_referents(item))
+    return list(owners.values())
+
+
+def _outcome(report) -> tuple:
+    """A report's sequence, objective bits and every row counter."""
+    fields = ("direction", "size", "workers", "chunks", "expanded", "survivors", "transferred_records")
+    rows = [tuple(getattr(row, name) for name in fields) for row in report.rows]
+    return report.sequence, report.objective.hex(), rows
 
 
 def test_warm_solves_reuse_one_workspace(monkeypatch):
@@ -1058,29 +1095,53 @@ def test_warm_solves_reuse_one_workspace(monkeypatch):
     _kept.clear()
     fresh = [solve(dsm, SolverConfig(cn=2, na=5)) for dsm in dsms]
     kept = _kept[n]
-    cut = kept.arrays["cut"]
+    plan = kept.plan
+    cut = plan.cut
     seen = _cut_tables(monkeypatch)
-    # what the last solve left in the kept arrays changes nothing
-    for array in kept.arrays.values():
-        array.fill(np.nan if array.dtype.kind == "f" else 1)
+    # what the last solve left in the plan's arrays changes nothing, and the rest are read-only
+    for array in _plan_arrays(kept):
+        if array.flags.writeable:
+            array.fill(np.nan if array.dtype.kind == "f" else 1)
     warm = [solve(dsm, SolverConfig(cn=2, na=5)) for dsm in dsms]
-    assert [tables for tables, _ in seen] == [kept, kept]
-    assert all(table.base is cut for _, table in seen)
-    for report, expected in zip(warm, fresh):
-        assert (report.sequence, report.objective) == (expected.sequence, expected.objective)
-        assert [r.transferred_records for r in report.rows] == [r.transferred_records for r in expected.rows]
+    assert kept.plan is plan and _kept[n] is kept
+    assert [views for views, _ in seen] == [cut, cut]
+    assert all(table is cut.total for _, table in seen)
+    assert [_outcome(report) for report in warm] == [_outcome(report) for report in fresh]
+    # a change of na or cn builds a new plan, which solves as one laid out with nothing kept
+    for config in (SolverConfig(cn=2, na=4), SolverConfig(cn=3, na=5), SolverConfig(cn=2, na=5)):
+        before = kept.plan
+        for dsm in dsms:
+            got = solve(dsm, config)
+            _kept.clear()
+            assert _outcome(got) == _outcome(solve(dsm, config))
+            _kept[n] = kept
+        assert kept.plan is not before and kept.plan.key == (config.na, config.cn, VARIANT_FULL)
+    plan = kept.plan
     # a solve that finds the tables claimed lays out its own, and one that times out still gives them back
     claimed = _Tables.claim(n)
     assert claimed is kept and n not in _kept
     assert solve(dsms[0], SolverConfig(cn=2, na=5)).sequence == fresh[0].sequence
-    other = seen[-1][0]
-    assert other is not kept and _kept[n] is other
+    other = _kept[n]
+    assert other is not kept and seen[-1][0] is other.plan.cut
     claimed.release()
     with pytest.raises(SolveTimeout):
         solve(dsms[0], SolverConfig(cn=2, time_limit=0.0))
     assert _kept[n] is kept
     solve(dsms[1], SolverConfig(cn=2, na=5))
-    assert seen[-1][0] is kept and seen[-1][1].base is cut and _kept[n] is kept
+    assert seen[-1] == (plan.cut, plan.cut.total) and kept.plan is plan and _kept[n] is kept
+
+
+def test_solves_at_varied_meeting_rows_keep_one_plans_arrays():
+    # n's kept object holds the last plan's arrays alone, so varied meeting rows leave what one solve does
+    n = 16
+    dsm = generate_instance(n, 0.5, 1)
+    held = []
+    for rows in ([5], [5, 2, 14, 5]):
+        _kept.clear()
+        for na in rows:
+            solve(dsm, SolverConfig(cn=1, na=na))
+        held.append(sum(array.nbytes for array in _plan_arrays(_kept[n])))
+    assert held[0] == held[1]
 
 
 def test_large_n_keeps_no_workspace():
@@ -1096,7 +1157,7 @@ def test_large_n_keeps_no_workspace():
     finally:
         tracemalloc.stop()
     assert report.sequence is not None and list(_kept) == [17]
-    kept = sum(a.nbytes for tables in _kept.values() for a in [*tables.rows, *tables.columns, *tables.arrays.values()])
+    kept = sum(a.nbytes for tables in _kept.values() for a in [*tables.rows, *tables.columns, *_plan_arrays(tables)])
     assert kept <= held <= kept + 64 * 1024, (kept, held)
 
 

@@ -10,33 +10,46 @@ prefix is paired with the suffix over its complement and the cheapest
 concatenation is the optimum.
 
 Activity a is bit a - 1 of a set's mask.  Rows are numpy arrays of the
-best schedule's value (float64), indexed by the lexicographic rank of
-their activity set; the sweeps keep values only.  A row is expanded by
-pulling: each child of k members reads its k parents, one column at a
-time, and keeps the least value, so no child depends on another's work and
-nothing is scattered.  Column j removes every child's j-th smallest
-activity and gathers those parents by rank: one gather and one minimum.
-Those ranks do not depend on the instance: a row's grow by column from the
-row above's, copying one slice per block of children that share their
-smallest activity.  Up to n = 17, where every rank is an int16, every
-row's are kept read-only in n's tables; above, each search grows its
-newest row's and drops them once read.  The row's masks grow from the row
-above's by the same slices, one activity added per block, and are kept
-read-only in n's tables, so the lexicographic layout has one owner,
-``_parent_blocks``.  What a solve does that depends on (n, na, cn,
-variant) alone is built once per key, as one plan that n's tables hold:
-the rows in round order, each with its counters, its parent-column views
-and the masks its gains are read at, and, up to n = 17, every array a
-solve writes, the cut table's and the views its build writes through
-among them.  A solve claims n's tables and gives them back after pairing;
-up to n = 17 they are kept, plan and all, so the next solve of n builds
-none of it again and allocates no row-sized array, and above, the plan
-holds no array and goes with its solve.  ``cn`` splits each row's parents into contiguous
-chunks whose counters report what each would hand to a merge.  Those
-counts depend only on (n, size, chunks), so each is made once per process,
-in the first sweep of its key, and ``cn`` costs no time after that: every
-parent carries the label of its chunk, and each change of label between a
-child's consecutive parents is one more chunk handing that child over.
+best schedule's value (float64), indexed by the colexicographic rank of
+their activity set, which within a row is ascending mask order: the rank
+of the set of bits c_0 < ... < c_(k-1) is the sum of C(c_i, i + 1), the
+combinatorial number system.  It does not involve n, so row k of n
+activities is the first C(n, k) sets of row k of any larger n.  The
+sweeps keep values only.  A row is expanded by pulling: each child of k
+members reads its k parents, one column at a time, and keeps the least
+value, so no child depends on another's work and nothing is scattered.
+Column j removes every child's j-th smallest activity and gathers those
+parents by rank: one gather and one minimum.  Those ranks do not depend
+on the instance: a row's grow by column from the row above's, copying one
+slice per block of children that share their largest activity, and the
+last column, which removes that activity, is one ramp per block.  Up to
+n = 17, where every rank is an int16, every row's are kept read-only in
+n's tables; above, each search grows its newest row's and drops them once
+read.  The row's masks grow from the row above's by the same slices, one
+activity added per block, and are kept read-only in n's tables, so the
+colexicographic layout has one owner, ``_parent_blocks``.  The subset
+addresses of ``subsets`` and the CLI stay lexicographic.
+
+What a solve does that depends on (n, na, cn, variant) alone is built
+once per key, as one plan that n's tables hold: the rows in round order,
+each with its counters, its parent-column views and the masks its gains
+are read at, and, up to n = 17, every array a solve writes, the cut
+table's and the views its build writes through among them.  A solve
+claims n's tables and gives them back after pairing; up to n = 17 they
+are kept, plan and all, so the next solve of n builds none of it again
+and allocates no row-sized array, and above, the plan holds no array and
+goes with its solve.
+
+``cn`` splits each row's parents into chunks, contiguous in lexicographic
+order, whose counters report what each would hand to a merge.  Those
+counts depend only on (n, size, chunks), so each is made once per
+process, in the first sweep of its key, and ``cn`` costs no time after
+that: every parent carries the label of its chunk, and each change of
+label between a child's consecutive parents is one more chunk handing
+that child over.  A set's lexicographic rank is C - 1 less the
+colexicographic rank of its reflection a -> n + 1 - a, which maps the
+rows' parents and children onto themselves, so the labels run over the
+colexicographic ranks in reverse and count the same hand-overs.
 Rows run in a fixed round order on the calling thread, so the schedule,
 objective and every counter are identical for any ``cn`` and meeting row.
 
@@ -69,8 +82,9 @@ child.  The suffix witness walks suffix rows down from the set the prefix
 leaves, taking in each row the first column whose parent holds the least
 value.  Up to n = 17 those are the search's own rows, all kept, 1 MB at
 most; above, where keeping them would cost about 0.5 GB at n = 26, the
-suffix search runs again over the activities the prefix leaves, 2**(n - na)
-sets, under 1% of a cold solve, and the walk reads its rows.
+suffix search runs again over the m = n - na activities the prefix leaves,
+2**m sets, under 1% of a cold solve, on the first C(m, k) masks of n's
+row k with its ranks grown, and the walk reads its rows.
 
 Three ablation switches degrade single strategies while preserving results:
 ``no-second-decomposition`` keeps one chunk per search, ``no-compression``
@@ -429,20 +443,21 @@ class _Tables:
     def masks(self, size: int) -> np.ndarray:
         """The ``size``-subsets of the n activities as bitmasks in rank order, read-only.
 
-        Activity a is bit a - 1, and rank order is lexicographic, ascending
-        ``subsets.rank_subset``.  Row 1 is the lone activities; row k holds,
-        per block of ``_parent_blocks``, the slice of row k - 1 that block's
-        parents are cut from, with the block's smallest activity added.  The
-        rows below are built first, each once.
+        Activity a is bit a - 1, and rank order is colexicographic, which
+        is ascending masks, so row k is the first C(n, k) sets of row k of
+        any larger n.  Row 1 is the lone activities; row k holds, per
+        block of ``_parent_blocks``, the slice of row k - 1 that block's
+        parents are cut from, with the block's largest activity added.
+        The rows below are built first, each once.
         """
         n, rows = self.n, self.rows
         while len(rows) < size:
             if rows:
-                starts, counts, _ = _parent_blocks(n, len(rows) + 1)
+                counts = _parent_blocks(n, len(rows) + 1)
                 masks = np.empty(sum(counts), dtype=_MASK)
                 first = 0
-                for a, (start, count) in enumerate(zip(starts, counts), start=1):
-                    np.bitwise_or(rows[-1][start:], 1 << (a - 1), out=masks[first : first + count])
+                for bit, count in enumerate(counts, start=len(rows)):
+                    np.bitwise_or(rows[-1][:count], 1 << bit, out=masks[first : first + count])
                     first += count
             else:
                 masks = np.left_shift(1, np.arange(n, dtype=_MASK), dtype=_MASK)
@@ -575,85 +590,81 @@ def _parent_dtype(n: int) -> np.dtype:
     return np.dtype(np.int16) if comb(n, n // 2) < 1 << 15 else _MASK
 
 
-def _parent_blocks(n: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """How row ``size`` in lexicographic order follows from row ``size - 1``.
+def _parent_blocks(n: int, size: int) -> tuple[int, ...]:
+    """How row ``size`` in colexicographic order follows from row ``size - 1``: the size of each block.
 
-    The children whose smallest activity is a form one block of
-    C(n - a, size - 1), ordered by their other activities: the last
-    C(n - a, size - 1) sets of the row above, in order, each with a added.
-    So column 0, which removes a, reads those ranks as they stand.  Column
-    j >= 1 removes the j-th smallest of the others, and the row above's
-    column j - 1 already ranks each of them without it among the
-    (size - 2)-sets; that rank less the C(n, size - 2) - C(n - a, size - 2)
-    sets with an activity up to a, plus the C(n, size - 1) -
-    C(n - a + 1, size - 1) sets of the parents' row whose smallest activity
-    is below a, ranks the same set with a put back.  Returns, per block,
-    where its sets start in the row above, how many there are, and that
-    shift.
+    The children whose largest activity is at bit c, for c from size - 1
+    to n - 1, form one block of C(c, size - 1), ordered by their other
+    activities: the first C(c, size - 1) sets of the row above, in order,
+    each with bit c added.  So the last column, which removes bit c, reads
+    a ramp over those ranks.  Column j < size - 1 removes the j-th smallest
+    of the others, and the row above's column j already ranks each of them
+    without it; putting bit c back, the largest, adds its term C(c,
+    size - 1), the block's size, to that rank.
     """
-    above = comb(n, size - 1)
-    firsts = range(1, n - size + 2)
-    counts = tuple(comb(n - a, size - 1) for a in firsts)
-    starts = tuple(above - count for count in counts)
-    shifts = [above - comb(n - a + 1, size - 1) - comb(n, size - 2) + comb(n - a, size - 2) for a in firsts]
-    return starts, counts, np.array(shifts, dtype=_parent_dtype(n))
+    return tuple(comb(c, size - 1) for c in range(size - 1, n))
 
 
 def _grown_columns(n: int, size: int, above: list[np.ndarray | None]) -> Iterator[np.ndarray]:
     """Row ``size``'s parent ranks, column by column, grown from ``above``, row ``size - 1``'s, counted from 0.
 
     Column j is one concatenation of slices, one per block of
-    ``_parent_blocks``: of a ramp for column 0, else of the row above's
-    column j - 1, plus each child's block shift.  Each column of ``above``
-    is set to None once the column grown from it is, so a caller that drops
+    ``_parent_blocks``: of the row above's column j plus each child's block
+    size, or, for the last column, of a ramp.  Each column of ``above`` is
+    set to None once the column grown from it is, so a caller that drops
     each column it has read holds at most one old and one new column
     beyond the rest.
     """
-    starts, counts, shifts = _parent_blocks(n, size)
-    shift = shifts.repeat(counts)
+    counts = _parent_blocks(n, size)
+    shift = np.array(counts, dtype=_parent_dtype(n)).repeat(counts)
     for column in range(size):
-        source = np.arange(len(above[0]), dtype=shift.dtype) if column == 0 else above[column - 1]
-        ranks = np.concatenate([source[start:] for start in starts])
-        if column:
+        if column < size - 1:
+            ranks = np.concatenate([above[column][:count] for count in counts])
             ranks += shift
-            above[column - 1] = None
+            above[column] = None
+        else:
+            ramp = np.arange(counts[-1], dtype=shift.dtype)
+            ranks = np.concatenate([ramp[:count] for count in counts])
         yield ranks
 
 
 def _drop_ranks(tables: _Tables, size: int, children: np.ndarray) -> np.ndarray:
     """The parent ranks of the children at ranks ``children`` of ``tables``' row ``size``, by column: ``size`` rows.
 
-    Up to ``_SMALL_N`` they are the columns.  Above, the rank of a k-set
-    c_0 < ... < c_(k-1) is C(n, k) - 1 less the sum of C(n - c_i, k - i),
-    activities counted from 1, and dropping c_j takes one from k - i for
-    the members before it and leaves the terms of those after it as they
-    are.
+    Up to ``_SMALL_N``, where the tables are kept, they are the columns.
+    Above, the rank of the set of bits c_0 < ... < c_(k-1) is the sum of
+    C(c_i, i + 1), and dropping c_j leaves the terms of the members before
+    it as they are and moves each member after it one place down, to
+    C(c_i, i).
     """
-    n = tables.n
-    if n <= _SMALL_N:
+    if tables.kept:
         return tables.parent_columns(size).take(children, axis=1)
     masks = tables.masks(size)[children]
-    members = np.nonzero(masks[:, None] >> np.arange(n, dtype=_MASK) & 1)[1].reshape(-1, size)  # activity - 1
-    left = n - 1 - members
+    members = np.nonzero(masks[:, None] >> np.arange(tables.n, dtype=_MASK) & 1)[1].reshape(-1, size)
     index = np.arange(size)
-    after = tables.binomials[left, size - index]  # the child's own terms
-    before = tables.binomials[left, size - 1 - index]
-    dropped = np.cumsum(before, axis=1) - before + after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)
-    return (comb(n, size - 1) - 1 - dropped).T
+    own = tables.binomials[members, index + 1]  # the child's own terms
+    moved = tables.binomials[members, index]
+    return (np.cumsum(own, axis=1) - own + moved.sum(axis=1, keepdims=True) - np.cumsum(moved, axis=1)).T
 
 
 class _Handovers:
-    """What ``chunks`` contiguous ranges of a row's parents, in rank order, hand to a merge, fed column by column.
+    """What ``chunks`` contiguous ranges of a row's parents, in lexicographic order, hand to a merge, fed by column.
 
     That is the children each range reaches, ``count`` once every column of
     parent ranks has been added.  Each parent is labelled with its range; a
     child's parents arrive in descending rank, so every change of label
-    between its consecutive parents is one more range reaching it.
+    between its consecutive parents is one more range reaching it.  The
+    columns hold colexicographic ranks, and the ranges are labelled in
+    reverse, from the last rank: the lexicographic rank of a set is C - 1
+    less the colexicographic rank of its reflection a -> n + 1 - a, which
+    maps parents and children onto parents and children, so the labels
+    count what the lexicographic ranges of the reflected row hand over,
+    which is the same in sum.
     """
 
     def __init__(self, parents: int, children: int, chunks: int) -> None:
         sizes = [stop - start for start, stop in _part_bounds(parents, chunks)]
-        self.label = np.repeat(np.arange(chunks, dtype=_LABEL), sizes)
+        self.label = np.repeat(np.arange(chunks - 1, -1, -1, dtype=_LABEL), sizes[::-1])
         self.last: np.ndarray | None = None
         self.count = children  # the range of each child's first parent
 
@@ -686,8 +697,8 @@ def _check_size(n: int, na: int, table: BinomialTable, cap: int) -> None:
 def _search_bytes(n: int, na: int) -> int:
     """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes, with its tables built afresh.
 
-    That is a solve that finds no tables kept for n or n - na, as every
-    solve above ``_SMALL_N`` does, and none of its arrays outlives it.
+    That is a solve that finds no tables kept for n, as every solve above
+    ``_SMALL_N`` does, and none of its arrays outlives it.
 
     The search holds the row masks, at most an int per subset (each row is
     built straight into its own array), and the cut table, a float per
@@ -705,15 +716,14 @@ def _search_bytes(n: int, na: int) -> int:
     the suffix search's last row and the widest column sweep
     (``_sweep_bytes``), while the other search holds the parent ranks of
     its newest row, then the prefix witness, then the suffix search again,
-    with its sweep or, up to ``_SMALL_N``, a row's gain, values and gather
-    indices.  The prefix witness holds, at worst (every set good), every
-    prefix row's good ranks, a row's gains and values and a flag per set of
-    the row below, and one block's parent ranks, gather indices, values and
-    flags, above ``_SMALL_N`` with the masks, members and binomial terms
-    that rank them.  A fixed allowance covers the report, the row
-    statistics and other small objects of a solve, and ``_PLAN_OBJECT``
-    bytes each the plan's: a few per row, and up to ``_SMALL_N`` one per
-    parent column and a few per activity.
+    over n's masks, with its sweep.  The prefix witness holds, at worst
+    (every set good), every prefix row's good ranks, a row's gains and
+    values and a flag per set of the row below, and one block's parent
+    ranks, gather indices, values and flags, above ``_SMALL_N`` with the
+    masks, members and binomial terms that rank them.  A fixed allowance
+    covers the report, the row statistics and other small objects of a
+    solve, and ``_PLAN_OBJECT`` bytes each the plan's: a few per row, and
+    up to ``_SMALL_N`` one per parent column and a few per activity.
     """
     subsets = 1 << n
     masks = subsets * _MASK.itemsize
@@ -745,32 +755,27 @@ def _search_bytes(n: int, na: int) -> int:
         counting = (3 * _LABEL.itemsize + _INTP.itemsize + _FLAG.itemsize) * widest
         passing = max(buffers, _INTP.itemsize * widest, counting, walk)
         return objects + masks + columns + cuts + outflows + rows + shared + passing
-    # the suffix search again: its rows and the inflow, and its global and row masks
-    again = (1 << m) * (2 * _VALUE.itemsize + 2 * _MASK.itemsize)
+    # the suffix search again: its rows, the inflow and the global masks it is read at, and its widest sweep
+    again = (1 << m) * (2 * _VALUE.itemsize + _MASK.itemsize) + _sweep_bytes(m, m, False)
     rank = _parent_dtype(n).itemsize
     newest = _VALUE.itemsize * comb(n, m)
     indices = _INTP.itemsize * max(comb(n, size) for size in range(1, max(na, m) + 1))
     # while one search sweeps, the other holds its newest row's parent ranks, unless that row is its last
     kept = {last: max((size * comb(n, size) for size in range(2, last)), default=0) * rank for last in (na, m)}
     sweeps = max(_sweep_bytes(n, na, True) + kept[m], _sweep_bytes(n, m, False) + kept[na])
-    if m > _SMALL_N:
-        again += _sweep_bytes(m, m, False)
-    else:  # the columns, then a row's gain and values, and its gather's indices
-        local = comb(m, m // 2)
-        again += (m << (m - 1)) * _parent_dtype(m).itemsize + (2 * _VALUE.itemsize + _INTP.itemsize) * local
     searching = _VALUE.itemsize * prefixes + newest + indices + max(sweeps, walk, again)
     return objects + masks + cuts + max(outflows + buffers, searching)
 
 
 def _sweep_bytes(n: int, last: int, forward: bool) -> int:
-    """Bytes of the widest column sweep of a search over n > ``_SMALL_N`` activities up to row ``last``.
+    """Bytes of the widest column sweep of a search over n activities up to row ``last``, its ranks grown.
 
     Per parent, its chunk label and, for suffixes, the row; the parent
     ranks of the row above and of the row swept, as many as any column
     holds at once (each column of the row above is dropped once read, and
-    a last row keeps none), with column 0's ramp and each child's block
-    shift; and per child, for suffixes, the row, and one column's values,
-    arriving and last chunk labels and flags.  A prefix row's values are
+    a last row keeps none), with the last column's ramp and each child's
+    block shift; and per child, for suffixes, the row, and one column's
+    values, arriving and last chunk labels and flags.  A prefix row's values are
     counted with the prefix rows, the gather indices with the search, and
     the gain added after a prefix sweep holds less than the sweep.
     """
@@ -780,9 +785,9 @@ def _sweep_bytes(n: int, last: int, forward: bool) -> int:
     widest = 0
     for size in range(2, last + 1):
         parents, children = comb(n, size - 1), comb(n, size)
-        # column 0 holds every column of the row above and the ramp, the last column one of
-        # them and every new column kept; each holds the block shifts and one new column
-        held = max(size * parents, parents + (size if size < last else 1) * children)
+        # column 0 holds every column of the row above, the last column the ramp and every new column
+        # kept; each holds the block shifts and one new column
+        held = max((size - 1) * parents, parents + (size if size < last else 1) * children)
         ranks = (held + 2 * children) * rank
         widest = max(widest, parents * (_LABEL.itemsize + row) + children * per_child + ranks)
     return widest
@@ -965,8 +970,7 @@ class _ArraySearch:
         Ties go to the lexicographically smallest prefix.  Up to
         ``_SMALL_N`` its suffix is walked down the kept suffix rows from the
         set of the activities it leaves; above, it comes from the suffix
-        search run again over those activities alone, which reads the tables
-        of their number.
+        search run again over those activities alone.
         """
         n = self.n
         prefixes = self.prefixes[-1]
@@ -978,9 +982,7 @@ class _ArraySearch:
         if self.suffixes is not None:
             suffix = _suffix_walk(self.suffixes, rest, self.tables, len(prefixes) - 1 - rank)
         else:
-            local = _Tables.claim(len(rest))
-            suffix = _suffix_walk(self._suffix_rows(rest, local), rest, local, 0)
-            local.release()
+            suffix = _suffix_walk(self._suffix_rows(rest), rest, self.tables, 0)
         return float(best), tuple(prefix + suffix), 0
 
     def _prefix_witness(self, ties: np.ndarray) -> tuple[list[int], int]:
@@ -1059,13 +1061,15 @@ class _ArraySearch:
             mask, total = int(masks[i]), self.prefixes[size - 1][i]
         return prefix, i
 
-    def _suffix_rows(self, activities: list[int], local: _Tables) -> list[np.ndarray]:
+    def _suffix_rows(self, activities: list[int]) -> list[np.ndarray]:
         """The suffix search's rows over ``activities`` alone, each but the last with its inflow added.
 
-        Local masks, from ``local``, the tables of ``len(activities)``, map
-        to global ones only to read the inflow into each parent set, the cut
-        of its complement among all n activities, so every value equals the
-        full search's bit for bit.
+        The sets of k of the m activities are the first C(m, k) of n's row
+        k, read as local masks: local bit i stands for the i-th of
+        ``activities``.  They map to global masks only to read the inflow
+        into each parent set, the cut of its complement among all n
+        activities, so every value equals the full search's bit for bit.
+        The parent ranks are grown, as for any row over m activities.
         """
         n = self.n
         m = len(activities)
@@ -1077,12 +1081,12 @@ class _ArraySearch:
         inflow = self.cut.take(outside, mode="wrap")
         del outside
         value = np.zeros(m, dtype=_VALUE)
-        rows, ranks, grown = [value], [np.zeros(m, dtype=_parent_dtype(m))], not local.kept
+        rows, ranks = [value], [np.zeros(m, dtype=_parent_dtype(m))]
         for size in range(2, m + 1):
-            value += inflow.take(local.masks(size - 1), mode="wrap")
+            value += inflow.take(self.tables.masks(size - 1)[: comb(m, size - 1)], mode="wrap")
             best = np.empty(comb(m, size), dtype=_VALUE)
-            columns = _grown_columns(m, size, ranks) if grown else local.parent_columns(size)
-            ranks = self._sweep(columns, value, best, np.empty(len(best), _VALUE), grown and size < m, grown=grown)
+            columns = _grown_columns(m, size, ranks)
+            ranks = self._sweep(columns, value, best, np.empty(len(best), _VALUE), size < m, grown=True)
             rows.append(best)
             value = best
         return rows
@@ -1091,9 +1095,10 @@ class _ArraySearch:
 def _suffix_walk(rows: list[np.ndarray], activities: list[int], tables: _Tables, rank: int) -> list[int]:
     """The kept suffix of all of ``activities``, ascending, the set at ``rank`` of ``tables``' row of their number.
 
-    ``rows`` are a suffix search's rows over the activities of ``tables``,
-    all n (``rank`` as it falls) or ``activities`` alone (rank 0), up to
-    at least row ``len(activities) - 1``; each of those has its inflow
+    ``rows`` are a suffix search's rows, up to at least row
+    ``len(activities) - 1``, over all n activities of ``tables`` (``rank``
+    as it falls) or over ``activities`` alone (rank 0: their sets rank as
+    the first sets of n's rows do).  Each of those rows has its inflow
     added, so a child's value is the least of its parents'.  The first
     column whose parent holds that least value is the kept suffix's first
     activity, which prepends the smaller activity on ties.

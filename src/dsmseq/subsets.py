@@ -3,10 +3,12 @@
 Partial schedules over the same activity set are interchangeable for
 pruning, so each set is mapped to its position in the lexicographic
 enumeration of same-size subsets of {1..n}.  The rank is a closed-form sum
-of binomial coefficients, doubles as a direct index into dense per-row
-stores, and the rank of a set's complement is available in closed form,
-which lets the forward and backward searches pair their results without
-any searching.  One row of addresses needs at most C(n, floor(n/2)) slots.
+of binomial coefficients, and the rank of a set's complement is available
+in closed form, so results over complementary sets pair without any
+searching.  One row of addresses needs at most C(n, floor(n/2)) slots.
+These are the addresses of the CLI's ``rank`` and ``unrank`` commands and
+of the scalar row helpers' ``RowStore``; the solver's array rows are
+ordered colexicographically instead (see ``solver``).
 """
 
 from __future__ import annotations

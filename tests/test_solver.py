@@ -7,6 +7,8 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -537,11 +539,11 @@ def test_memory_cap():
 @pytest.mark.parametrize(
     "n, na",
     # n=16 is labelled by na alone; n=17 is the last n that keeps every suffix row, n=18 the first n whose
-    # parent ranks are int32
+    # parent ranks are int32, and (19, 2) runs the widest suffix search again, over 17 activities
     [pytest.param(16, na, id=str(na)) for na in (2, 5, 14)]
     + [
         pytest.param(n, na, id=f"{n}-{na}")
-        for n, na in ((8, 3), (8, 5), (12, 5), (17, 2), (17, 5), (18, 5), (18, 9))
+        for n, na in ((8, 3), (8, 5), (12, 5), (17, 2), (17, 5), (18, 5), (18, 9), (19, 2))
     ],
 )
 def test_memory_cap_counts_bytes(n, na):
@@ -804,7 +806,7 @@ def test_tied_optima_give_one_sequence_for_every_meeting_row_and_chunk_count(n):
 @pytest.mark.parametrize("small_n", [_SMALL_N, 3])
 @pytest.mark.parametrize("n, seed", [(9, 1), (11, 2), (12, 3)])
 def test_suffix_search_over_a_subset_reproduces_the_full_rows(monkeypatch, small_n, n, seed):
-    # with _SMALL_N at 3 the search over the subset grows its parent ranks instead of reading the cached ones
+    # with _SMALL_N at 3 the full search grows its parent ranks too, as the search over the subset always does
     monkeypatch.setattr(solver, "_SMALL_N", small_n)
     dsm = _quantised(generate_instance(n, 0.6, seed), (1 / 3, 2 / 3, 1.0))
     tables = _Tables(n)
@@ -819,7 +821,7 @@ def test_suffix_search_over_a_subset_reproduces_the_full_rows(monkeypatch, small
     rng = np.random.default_rng(seed)
     for m in (3, n - 3, n - 1):
         activities = sorted(int(a) for a in rng.choice(np.arange(1, n + 1), size=m, replace=False))
-        again = search._suffix_rows(activities, _Tables(m))
+        again = search._suffix_rows(activities)
         assert len(again) == m
         for size in range(1, m + 1):
             local = _row_masks(m, size)
@@ -834,11 +836,17 @@ def test_suffix_search_over_a_subset_reproduces_the_full_rows(monkeypatch, small
 
 @pytest.mark.parametrize("kind", ["zero", "quarters", "thirds"])
 @pytest.mark.parametrize("n", [9, 13, _SMALL_N])
-def test_suffix_walked_on_kept_rows_equals_the_search_run_again(kind, n):
-    # up to _SMALL_N pairing walks the main search's suffix rows; above, it runs the search again over the rest
+def test_suffix_walked_on_kept_rows_equals_the_search_run_again(monkeypatch, kind, n):
+    # up to _SMALL_N pairing walks the main search's suffix rows; above, it runs the search again over the rest,
+    # on the first sets of n's rows, and walks that on tables that hold no parent columns, so the walk ranks
+    # each parent by _drop_ranks' closed form, as it does here with _SMALL_N patched below n
     dsm = Dsm.from_rows([[0.0] * n for _ in range(n)]) if kind == "zero" else generate_instance(n, 0.6, 60 + n)
     if kind != "zero":
         dsm = _quantised(dsm, (0.25, 0.5, 0.75, 1.0) if kind == "quarters" else (1 / 3, 2 / 3, 1.0))
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_SMALL_N", 3)
+        unkept = _Tables(n)
+    assert not unkept.kept
     for na in (2, 5, n - 2):
         m = n - na
         tables = _Tables(n)
@@ -848,9 +856,9 @@ def test_suffix_walked_on_kept_rows_equals_the_search_run_again(kind, n):
         for rank in range(0, count, max(1, count // 12)):  # sets the prefix could leave, ranks spread out
             mask = int(tables.masks(m)[rank])
             rest = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
-            local = _Tables(m)
-            again = _suffix_walk(search._suffix_rows(rest, local), rest, local, 0)
-            assert _suffix_walk(search.suffixes, rest, tables, rank) == again
+            rows = search._suffix_rows(rest)
+            again = _suffix_walk(rows, rest, unkept, 0)
+            assert _suffix_walk(search.suffixes, rest, tables, rank) == again == _suffix_walk(rows, rest, tables, 0)
             if kind == "zero":
                 assert again == rest  # every suffix ties, and the smaller activity goes first
 
@@ -917,35 +925,56 @@ def _rank_map(n: int) -> np.ndarray:
     return rank
 
 
+def _colex_rank(mask: int) -> int:
+    """The sum of C(c_i, i + 1) over the set bits c_0 < c_1 < ... of ``mask``."""
+    bits = [c for c in range(mask.bit_length()) if mask >> c & 1]
+    return sum(math.comb(c, i + 1) for i, c in enumerate(bits))
+
+
 def test_row_masks_agree_with_rank_and_complement_address():
-    # the array kernel ranks subsets by mask; the Node-tuple helpers' addresses follow these formulas
+    # the array kernel ranks subsets by mask, in colexicographic order, which does not involve n
+    widest = _Tables(17)
     for n in range(1, 13):
-        table = BinomialTable(n)
-        rank = _rank_map(n)
         full = (1 << n) - 1
         for size in range(1, n + 1):
-            capacity = table.c(n, size)
-            masks = _row_masks(n, size).tolist()
-            assert len(masks) == capacity
-            for i, mask in enumerate(masks):
-                members = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
-                assert len(members) == size
-                assert rank[mask] == i == rank_subset(members, n, table) - 1
+            capacity = math.comb(n, size)
+            masks = _row_masks(n, size)
+            assert len(masks) == capacity and (np.diff(masks) > 0).all()
+            assert masks.tolist() == widest.masks(size)[:capacity].tolist()
+            for i, mask in enumerate(masks.tolist()):
+                assert mask.bit_count() == size and _colex_rank(mask) == i
                 if size < n:
                     # pair() reads the suffix of prefix rank i at C - 1 - i
-                    assert rank[full ^ mask] == capacity - 1 - i
-                    assert complement_address(i + 1, n, size, table) == capacity - i
+                    assert _colex_rank(full ^ mask) == capacity - 1 - i
+    for n in range(13, 17):
+        for size in range(1, n + 1):
+            assert _row_masks(n, size).tolist() == widest.masks(size)[: math.comb(n, size)].tolist()
+    # the CLI's addresses stay lexicographic: 1-based positions in the enumeration, complements mirrored
+    for n in range(1, 11):
+        table = BinomialTable(n)
+        for size in range(1, n + 1):
+            capacity = table.c(n, size)
+            for i, members in enumerate(combinations(range(1, n + 1), size)):
+                assert rank_subset(members, n, table) == i + 1
+                assert unrank_subset(i + 1, n, size, table) == members
+                if size < n:
+                    rest = tuple(a for a in range(1, n + 1) if a not in members)
+                    assert complement_address(i + 1, n, size, table) == capacity - i == rank_subset(rest, n, table)
 
 
 def test_parent_ranks_grown_row_by_row_match_the_rank_map():
     # column j of a row ranks each child without its j-th lowest bit, as the row's sweep reads it
-    for n in range(4, 13):
+    widest = _Tables(17)
+    for n in range(4, 17):
         rank = _rank_map(n)
         assert _parent_columns(n, 1)[0].tolist() == [0] * n  # the empty set
         for size in range(2, n + 1):
             masks = _row_masks(n, size)
             columns = _parent_columns(n, size)
             assert len(columns) == size
+            assert columns.tolist() == widest.parent_columns(size)[:, : len(masks)].tolist()
+            if n > 12:
+                continue
             rest = masks.copy()
             for column, parents in enumerate(columns):
                 assert parents.dtype == _parent_dtype(n)
@@ -955,6 +984,10 @@ def test_parent_ranks_grown_row_by_row_match_the_rank_map():
                 if column:
                     # descending across columns, so the chunk labels count hand-overs
                     assert (parents < columns[column - 1]).all()
+            # a set's children rank in the order of the activity added, which _walk_up relies on
+            for parent in _row_masks(n, size - 1).tolist():
+                children = [rank[parent | 1 << b] for b in range(n) if not parent >> b & 1]
+                assert children == sorted(children)
 
 
 def test_parent_ranks_from_the_masks_match_the_cached_columns(monkeypatch):
@@ -995,9 +1028,22 @@ def test_grown_parent_ranks_solve_as_the_cached_ones(monkeypatch, n, na):
     _handovers.clear()
 
 
+@lru_cache(maxsize=1)
+def _lexicographic_ranks(n: int) -> np.ndarray:
+    """The 0-based lexicographic rank of every mask of n activities within its size class, by ``rank_subset``."""
+    table = BinomialTable(n)
+    rank = np.zeros(1 << n, dtype=np.int64)
+    for mask in range(1, 1 << n):
+        rank[mask] = rank_subset([a for a in range(1, n + 1) if mask >> (a - 1) & 1], n, table) - 1
+    return rank
+
+
 def _direct_handovers(n: int, size: int, chunks: int) -> int:
-    """Chunks reaching each child of row ``size``, summed: the distinct chunks among each child's parents."""
-    rank = _rank_map(n)
+    """Chunks reaching each child of row ``size``, summed: the distinct chunks among each child's parents.
+
+    The chunks are contiguous ranges of the parents in lexicographic order, whatever order the rows are in.
+    """
+    rank = _lexicographic_ranks(n)
     label = np.zeros(math.comb(n, size - 1), dtype=np.int64)
     for chunk, (start, stop) in enumerate(_part_bounds(len(label), chunks)):
         label[start:stop] = chunk
@@ -1008,7 +1054,7 @@ def _direct_handovers(n: int, size: int, chunks: int) -> int:
 
 
 def test_chunk_counts_equal_a_direct_label_count():
-    for n in range(4, 13):
+    for n in range(4, 15):
         dsm = generate_instance(n, 0.5, n)
         for dense in (False, True):
             for chunks in range(1, 9):
@@ -1145,8 +1191,7 @@ def test_solves_at_varied_meeting_rows_keep_one_plans_arrays():
 
 
 def test_large_n_keeps_no_workspace():
-    # a solve above _SMALL_N leaves no array of its n behind: all it still holds is the tables of the
-    # n - na activities its suffix search ran over again, kept as every n up to _SMALL_N is
+    # a solve above _SMALL_N leaves nothing behind, its suffix search run again over n - na = 17 activities included
     dsm = generate_instance(22, 0.5, 1)
     _kept.clear()
     tracemalloc.start()
@@ -1156,9 +1201,8 @@ def test_large_n_keeps_no_workspace():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert report.sequence is not None and list(_kept) == [17]
-    kept = sum(a.nbytes for tables in _kept.values() for a in [*tables.rows, *tables.columns, *_plan_arrays(tables)])
-    assert kept <= held <= kept + 64 * 1024, (kept, held)
+    assert report.sequence is not None and not _kept
+    assert held < 64 * 1024, held
 
 
 def test_concurrent_solves_never_share_a_workspace():

@@ -41,15 +41,15 @@ and allocates no row-sized array, and above, the plan holds no array and
 goes with its solve.
 
 ``cn`` splits each row's parents into chunks, contiguous in lexicographic
-order, whose counters report what each would hand to a merge.  Those
-counts depend only on (n, size, chunks), so each is made once per
-process, in the first sweep of its key, and ``cn`` costs no time after
-that: every parent carries the label of its chunk, and each change of
-label between a child's consecutive parents is one more chunk handing
-that child over.  A set's lexicographic rank is C - 1 less the
-colexicographic rank of its reflection a -> n + 1 - a, which maps the
-rows' parents and children onto themselves, so the labels run over the
-colexicographic ranks in reverse and count the same hand-overs.
+order, whose counters report what each would hand to a merge: the chunks
+reaching each child, summed.  Those counts depend only on (n, size,
+chunks), so each plan works them out when it is made, by arithmetic on
+the chunks' first sets (``_handovers``), and no sweep counts anything:
+every sweep is the same for any ``cn``, cold or warm.  A child's parents
+in lexicographic order meet the chunks in order, so one chunk reaches it
+at its first parent and one more at each chunk start between two
+consecutive parents, and those pairs are counted by binomials, a few per
+member of each chunk start.
 Rows run in a fixed round order on the calling thread, so the schedule,
 objective and every counter are identical for any ``cn`` and meeting row.
 
@@ -103,7 +103,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb, isfinite
 from typing import Iterable, Iterator, Sequence
 
@@ -112,7 +112,7 @@ import numpy as np
 from .errors import InputError, InternalInvariantError, ResourceLimitError
 from .model import Dsm, check_activities, total_feedback_length
 from .oracle import brute_force_optimum
-from .subsets import BinomialTable, rank_sorted
+from .subsets import BinomialTable, rank_sorted, unrank_subset
 
 __all__ = [
     "FORWARD",
@@ -380,7 +380,6 @@ class CompressedChunk:
 _MASK = np.dtype(np.int32)  # activity bitmasks and subset ranks, for n <= 30
 _VALUE = np.dtype(np.float64)
 _INTP = np.dtype(np.intp)
-_LABEL = np.dtype(np.int32)  # chunk of a parent, last chunk seen by a child
 _FLAG = np.dtype(np.bool_)
 _MAX_N = 30
 # bytes of a solve's objects beyond the arrays: its tracemalloc peak at n=8 measured 0.4-1.7 KB over the arrays alone
@@ -398,7 +397,6 @@ _HEAD_STEPS = 10  # outflow doublings the cut table builds for every member at o
 # up to this n every subset rank is an int16 (``_parent_dtype``), n's tables hold every row's parent columns,
 # 1.05 MB at n=16 and 2.2 MB at n=17, and a solve's every suffix row, and they are kept for the next solve of n
 _SMALL_N = 17
-_HANDOVERS_CACHED = 4096  # (n, size, chunks) counts ``_handovers`` holds before it starts over
 _ESTIMATES_CACHED = 1024  # (n, na) memory estimates ``_search_bytes`` holds
 _WALK_BLOCK = 1 << 14  # parent ranks the prefix witness gathers at once, at most
 
@@ -647,36 +645,55 @@ def _drop_ranks(tables: _Tables, size: int, children: np.ndarray) -> np.ndarray:
     return (np.cumsum(own, axis=1) - own + moved.sum(axis=1, keepdims=True) - np.cumsum(moved, axis=1)).T
 
 
-class _Handovers:
-    """What ``chunks`` contiguous ranges of a row's parents, in lexicographic order, hand to a merge, fed by column.
+def _handovers(n: int, size: int, chunks: int) -> int:
+    """What ``chunks`` contiguous ranges of row ``size``'s parents, in lexicographic order, hand to a merge.
 
-    That is the children each range reaches, ``count`` once every column of
-    parent ranks has been added.  Each parent is labelled with its range; a
-    child's parents arrive in descending rank, so every change of label
-    between its consecutive parents is one more range reaching it.  The
-    columns hold colexicographic ranks, and the ranges are labelled in
-    reverse, from the last rank: the lexicographic rank of a set is C - 1
-    less the colexicographic rank of its reflection a -> n + 1 - a, which
-    maps parents and children onto parents and children, so the labels
-    count what the lexicographic ranges of the reflected row hand over,
-    which is the same in sum.
+    That is the children each range reaches, summed over the ranges.  A
+    child's parents in lexicographic order drop its members from the
+    largest down, and they meet the ranges in that order, so the ranges
+    reaching a child are one more than the changes of range between its
+    consecutive parents.  The range changes between T < T' just where a
+    range starts in (T, T'].  With the starts B_1 < ... < B_(c-1), as sets
+    by ``unrank_subset``, the sum is C(n, size) plus the consecutive pairs
+    around each start, ``_spanned(B_i, B_i)``, less those around two
+    adjacent starts, ``_spanned(B_i, B_(i+1))``, which the first sum counts
+    twice (a pair around three starts, three times less twice).
     """
-
-    def __init__(self, parents: int, children: int, chunks: int) -> None:
-        sizes = [stop - start for start, stop in _part_bounds(parents, chunks)]
-        self.label = np.repeat(np.arange(chunks - 1, -1, -1, dtype=_LABEL), sizes[::-1])
-        self.last: np.ndarray | None = None
-        self.count = children  # the range of each child's first parent
-
-    def add(self, ranks: np.ndarray) -> None:
-        arriving = self.label.take(ranks)
-        if self.last is not None:
-            self.count += int(np.count_nonzero(arriving != self.last))
-        self.last = arriving
+    k, table = size - 1, BinomialTable(n)
+    starts = [unrank_subset(start + 1, n, k, table) for start, _ in _part_bounds(comb(n, k), chunks)[1:]]
+    twice = sum(_spanned(n, x, y) for x, y in zip(starts, starts[1:]))
+    return comb(n, size) + sum(_spanned(n, x, x) for x in starts) - twice
 
 
-# by (n, size, chunks): the handovers of rows split into chunks, which depend on nothing else
-_handovers: dict[tuple[int, int, int], int] = {}
+def _spanned(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """The consecutive parents T < T' of any child with T < x <= y <= T', for k-sets x <= y, ascending tuples.
+
+    T and T' differ at one position j alone, where T' holds the child's
+    next member, and every set between them shares their first j members:
+    so do x and y, and j runs up to their first difference.  At j, T holds
+    a member below x's, or x's with the rest below x's rest, and T' a
+    member past y's, or y's with the rest at least y's rest; the rest is
+    past T''s member.  Each case is a product of counts by binomials: rests
+    of k - i members past b number C(n - b, k - i), summed over b by the
+    hockey-stick identity, and those at least z's rest from i on, 1 plus
+    the sum of C(n - z_l, k - l) over l >= i.
+    """
+    k = len(x)
+    # the rests at least x's and y's from each position on
+    tx, ty = ([*accumulate((comb(n - z[i], k - i) for i in reversed(range(k))), initial=1)][::-1] for z in (x, y))
+    count = 0
+    # x's member a at j, the one before it (or 0) and the one after it (or past every activity), and y's b
+    for j, (below, a, after, b) in enumerate(zip((0, *x), x, (*x[1:], n + 1), y)):
+        past = comb(n - b, k - j)  # T' with its member past b
+        # T's member below a; T''s past b, or b with the rest at least y's
+        count += (a - below - 1) * (past + ty[j + 1])
+        if after > b + 1:  # T's member a; T''s past b and below x's next member, the rest below x's
+            count += past - comb(n - after + 1, k - j) - (after - b - 1) * tx[j + 1]
+        if a < b < after:  # T's member a and T''s b, the rest at least y's and below x's
+            count += max(0, ty[j + 1] - tx[j + 1])
+        if a != b:
+            break
+    return count
 
 
 def _check_size(n: int, na: int, table: BinomialTable, cap: int) -> None:
@@ -709,11 +726,10 @@ def _search_bytes(n: int, na: int) -> int:
     holds every row's parent columns, the outflow and head, every suffix
     row's values and parents' complements, and per child of the widest row
     the gain and one column's values; on top of that come, one at a time,
-    the table build's buffers, a sweep's gather indices or, in the first
-    sweep of a key, the chunk count's labels, gather indices and flags, or
-    the prefix witness.  Above ``_SMALL_N`` the rows come after the build,
-    with an intp gather index per child of the widest row, held to the end:
-    the suffix search's last row and the widest column sweep
+    the table build's buffers, a sweep's gather indices or the prefix
+    witness.  Above ``_SMALL_N`` the rows come after the build, with an
+    intp gather index per child of the widest row, held to the end: the
+    suffix search's last row and the widest column sweep
     (``_sweep_bytes``), while the other search holds the parent ranks of
     its newest row, then the prefix witness, then the suffix search again,
     over n's masks, with its sweep.  The prefix witness holds, at worst
@@ -752,8 +768,7 @@ def _search_bytes(n: int, na: int) -> int:
         # the gains, one column's values and each suffix row's parents' complements
         shared = 2 * _VALUE.itemsize * widest + _MASK.itemsize * sum(comb(n, size) for size in range(1, m))
         objects += _PLAN_OBJECT * (sum(range(2, na + 1)) + sum(range(2, m + 1)) + 6 * n + 10)
-        counting = (3 * _LABEL.itemsize + _INTP.itemsize + _FLAG.itemsize) * widest
-        passing = max(buffers, _INTP.itemsize * widest, counting, walk)
+        passing = max(buffers, _INTP.itemsize * widest, walk)
         return objects + masks + columns + cuts + outflows + rows + shared + passing
     # the suffix search again: its rows, the inflow and the global masks it is read at, and its widest sweep
     again = (1 << m) * (2 * _VALUE.itemsize + _MASK.itemsize) + _sweep_bytes(m, m, False)
@@ -770,18 +785,17 @@ def _search_bytes(n: int, na: int) -> int:
 def _sweep_bytes(n: int, last: int, forward: bool) -> int:
     """Bytes of the widest column sweep of a search over n activities up to row ``last``, its ranks grown.
 
-    Per parent, its chunk label and, for suffixes, the row; the parent
-    ranks of the row above and of the row swept, as many as any column
-    holds at once (each column of the row above is dropped once read, and
-    a last row keeps none), with the last column's ramp and each child's
-    block shift; and per child, for suffixes, the row, and one column's
-    values, arriving and last chunk labels and flags.  A prefix row's values are
+    For suffixes, the row of parents and the row swept; the parent ranks
+    of the row above and of the row swept, as many as any column holds at
+    once (each column of the row above is dropped once read, and a last
+    row keeps none), with the last column's ramp and each child's block
+    shift; and per child one column's values.  A prefix row's values are
     counted with the prefix rows, the gather indices with the search, and
     the gain added after a prefix sweep holds less than the sweep.
     """
     rank = _parent_dtype(n).itemsize
     row = 0 if forward else _VALUE.itemsize
-    per_child = _VALUE.itemsize + 2 * _LABEL.itemsize + _FLAG.itemsize + row
+    per_child = _VALUE.itemsize + row
     widest = 0
     for size in range(2, last + 1):
         parents, children = comb(n, size - 1), comb(n, size)
@@ -789,7 +803,7 @@ def _sweep_bytes(n: int, last: int, forward: bool) -> int:
         # kept; each holds the block shifts and one new column
         held = max((size - 1) * parents, parents + (size if size < last else 1) * children)
         ranks = (held + 2 * children) * rank
-        widest = max(widest, parents * (_LABEL.itemsize + row) + children * per_child + ranks)
+        widest = max(widest, parents * row + children * per_child + ranks)
     return widest
 
 
@@ -841,19 +855,19 @@ class _Step:
     ``gain`` and ``values`` slices of the plan's buffers; above ``_SMALL_N``
     those and a suffix row's ``index`` are None, made in each sweep, and
     ``keep`` says whether the row keeps its grown columns for the next.
-    ``transferred`` is None until the first sweep of ``key`` counts it.
+    ``transferred`` is what its chunks hand to a merge (``_handovers``).
     """
 
-    __slots__ = ("direction", "forward", "workers", "size", "chunks", "capacity", "expanded", "key", "transferred",
-                 "keep", "columns", "index", "best", "gain", "values")
+    __slots__ = ("direction", "forward", "workers", "size", "chunks", "capacity", "expanded", "transferred", "keep",
+                 "columns", "index", "best", "gain", "values")
 
     def __init__(self, plan: _Plan, tables: _Tables, direction: str, workers: int, size: int, last, dense) -> None:
         n, kept = tables.n, plan.kept
         parents, capacity = comb(n, size - 1), comb(n, size)
         self.direction, self.forward, self.workers, self.size = direction, direction == FORWARD, workers, size
         self.chunks = chunks = min(workers, parents)
-        self.capacity, self.expanded, self.key = capacity, capacity * size, (n, size, chunks)
-        self.transferred = chunks * capacity if chunks == 1 or dense else _handovers.get(self.key)
+        self.capacity, self.expanded = capacity, capacity * size
+        self.transferred = chunks * capacity if dense else _handovers(n, size, chunks)
         self.keep = not kept and size < last[direction]
         self.columns = list(tables.parent_columns(size)) if kept else None
         self.index = tables.masks(size) if self.forward else None
@@ -892,17 +906,15 @@ class _ArraySearch:
     def grow(self, step: _Step) -> RowStats:
         """Grow the newest row of ``step``'s search into the next, keeping the best value per subset.
 
-        What ``step.chunks`` chunks would hand over is counted once per
-        process and key (``_handovers``), by the key's first sweep, over the
-        columns it reads anyway.  A prefix gains cut(child) and a suffix the
-        inflow into its parent's set: the prefix sweep adds it once to each
-        child's least parent value, which rounds as adding it to every
-        parent's and taking the least would, and the suffix sweep adds it to
-        each parent's value first.
+        A prefix gains cut(child) and a suffix the inflow into its parent's
+        set: the prefix sweep adds it once to each child's least parent
+        value, which rounds as adding it to every parent's and taking the
+        least would, and the suffix sweep adds it to each parent's value
+        first.  Every sweep is the same for any ``step.chunks``: what the
+        chunks hand over was counted when the plan was made.
         """
         direction, size, capacity = step.direction, step.size, step.capacity
         value = self.values[direction]
-        counter = None if step.transferred is not None else _Handovers(len(value), capacity, step.chunks)
         best = _or_new(step.best, capacity)
         if not step.forward:
             complements = step.index if step.index is not None else self.tables.masks(size - 1) ^ ((1 << self.n) - 1)
@@ -910,11 +922,7 @@ class _ArraySearch:
             del complements  # so that above _SMALL_N the sweep does not hold it
         grown = step.columns is None
         columns = _grown_columns(self.n, size, self.ranks[direction]) if grown else step.columns
-        ranks = self._sweep(columns, value, best, _or_new(step.values, capacity), step.keep, counter, grown)
-        if counter is not None:
-            if len(_handovers) >= _HANDOVERS_CACHED:
-                _handovers.clear()
-            step.transferred = _handovers[step.key] = counter.count
+        ranks = self._sweep(columns, value, best, _or_new(step.values, capacity), step.keep, grown)
         if step.forward:
             best += self.cut.take(step.index, out=step.gain, mode="wrap")
             self.prefixes.append(best)
@@ -928,7 +936,7 @@ class _ArraySearch:
             comparisons=0, seconds=0.0,
         )
 
-    def _sweep(self, columns: Iterable[np.ndarray], value, best, v, keep, counter=None, grown=False) -> list:
+    def _sweep(self, columns: Iterable[np.ndarray], value, best, v, keep, grown=False) -> list:
         """Pull every child of the row after ``value``'s from its parents there, one column at a time, into ``best``.
 
         Each child's value is the least of its parents' in ``value``;
@@ -937,7 +945,8 @@ class _ArraySearch:
         one column's values.  Grown columns (``_grown_columns``) are each
         copied into one intp buffer, the gather's own index type, made once
         per search as long as its widest row, and kept for the next row when
-        ``keep`` holds.  Every column is added to ``counter``, if given.
+        ``keep`` holds.  It counts nothing, so it is the same for any chunk
+        count: the plan's steps carry the hand-overs (``_handovers``).
         Returns the kept columns.
         """
         indices = None
@@ -953,8 +962,6 @@ class _ArraySearch:
             if indices is not None:
                 np.copyto(indices, p)
                 p = indices
-            if counter is not None:
-                counter.add(p)
             # indices are ranks, always in range, and "wrap" writes straight into ``out`` where "raise" buffers
             if column == 0:
                 value.take(p, out=best, mode="wrap")

@@ -53,7 +53,6 @@ from dsmseq.solver import (
     _ArraySearch,
     _cut_table,
     _drop_ranks,
-    _handovers,
     _kept,
     _parent_dtype,
     _part_bounds,
@@ -418,9 +417,8 @@ def test_timeout_at_start():
 
 def test_timeout_mid_search_keeps_counters():
     # the limit lies midway between the end of an untimed solve's first row and its end, so the deadline
-    # passes mid-search on a machine of any speed; the chunk counts are made beforehand
+    # passes mid-search on a machine of any speed
     dsm = generate_instance(21, 0.5, 4)
-    solve(dsm, SolverConfig(cn=2))  # counts the chunks, which later solves read
     untimed = solve(dsm, SolverConfig(cn=2))
     first_row_ends = untimed.setup_seconds + untimed.rows[0].seconds
     limit = (first_row_ends + untimed.total_seconds) / 2
@@ -550,8 +548,8 @@ def test_memory_cap_counts_bytes(n, na):
     table = BinomialTable(n)
     estimate = _search_bytes(n, na)
     dsm = generate_instance(n, 0.5, 4)
-    for cn in (1, 3):  # cn=3 splits rows, so the chunk labels are held too
-        _clear_caches()  # so the solve pays for its tables and chunk counts too
+    for cn in (1, 3):
+        _clear_caches()  # so the solve pays for its tables too
         tracemalloc.start()
         try:
             solve(dsm, SolverConfig(cn=cn, na=na), table=table)
@@ -570,9 +568,8 @@ def test_memory_cap_counts_bytes(n, na):
 
 
 def _clear_caches() -> None:
-    """Empty what solves keep: every kept n's tables and the chunk counts."""
+    """Empty what solves keep: every kept n's tables."""
     _kept.clear()
-    _handovers.clear()
 
 
 def _fresh_interpreter(code: str) -> None:
@@ -596,6 +593,23 @@ def test_first_solve_of_a_process_stays_within_the_estimate():
     )
 
 
+def test_a_first_solve_of_many_chunks_peaks_as_the_next():
+    # chunk counts are worked out when a plan is made and hold no array, so the first solve of a process at
+    # cn=3, above _SMALL_N where every solve makes its plan, peaks within 64 KB of the second one
+    _fresh_interpreter(
+        "import tracemalloc\n"
+        "from dsmseq import SolverConfig, generate_instance, solve\n"
+        "dsm = generate_instance(19, 0.5, 4)\n"
+        "peaks = []\n"
+        "for _ in range(2):\n"
+        "    tracemalloc.start()\n"
+        "    solve(dsm, SolverConfig(cn=3))\n"
+        "    peaks.append(tracemalloc.get_traced_memory()[1])\n"
+        "    tracemalloc.stop()\n"
+        "assert abs(peaks[0] - peaks[1]) <= 64 * 1024, peaks\n"
+    )
+
+
 def test_importing_the_package_leaves_logging_unloaded():
     # a solve's set-up time includes the package import, and logging would add milliseconds to it
     _fresh_interpreter("import sys, dsmseq\nassert 'logging' not in sys.modules, 'dsmseq imports logging'\n")
@@ -604,7 +618,7 @@ def test_importing_the_package_leaves_logging_unloaded():
 def test_default_memory_cap_admits_n_22():
     cap = SolverConfig().memory_cap
     assert all(_search_bytes(22, na) <= cap for na in range(2, 21))
-    assert _search_bytes(26, 5) <= cap
+    assert [na for na in range(2, 25) if _search_bytes(26, na) <= cap] == list(range(2, 11))
     assert all(_search_bytes(27, na) > cap for na in range(2, 26))
 
 
@@ -1009,7 +1023,7 @@ def test_every_rank_of_a_small_n_fits_the_cached_columns():
 
 @pytest.mark.parametrize("n, na", [(10, 4), (12, 5), (13, 9)])
 def test_grown_parent_ranks_solve_as_the_cached_ones(monkeypatch, n, na):
-    # above _SMALL_N each sweep grows its rows' parent ranks and counts the chunks itself
+    # above _SMALL_N each sweep grows its rows' parent ranks
     dsm = _quantised(generate_instance(n, 0.6, 70 + n), (0.25, 0.5, 0.75))
     table = BinomialTable(n)
 
@@ -1021,11 +1035,8 @@ def test_grown_parent_ranks_solve_as_the_cached_ones(monkeypatch, n, na):
     cached = {cn: run(cn) for cn in (1, 2, 3, 8)}
     monkeypatch.setattr(solver, "_SMALL_N", 3)
     _kept.clear()  # so that n's tables, and their plans, are laid out afresh above the patched bound
-    for _ in range(2):  # the first solve counts the chunks in its sweeps, the second reads the counts
-        _handovers.clear()
-        for cn, expected in cached.items():
-            assert run(cn) == expected
-    _handovers.clear()
+    for cn, expected in cached.items():
+        assert run(cn) == expected
 
 
 @lru_cache(maxsize=1)
@@ -1055,23 +1066,17 @@ def _direct_handovers(n: int, size: int, chunks: int) -> int:
 
 def test_chunk_counts_equal_a_direct_label_count():
     for n in range(4, 15):
-        dsm = generate_instance(n, 0.5, n)
+        tables = _Tables(n)
         for dense in (False, True):
             for chunks in range(1, 9):
-                for attempt in range(2):  # counted, then read from the cache
-                    if attempt == 0:
-                        _handovers.clear()
-                    # the suffix search runs to row n
-                    tables = _Tables(n)
-                    plan = _Plan(tables, 0, [(BACKWARD, chunks)] * (n - 1), dense)
-                    search = _ArraySearch(dsm, tables, plan, None)
-                    for size, step in enumerate(plan.steps, start=2):
-                        stats = search.grow(step)
-                        assert stats.chunks == min(chunks, math.comb(n, size - 1))
-                        if dense:
-                            assert stats.transferred_records == stats.chunks * math.comb(n, size)
-                        else:
-                            assert stats.transferred_records == _direct_handovers(n, size, stats.chunks)
+                # the suffix search's steps run to row n
+                plan = _Plan(tables, 0, [(BACKWARD, chunks)] * (n - 1), dense)
+                for size, step in enumerate(plan.steps, start=2):
+                    assert step.chunks == min(chunks, math.comb(n, size - 1))
+                    if dense:
+                        assert step.transferred == step.chunks * math.comb(n, size)
+                    else:
+                        assert step.transferred == _direct_handovers(n, size, step.chunks)
 
 
 def test_cached_rows_are_read_only_and_unchanged_by_a_solve():

@@ -86,15 +86,17 @@ suffix search runs again over the m = n - na activities the prefix leaves,
 2**m sets, under 1% of a cold solve, on the first C(m, k) masks of n's
 row k with its ranks grown, and the walk reads its rows.
 
-Three ablation switches degrade single strategies while preserving results:
-``no-second-decomposition`` keeps one chunk per search, ``no-compression``
-counts every chunk as handing over the whole dense row instead of its
-occupied entries, and ``no-hash`` runs the scalar reference kernel, which
-finds similar nodes by linear scans that compare activity masks directly
-and sums each cut with ``_scalar_cut``, in the cut table's order.  The
-public row helpers (``seed_rows``, ``expand_and_prune_chunk``) run that
-scalar kernel too, on Node tuples, so ``solve`` is the array kernel's one
-caller.
+Three ablation switches degrade single strategies in the counters alone,
+and every variant returns the full solver's schedule and objective and
+runs the same sweeps: ``no-second-decomposition`` keeps one chunk per
+search, ``no-compression`` counts every chunk as handing over the whole
+dense row instead of its occupied entries, and ``no-hash`` reports the
+comparisons of scan stores, which find similar nodes by comparing activity
+masks one by one instead of addressing them by rank.  Those counts depend
+on (n, size, chunks) alone, so each plan works them out when it is made
+(``_scans``).  The public row helpers (``seed_rows``,
+``expand_and_prune_chunk``) run a scalar kernel on Node tuples, whose cuts
+``_scalar_cut`` sums in the cut table's order.
 """
 
 from __future__ import annotations
@@ -234,8 +236,8 @@ class SolveReport:
 
     ``na`` of 0 marks n < 4, where the double split is undefined and the
     brute-force oracle enumerates every schedule.  ``setup_seconds`` covers
-    building the search (the row masks and the cut table, or the scalar
-    kernel's seed rows); the forward and backward seconds sum the rows'.
+    building the search (the row masks, the plan and the cut table); the
+    forward and backward seconds sum the rows'.
     The phases run one at a time, so the setup, forward, backward and
     combination seconds add up to at most ``total_seconds``.
     """
@@ -325,38 +327,6 @@ class RowStore:
         return [node for node in self.slots if node is not None]
 
 
-class _ScanStore:
-    """Row store for the no-hash variant: similar nodes found by scanning.
-
-    Items are (activity bitmask, node) pairs; every lookup walks the list
-    comparing set masks and tallies the comparisons it performs.
-    """
-
-    __slots__ = ("size", "items", "comparisons")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.items: list[tuple[int, Node]] = []
-        self.comparisons = 0
-
-    @property
-    def occupied(self) -> int:
-        return len(self.items)
-
-    def install(self, mask: int, node: Node) -> None:
-        items = self.items
-        for index, (existing_mask, existing) in enumerate(items):
-            self.comparisons += 1
-            if existing_mask == mask:
-                if node < existing:
-                    items[index] = (mask, node)
-                return
-        items.append((mask, node))
-
-    def entries(self) -> list[tuple[int, Node]]:
-        return list(self.items)
-
-
 @dataclass
 class CompressedChunk:
     """Sparse chunk result: the surviving (rank address, node) pairs plus counters.
@@ -435,7 +405,7 @@ class _Tables:
         if self.plan is None or self.plan.key != key:
             self.plan = None  # so that its arrays are freed before the new plan's are made
             rounds = _round_order(variant, cn, na, self.n - na)
-            self.plan = _Plan(self, na, rounds, variant == VARIANT_NO_COMPRESSION, deadline, key)
+            self.plan = _Plan(self, na, rounds, variant, deadline, key)
         return self.plan
 
     def masks(self, size: int) -> np.ndarray:
@@ -696,6 +666,78 @@ def _spanned(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> int:
     return count
 
 
+def _scans(n: int, columns: Sequence[np.ndarray], masks: np.ndarray, chunks: int, deadline: float | None) -> int:
+    """The masks scan stores compare to grow a row of n activities from ``chunks`` ranges of its parents.
+
+    ``columns`` are the row's parent columns and ``masks`` its masks.  A
+    scan store lists sets in the order they come and finds one by comparing
+    masks from the front.  Each contiguous range of the parents, in
+    lexicographic order, fills a store parent by parent, each parent's
+    children by the activity v added, ascending, and the ranges' stores
+    then merge into one, in order.  A child's lexicographically smallest
+    parent drops its largest member, so children order as those parents
+    do, the first c ranges reach the row's first sets, and the merged store
+    stays in lexicographic order: merging S scans to its lexicographic rank
+    L(S), and one more if an earlier range reached it.  In a range's store,
+    S, reached from m of the range's parents, scans the q sets before it
+    when it comes first and q + 1 each later time.  Over a row of C sets of
+    k activities the ones and the m - 1 sum to (k - 1) C, so the count is
+    that plus, for each range, m q + L(S) summed over the children it
+    reaches.
+    A range's store orders its sets by their first parent P in the range,
+    then by v.  S's parents before P drop its members past v, and the
+    largest of them, S without the member after v, grows with v; so P
+    comes first to its children for every v past its largest member and
+    for each v up to a threshold below it.  Then q is the children that
+    the range's parents before P come first to, plus P's non-members below
+    v, less, if v is past P's largest member, those that P does not come
+    first to.  The row is walked in the colexicographic order of the sets
+    reflected by a -> n + 1 - a, whose column j drops the j-th largest
+    member and whose lexicographic rank is C - 1 less the colexicographic
+    rank of the reflection.
+    """
+    k, count = len(columns), len(masks)
+    parents = comb(n, k - 1)
+    bounds = _part_bounds(parents, chunks)
+    starts = np.array([start for start, _ in bounds])
+    block = max(1, _WALK_BLOCK // k)
+
+    def walk() -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
+        """Per block of children, column by column: their ranks, j, the parents' lexicographic ranks, and new ranges.
+
+        The flags mark the children whose parent in column j is their
+        first in its range.
+        """
+        for first in range(0, count, block):
+            _check(deadline)
+            children = np.arange(first, min(first + block, count))
+            above = 0  # range indices start at 1, so each child's first parent starts one
+            for j, ranks in enumerate(columns):
+                lex = (parents - 1) - ranks[first : first + block].astype(np.int64)
+                ranges = np.searchsorted(starts, lex, side="right")
+                yield children, j, lex, ranges != above
+                above = ranges
+
+    firsts = np.zeros(parents, dtype=np.int64)  # per parent, the children it comes first to in its range
+    for _, _, lex, new in walk():
+        np.add.at(firsts, lex[new], 1)
+    before = np.cumsum(firsts) - firsts
+    before -= np.repeat(before[starts], [stop - start for start, stop in bounds])  # counted from its range's start
+    total = (k - 1) * count
+    for children, j, lex, new in walk():
+        if j == 0:
+            rest = masks[children]  # the reflections' members, dropped smallest first
+        low = rest & -rest
+        rest ^= low
+        # the children the range's parents before P come first to, and P's non-members below v
+        own = before[lex] + (n - k + j) - np.log2(low).astype(np.int64)
+        if j == 0:  # v is past P's largest member: less the n - k + 1 non-members, plus those P comes first to
+            own += firsts[lex] - (n - k + 1)
+        q = own if j == 0 else np.where(new, own, q)
+        total += int(q.sum()) + int((count - 1 - children)[new].sum())
+    return total
+
+
 def _check_size(n: int, na: int, table: BinomialTable, cap: int) -> None:
     """Refuse a search of n activities meeting at row ``na`` that int32 masks or ``cap`` bytes cannot hold.
 
@@ -823,11 +865,15 @@ class _Plan:
     and the gains and one column's values, which the rows share, the latter
     with the pairing's sums.  Above, it holds no array: each is made where
     it is used and dropped once read, as ``_search_bytes`` counts them.
+    ``combination_comparisons`` is what pairing would compare for
+    ``no-hash``, with scan stores.
     """
 
-    def __init__(self, tables: _Tables, na: int, rounds: list, dense: bool, deadline=None, key=None) -> None:
-        n, kept = tables.n, tables.kept
+    def __init__(self, tables: _Tables, na: int, rounds: list, variant: str, deadline=None, key=None) -> None:
+        n, kept, dense = tables.n, tables.kept, variant == VARIANT_NO_COMPRESSION
         self.key, self.kept = key, kept
+        pairs = comb(n, na)  # each prefix's scan of the suffix store stops at its complement, at a position of its own
+        self.combination_comparisons = pairs * (pairs + 1) // 2 if variant == VARIANT_NO_HASH else 0
         last = {FORWARD: na, BACKWARD: n - na}
         for size in range(1, max(last.values()) + 1):
             _check(deadline)
@@ -835,7 +881,6 @@ class _Plan:
             if kept:
                 tables.parent_columns(size)
         self.widest = max(comb(n, size) for size in range(1, max(last.values()) + 1))
-        self.cut = _CutViews(n) if kept else None
         self.gain = np.empty(self.widest, dtype=_VALUE) if kept else None
         self.values = np.empty(self.widest, dtype=_VALUE) if kept else None
         self.pairing = self.values[: comb(n, na)] if kept else None
@@ -844,6 +889,22 @@ class _Plan:
         for direction, workers in rounds:
             sizes[direction] += 1
             self.steps.append(_Step(self, tables, direction, workers, sizes[direction], last, dense))
+        if variant == VARIANT_NO_HASH:
+            self._count_scans(tables, deadline)
+        self.cut = _CutViews(n) if kept else None  # made after the scan counts, so that they do not add to it
+
+    def _count_scans(self, tables: _Tables, deadline: float | None) -> None:
+        """Set each step's ``comparisons`` (``_scans``), a row at a time, above ``_SMALL_N`` with its columns grown."""
+        n = tables.n
+        columns: Sequence[np.ndarray] = [np.zeros(n, dtype=_parent_dtype(n))]
+        for size in range(2, max(step.size for step in self.steps) + 1):
+            columns = tables.parent_columns(size) if tables.kept else list(_grown_columns(n, size, columns))
+            counts: dict[int, int] = {}  # by chunk count, which both searches' rows of a size often share
+            for step in self.steps:
+                if step.size == size:
+                    if step.chunks not in counts:
+                        counts[step.chunks] = _scans(n, columns, tables.masks(size), step.chunks, deadline)
+                    step.comparisons = counts[step.chunks]
 
 
 class _Step:
@@ -855,11 +916,13 @@ class _Step:
     ``gain`` and ``values`` slices of the plan's buffers; above ``_SMALL_N``
     those and a suffix row's ``index`` are None, made in each sweep, and
     ``keep`` says whether the row keeps its grown columns for the next.
-    ``transferred`` is what its chunks hand to a merge (``_handovers``).
+    ``transferred`` is what its chunks hand to a merge (``_handovers``),
+    and ``comparisons``, for ``no-hash``, what scan stores would compare
+    (``_scans``).
     """
 
-    __slots__ = ("direction", "forward", "workers", "size", "chunks", "capacity", "expanded", "transferred", "keep",
-                 "columns", "index", "best", "gain", "values")
+    __slots__ = ("direction", "forward", "workers", "size", "chunks", "capacity", "expanded", "transferred",
+                 "comparisons", "keep", "columns", "index", "best", "gain", "values")
 
     def __init__(self, plan: _Plan, tables: _Tables, direction: str, workers: int, size: int, last, dense) -> None:
         n, kept = tables.n, plan.kept
@@ -868,6 +931,7 @@ class _Step:
         self.chunks = chunks = min(workers, parents)
         self.capacity, self.expanded = capacity, capacity * size
         self.transferred = chunks * capacity if dense else _handovers(n, size, chunks)
+        self.comparisons = 0  # for no-hash, set by the plan
         self.keep = not kept and size < last[direction]
         self.columns = list(tables.parent_columns(size)) if kept else None
         self.index = tables.masks(size) if self.forward else None
@@ -933,7 +997,7 @@ class _ArraySearch:
         return RowStats(
             direction=direction, size=size, workers=step.workers, chunks=step.chunks, expanded=step.expanded,
             pruned=step.expanded - survivors, survivors=survivors, transferred_records=step.transferred,
-            comparisons=0, seconds=0.0,
+            comparisons=step.comparisons, seconds=0.0,
         )
 
     def _sweep(self, columns: Iterable[np.ndarray], value, best, v, keep, grown=False) -> list:
@@ -970,7 +1034,7 @@ class _ArraySearch:
                 np.minimum(best, v, out=best)
         return ranks
 
-    def pair(self) -> tuple[float, tuple[int, ...], int]:
+    def pair(self) -> tuple[float, tuple[int, ...]]:
         """Pair every prefix with the suffix over its complement and rebuild the winning schedule.
 
         The complement of the prefix set at rank i has rank C - 1 - i.
@@ -990,7 +1054,7 @@ class _ArraySearch:
             suffix = _suffix_walk(self.suffixes, rest, self.tables, len(prefixes) - 1 - rank)
         else:
             suffix = _suffix_walk(self._suffix_rows(rest), rest, self.tables, 0)
-        return float(best), tuple(prefix + suffix), 0
+        return float(best), tuple(prefix + suffix)
 
     def _prefix_witness(self, ties: np.ndarray) -> tuple[list[int], int]:
         """The lexicographically smallest kept prefix among the sets at ranks ``ties`` of row na, and its rank.
@@ -1124,7 +1188,7 @@ def _suffix_walk(rows: list[np.ndarray], activities: list[int], tables: _Tables,
     return suffix + activities
 
 
-# ---------------------------------------------------------------- scalar reference kernel
+# ---------------------------------------------------------------- scalar kernel of the row helpers
 
 
 def _scalar_cut(d: Sequence[Sequence[float]], members: Sequence[int], others: Sequence[int]) -> float:
@@ -1147,7 +1211,7 @@ def _scalar_cut(d: Sequence[Sequence[float]], members: Sequence[int], others: Se
 def _children(
     d: Sequence[Sequence[float]], parents: Iterable[tuple[int, Node]], direction: str, deadline: float | None
 ) -> Iterator[tuple[int, Node]]:
-    """The scalar reference kernel: every child of the (mask, node) parents, as (mask, node), parent by parent.
+    """The scalar kernel: every child of the (mask, node) parents, as (mask, node), parent by parent.
 
     Each parent grows by every activity it lacks, in ascending order.  Child
     prefix values add ``_scalar_cut`` of the child's set into the unused
@@ -1174,68 +1238,6 @@ def _children(
 
 # the empty schedule, whose children are the lone activities
 _ROOT: tuple[int, Node] = (0, (0.0, ()))
-
-
-class _ScanSearch:
-    """The no-hash variant: both searches' newest rows as scan stores, keyed by activity mask."""
-
-    def __init__(self, dsm: Dsm, deadline: float | None) -> None:
-        self.d = dsm.d
-        self.deadline = deadline
-        self.stores = {direction: self.expand(direction, 1, [_ROOT])[0] for direction in (FORWARD, BACKWARD)}
-
-    def expand(self, direction: str, size: int, parents: Sequence[tuple[int, Node]]) -> tuple[_ScanStore, int]:
-        """Grow (mask, node) parents into a scan store of row ``size``; return it and the children made.
-
-        The store finds similar nodes by comparing activity masks one by one.
-        """
-        store = _ScanStore(size)
-        expanded = 0
-        for mask, node in _children(self.d, parents, direction, self.deadline):
-            store.install(mask, node)
-            expanded += 1
-        return store, expanded
-
-    def grow(self, step: tuple[str, int]) -> RowStats:
-        """Grow the newest row of the search in direction ``step[0]`` in ``step[1]`` parts."""
-        direction, workers = step
-        size = self.stores[direction].size + 1
-        # a row of k entries fills at most k parts, and every part asked for costs a loop
-        parts = partition_row(self.stores[direction], min(workers, self.stores[direction].occupied))
-        merged = _ScanStore(size)
-        expanded = transferred = comparisons = 0
-        for part in parts:
-            store, count = self.expand(direction, size, part)
-            for mask, node in store.items:
-                merged.install(mask, node)
-            expanded += count
-            transferred += store.occupied
-            comparisons += store.comparisons
-        self.stores[direction] = merged
-        return RowStats(  # merge scans count too
-            direction=direction, size=size, workers=workers, chunks=len(parts), expanded=expanded,
-            pruned=expanded - merged.occupied, survivors=merged.occupied, transferred_records=transferred,
-            comparisons=comparisons + merged.comparisons, seconds=0.0,
-        )
-
-    def pair(self) -> tuple[float, tuple[int, ...], int]:
-        comparisons = 0
-        best: Node | None = None
-        full_mask = (1 << len(self.d)) - 1
-        suffix_items = self.stores[BACKWARD].items
-        for prefix_mask, (fv_a, acts_a) in self.stores[FORWARD].items:
-            wanted = full_mask ^ prefix_mask
-            for suffix_mask, (fv_b, acts_b) in suffix_items:
-                comparisons += 1
-                if suffix_mask == wanted:
-                    candidate = (fv_a + fv_b, acts_a + acts_b)  # nodes order by value, then schedule
-                    if best is None or candidate < best:
-                        best = candidate
-                    break
-            else:
-                raise InternalInvariantError(f"no suffix found for prefix set mask {prefix_mask:#x}")
-        assert best is not None
-        return best[0], best[1], comparisons
 
 
 # ---------------------------------------------------------------- public row helpers
@@ -1269,7 +1271,7 @@ def _part_bounds(count: int, workers: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def partition_row(row: RowStore | _ScanStore, workers: int) -> list[list]:
+def partition_row(row: RowStore, workers: int) -> list[list]:
     """Split the row's entries into ``workers`` contiguous, near-equal parts.
 
     Part sizes differ by at most one; when there are fewer entries than
@@ -1289,9 +1291,9 @@ def expand_and_prune_chunk(
 ) -> CompressedChunk:
     """Expand one chunk of same-length parents and prune it to one node per subset.
 
-    Runs the scalar reference kernel of the no-hash variant: every parent
-    grows by every activity it lacks, and each child subset keeps its lowest
-    (value, schedule) node, whichever parents share a subset.  The children
+    Runs the scalar kernel (``_children``): every parent grows by every
+    activity it lacks, and each child subset keeps its lowest (value,
+    schedule) node, whichever parents share a subset.  The children
     come back in address order.  A parent with the empty schedule grows
     into the row ``seed_rows`` builds.  Parents of different lengths,
     holding all n activities, of a value that is not finite, or with
@@ -1407,9 +1409,7 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     setup_started = time.perf_counter()
     setup_seconds: float | None = None  # set once the search is built
     timed_out: SolveReport | None = None
-    tables = plan = None
-    if n >= 4 and variant != VARIANT_NO_HASH:
-        tables = _Tables.claim(n)
+    tables = _Tables.claim(n) if n >= 4 else None
     try:
         if n < 4:
             setup_seconds = 0.0
@@ -1419,14 +1419,10 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
                 n=n, cn=config.cn, na=0, variant=variant, sequence=sequence, objective=objective,
                 total_seconds=time.perf_counter() - started,
             )
-        if variant == VARIANT_NO_HASH:
-            search: _ScanSearch | _ArraySearch = _ScanSearch(dsm, deadline)
-            steps: list = _round_order(variant, config.cn, na, n - na)
-        else:
-            plan = tables.plan_for(na, config.cn, variant, deadline)
-            search, steps = _ArraySearch(dsm, tables, plan, deadline), plan.steps
+        plan = tables.plan_for(na, config.cn, variant, deadline)
+        search = _ArraySearch(dsm, tables, plan, deadline)
         setup_seconds = time.perf_counter() - setup_started
-        for step in steps:
+        for step in plan.steps:
             row_started = time.perf_counter()
             stats = search.grow(step)
             stats.seconds = time.perf_counter() - row_started
@@ -1444,7 +1440,7 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
                 )
         _check(deadline)
         combination_started = time.perf_counter()
-        best_fl, best_seq, combination_comparisons = search.pair()
+        best_fl, best_seq = search.pair()
     except _Expired:
         if setup_seconds is None:
             setup_seconds = time.perf_counter() - setup_started
@@ -1457,8 +1453,9 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
             tables.release()
     if timed_out is not None:
         # raised out here, with the search dropped, so that neither its context (the _Expired, whose traceback
-        # holds the search's frames) nor this frame, which the traceback holds, keeps the search alive
-        search = tables = plan = steps = None
+        # holds the search's frames) nor this frame, which the traceback holds, keeps the search alive: a
+        # prefix step's index is its row's masks
+        search = tables = plan = step = None
         raise SolveTimeout(timed_out)
 
     objective = total_feedback_length(dsm, best_seq)
@@ -1469,5 +1466,5 @@ def solve(dsm: Dsm, config: SolverConfig | None = None, *, table: BinomialTable 
     return SolveReport(
         n=n, cn=config.cn, na=na, variant=variant, sequence=best_seq, objective=objective, rows=rows,
         setup_seconds=setup_seconds, combination_seconds=finished - combination_started,
-        total_seconds=finished - started, combination_comparisons=combination_comparisons,
+        total_seconds=finished - started, combination_comparisons=plan.combination_comparisons,
     )

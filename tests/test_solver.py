@@ -57,12 +57,14 @@ from dsmseq.solver import (
     _parent_dtype,
     _part_bounds,
     _Plan,
+    _round_order,
     _scalar_cut,
     _search_bytes,
     _SMALL_N,
     _suffix_walk,
     _Tables,
 )
+from scan_reference import scan_solve
 
 REL = 1e-9
 
@@ -79,7 +81,7 @@ def _parent_columns(n: int, size: int) -> np.ndarray:
 
 def _suffix_search(dsm: Dsm, na: int, tables: _Tables) -> _ArraySearch:
     """A search over ``tables`` whose suffix rows are grown to row n - na, and no prefix row."""
-    plan = _Plan(tables, na, [(BACKWARD, 1)] * (dsm.n - na - 1), False)
+    plan = _Plan(tables, na, [(BACKWARD, 1)] * (dsm.n - na - 1), VARIANT_FULL)
     search = _ArraySearch(dsm, tables, plan, None)
     for step in plan.steps:
         search.grow(step)
@@ -482,19 +484,32 @@ def test_timeout_while_building_the_parent_columns(monkeypatch):
     _clear_caches()
 
 
-def test_a_kept_timeout_does_not_keep_the_search():
+def test_a_kept_timeout_does_not_keep_the_search(monkeypatch):
     # n=22's cut table and rows take several times the limit; a caller holding the exception holds its traceback
     dsm = generate_instance(22, 0.5, 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SolveTimeout) as err:
-            solve(dsm, SolverConfig(cn=2, na=5, time_limit=0.2))
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert err.value.report.timed_out and err.value.__context__ is None
-    assert held < 1 << 20, held
+
+    def held_after_timeout(config):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SolveTimeout) as err:
+                solve(dsm, config)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert err.value.report.timed_out and err.value.__context__ is None
+        return held
+
+    assert held_after_timeout(SolverConfig(cn=2, na=5, time_limit=0.2)) < 1 << 20
+    grow = _ArraySearch.grow
+
+    def expire_at_forward_row_11(search, step):
+        if step.forward and step.size == 11:  # a prefix step holds its row's masks, 2.8 MB here
+            raise solver._Expired()
+        return grow(search, step)
+
+    monkeypatch.setattr(_ArraySearch, "grow", expire_at_forward_row_11)
+    assert held_after_timeout(SolverConfig(cn=2, na=11)) < 1 << 20
 
 
 def test_the_cut_tables_buffer_size_is_its_threads_alone_and_given_back(monkeypatch):
@@ -589,6 +604,22 @@ def test_first_solve_of_a_process_stays_within_the_estimate():
         "solve(dsm, SolverConfig(cn=1, na=2))\n"
         "peak = tracemalloc.get_traced_memory()[1]\n"
         "estimate = _search_bytes(14, 2)\n"
+        "assert peak <= estimate <= 2 * peak, (peak, estimate)\n"
+    )
+
+
+def test_a_no_hash_solve_stays_within_the_estimate():
+    # the plan counts the scan stores' comparisons, above _SMALL_N with the columns of each row grown, before the
+    # search makes its arrays
+    _fresh_interpreter(
+        "import tracemalloc\n"
+        "from dsmseq import SolverConfig, generate_instance, solve\n"
+        "from dsmseq.solver import _search_bytes\n"
+        "dsm = generate_instance(19, 0.5, 4)\n"
+        "tracemalloc.start()\n"
+        "solve(dsm, SolverConfig(cn=3, na=5, variant='no-hash'))\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "estimate = _search_bytes(19, 5)\n"
         "assert peak <= estimate <= 2 * peak, (peak, estimate)\n"
     )
 
@@ -752,24 +783,46 @@ def _quantised(dsm, levels):
     )
 
 
+def _counters(report, comparisons=True):
+    """Every counter of ``report``'s rows but ``seconds``, with the comparisons or without them, and the pairing's."""
+    rows = [
+        (r.direction, r.size, r.workers, r.chunks, r.expanded, r.pruned, r.survivors, r.transferred_records)
+        + ((r.comparisons,) if comparisons else ())
+        for r in report.rows
+    ]
+    return rows, report.combination_comparisons if comparisons else None
+
+
 @pytest.mark.parametrize("n", [10, 11, 12])
 @pytest.mark.parametrize("levels", [(0.25, 0.5, 0.75), (0.5, 1.0)])
 def test_array_kernel_matches_scalar_reference_on_ties(n, levels):
     dsm = _quantised(generate_instance(n, 0.6, 500 + n), levels)
     table = BinomialTable(n)
     for cn in (1, 2, 3):
-        full = solve(dsm, SolverConfig(cn=cn, na=5), table=table)
-        scalar = solve(dsm, SolverConfig(cn=cn, na=5, variant=VARIANT_NO_HASH), table=table)
-        assert full.sequence == scalar.sequence
-        assert full.objective == scalar.objective
-        counters = [
-            [
-                (r.direction, r.size, r.workers, r.chunks, r.expanded, r.survivors, r.transferred_records)
-                for r in report.rows
-            ]
-            for report in (full, scalar)
-        ]
-        assert counters[0] == counters[1]
+        scalar = scan_solve(dsm, cn, 5)
+        for variant in (VARIANT_FULL, VARIANT_NO_HASH):
+            report = solve(dsm, SolverConfig(cn=cn, na=5, variant=variant), table=table)
+            assert report.sequence == scalar.sequence
+            assert report.objective == scalar.objective
+            no_hash = variant == VARIANT_NO_HASH
+            assert _counters(report, no_hash) == _counters(scalar, no_hash)
+
+
+def test_no_hash_counts_the_scalar_references_comparisons(monkeypatch):
+    # the counts do not depend on the instance, so one per n covers every chunk count and meeting row
+    for n in range(4, 12):
+        dsm = generate_instance(n, 0.5, 40 + n)
+        table = BinomialTable(n)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_SMALL_N", 3)
+            grown = _Tables(n)  # as above _SMALL_N, where a plan grows each row's parent columns to count
+        for cn in range(1, 9):
+            for na in range(2, n - 1):
+                expected = _counters(scan_solve(dsm, cn, na))
+                report = solve(dsm, SolverConfig(cn=cn, na=na, variant=VARIANT_NO_HASH), table=table)
+                assert _counters(report) == expected, (n, cn, na)
+                plan = _Plan(grown, na, _round_order(VARIANT_NO_HASH, cn, na, n - na), VARIANT_NO_HASH)
+                assert [step.comparisons for step in plan.steps] == [row[-1] for row in expected[0]]
 
 
 @st.composite
@@ -824,7 +877,7 @@ def test_suffix_search_over_a_subset_reproduces_the_full_rows(monkeypatch, small
     monkeypatch.setattr(solver, "_SMALL_N", small_n)
     dsm = _quantised(generate_instance(n, 0.6, seed), (1 / 3, 2 / 3, 1.0))
     tables = _Tables(n)
-    plan = _Plan(tables, 0, [(BACKWARD, 1)] * (n - 1), False)
+    plan = _Plan(tables, 0, [(BACKWARD, 1)] * (n - 1), VARIANT_FULL)
     search = _ArraySearch(dsm, tables, plan, None)
     rows = [search.values[BACKWARD].copy()]
     for step in plan.steps:
@@ -1067,13 +1120,13 @@ def _direct_handovers(n: int, size: int, chunks: int) -> int:
 def test_chunk_counts_equal_a_direct_label_count():
     for n in range(4, 15):
         tables = _Tables(n)
-        for dense in (False, True):
+        for variant in (VARIANT_FULL, VARIANT_NO_COMPRESSION):
             for chunks in range(1, 9):
                 # the suffix search's steps run to row n
-                plan = _Plan(tables, 0, [(BACKWARD, chunks)] * (n - 1), dense)
+                plan = _Plan(tables, 0, [(BACKWARD, chunks)] * (n - 1), variant)
                 for size, step in enumerate(plan.steps, start=2):
                     assert step.chunks == min(chunks, math.comb(n, size - 1))
-                    if dense:
+                    if variant == VARIANT_NO_COMPRESSION:
                         assert step.transferred == step.chunks * math.comb(n, size)
                     else:
                         assert step.transferred == _direct_handovers(n, size, step.chunks)

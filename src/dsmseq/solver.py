@@ -34,11 +34,14 @@ What a solve does that depends on (n, na, cn, variant) alone is built
 once per key, as one plan that n's tables hold: the rows in round order,
 each with its counters, its parent-column views and the masks its gains
 are read at, and, up to n = 17, every array a solve writes, the cut
-table's and the views its build writes through among them.  A solve
-claims n's tables and gives them back after pairing; up to n = 17 they
-are kept, plan and all, so the next solve of n builds none of it again
-and allocates no row-sized array, and above, the plan holds no array and
-goes with its solve.
+table's and the views its build writes through among them.  One scratch
+array as long as the widest row holds, in turn, a row's gains, one
+column's values and the pairing's sums; up to n = 17 the plan holds it,
+and above, each search makes its own once the cut table is built.  A
+solve claims n's tables and gives them back after pairing; up to n = 17
+they are kept, plan and all, so the next solve of n builds none of it
+again and allocates no row-sized array, and above, the plan holds no
+array and goes with its solve.
 
 ``cn`` splits each row's parents into chunks, contiguous in lexicographic
 order, whose counters report what each would hand to a merge: the chunks
@@ -84,7 +87,10 @@ value.  Up to n = 17 those are the search's own rows, all kept, 1 MB at
 most; above, where keeping them would cost about 0.5 GB at n = 26, the
 suffix search runs again over the m = n - na activities the prefix leaves,
 2**m sets, under 1% of a cold solve, on the first C(m, k) masks of n's
-row k with its ranks grown, and the walk reads its rows.
+row k with its ranks grown, and the walk reads its rows.  The witnesses
+read parent ranks from the kept columns up to n = 17; above, they look
+each parent up in the row above, whose masks ascend, so a set's rank is
+the place its mask sorts there.
 
 Three ablation switches degrade single strategies in the counters alone,
 and every variant returns the full solver's schedule and objective and
@@ -104,8 +110,8 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from functools import lru_cache
+from itertools import accumulate, chain, islice
 from math import comb, isfinite
 from typing import Iterable, Iterator, Sequence
 
@@ -451,11 +457,6 @@ class _Tables:
             rows.append(columns)
         return rows[size - 1]
 
-    @cached_property
-    def binomials(self) -> np.ndarray:
-        """C(x, y) at [x, y] for 0 <= x, y <= n, zero where y > x."""
-        return np.array([[comb(x, y) for y in range(self.n + 1)] for x in range(self.n + 1)], dtype=np.int64)
-
 
 _kept: dict[int, _Tables] = {}  # by n <= _SMALL_N, each free for the next solve to claim
 
@@ -600,22 +601,18 @@ def _drop_ranks(tables: _Tables, size: int, children: np.ndarray) -> np.ndarray:
     """The parent ranks of the children at ranks ``children`` of ``tables``' row ``size``, by column: ``size`` rows.
 
     Up to ``_SMALL_N``, where the tables are kept, they are the columns.
-    Above, the rank of the set of bits c_0 < ... < c_(k-1) is the sum of
-    C(c_i, i + 1), and dropping c_j leaves the terms of the members before
-    it as they are and moves each member after it one place down, to
-    C(c_i, i).
+    Above, each parent is looked up in the row above: its rows ascend by
+    mask, so a set's rank is the place its mask sorts there.
     """
     if tables.kept:
         return tables.parent_columns(size).take(children, axis=1)
     masks = tables.masks(size)[children]
-    members = np.nonzero(masks[:, None] >> np.arange(tables.n, dtype=_MASK) & 1)[1].reshape(-1, size)
-    index = np.arange(size)
-    own = tables.binomials[members, index + 1]  # the child's own terms
-    moved = tables.binomials[members, index]
-    return (np.cumsum(own, axis=1) - own + moved.sum(axis=1, keepdims=True) - np.cumsum(moved, axis=1)).T
+    bits = masks[:, None] & tables.masks(1)  # row 1 is each activity's bit, ascending
+    members = bits[bits != 0].reshape(-1, size)
+    return tables.masks(size - 1).searchsorted(masks[:, None] ^ members).T
 
 
-def _handovers(n: int, size: int, chunks: int) -> int:
+def _handovers(n: int, size: int, chunks: int, deadline: float | None) -> int:
     """What ``chunks`` contiguous ranges of row ``size``'s parents, in lexicographic order, hand to a merge.
 
     That is the children each range reaches, summed over the ranges.  A
@@ -627,12 +624,17 @@ def _handovers(n: int, size: int, chunks: int) -> int:
     by ``unrank_subset``, the sum is C(n, size) plus the consecutive pairs
     around each start, ``_spanned(B_i, B_i)``, less those around two
     adjacent starts, ``_spanned(B_i, B_(i+1))``, which the first sum counts
-    twice (a pair around three starts, three times less twice).
+    twice (a pair around three starts, three times less twice).  The
+    starts are streamed, so a row of a million chunks holds one or two.
     """
     k, table = size - 1, BinomialTable(n)
-    starts = [unrank_subset(start + 1, n, k, table) for start, _ in _part_bounds(comb(n, k), chunks)[1:]]
-    twice = sum(_spanned(n, x, y) for x, y in zip(starts, starts[1:]))
-    return comb(n, size) + sum(_spanned(n, x, x) for x in starts) - twice
+    count, before = comb(n, size), None
+    for start, _ in islice(_part_bounds(comb(n, k), chunks), 1, None):
+        _check(deadline)
+        start = unrank_subset(start + 1, n, k, table)
+        count += _spanned(n, start, start) - (0 if before is None else _spanned(n, before, start))
+        before = start
+    return count
 
 
 def _spanned(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> int:
@@ -698,8 +700,13 @@ def _scans(n: int, columns: Sequence[np.ndarray], masks: np.ndarray, chunks: int
     """
     k, count = len(columns), len(masks)
     parents = comb(n, k - 1)
-    bounds = _part_bounds(parents, chunks)
-    starts = np.array([start for start, _ in bounds])
+    base, extra = divmod(parents, chunks)
+    wide = extra * (base + 1)  # the parents in the first ``extra`` ranges, which hold one more each
+
+    def range_of(lex: np.ndarray) -> np.ndarray:
+        """The index of the range of ``_part_bounds(parents, chunks)`` each lexicographic rank falls in."""
+        return np.where(lex < wide, lex // (base + 1), extra + (lex - wide) // base)
+
     block = max(1, _WALK_BLOCK // k)
 
     def walk() -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
@@ -711,10 +718,10 @@ def _scans(n: int, columns: Sequence[np.ndarray], masks: np.ndarray, chunks: int
         for first in range(0, count, block):
             _check(deadline)
             children = np.arange(first, min(first + block, count))
-            above = 0  # range indices start at 1, so each child's first parent starts one
+            above = -1  # each child's first parent starts a range
             for j, ranks in enumerate(columns):
                 lex = (parents - 1) - ranks[first : first + block].astype(np.int64)
-                ranges = np.searchsorted(starts, lex, side="right")
+                ranges = range_of(lex)
                 yield children, j, lex, ranges != above
                 above = ranges
 
@@ -722,7 +729,8 @@ def _scans(n: int, columns: Sequence[np.ndarray], masks: np.ndarray, chunks: int
     for _, _, lex, new in walk():
         np.add.at(firsts, lex[new], 1)
     before = np.cumsum(firsts) - firsts
-    before -= np.repeat(before[starts], [stop - start for start, stop in bounds])  # counted from its range's start
+    ranges = range_of(np.arange(parents))
+    before -= before[ranges * base + np.minimum(ranges, extra)]  # counted from its range's start
     total = (k - 1) * count
     for children, j, lex, new in walk():
         if j == 0:
@@ -766,22 +774,23 @@ def _search_bytes(n: int, na: int) -> int:
     small.  Every prefix row's values stay, for the prefix witness.  Up to
     ``_SMALL_N`` the tables and the plan keep all they hold, so the search
     holds every row's parent columns, the outflow and head, every suffix
-    row's values and parents' complements, and per child of the widest row
-    the gain and one column's values; on top of that come, one at a time,
-    the table build's buffers, a sweep's gather indices or the prefix
-    witness.  Above ``_SMALL_N`` the rows come after the build, with an
-    intp gather index per child of the widest row, held to the end: the
-    suffix search's last row and the widest column sweep
-    (``_sweep_bytes``), while the other search holds the parent ranks of
-    its newest row, then the prefix witness, then the suffix search again,
-    over n's masks, with its sweep.  The prefix witness holds, at worst
-    (every set good), every prefix row's good ranks, a row's gains and
-    values and a flag per set of the row below, and one block's parent
-    ranks, gather indices, values and flags, above ``_SMALL_N`` with the
-    masks, members and binomial terms that rank them.  A fixed allowance
-    covers the report, the row statistics and other small objects of a
-    solve, and ``_PLAN_OBJECT`` bytes each the plan's: a few per row, and
-    up to ``_SMALL_N`` one per parent column and a few per activity.
+    row's values and parents' complements, and the scratch, a value per
+    child of the widest row; on top of that come, one at a time, the table
+    build's buffers, a sweep's gather indices or the prefix witness.  Above
+    ``_SMALL_N`` the rows come after the build, with the scratch and an
+    intp gather index per child of the widest row, both held from the
+    first row to the end: the suffix search's last row and the widest
+    column sweep (``_sweep_bytes``), while the other search holds the
+    parent ranks of its newest row, then the prefix witness, then the
+    suffix search again, over n's masks, with its sweep.  The prefix
+    witness holds, at worst (every set good), every prefix row's good
+    ranks, a row's gains and values and a flag per set of the row below,
+    and one block's parent ranks, gather indices, values and flags, above
+    ``_SMALL_N`` with the masks and member bits that look them up.  A
+    fixed allowance covers the report, the row statistics and other small
+    objects of a solve, and ``_PLAN_OBJECT`` bytes each the plan's: a few
+    per row, and up to ``_SMALL_N`` one per parent column and a few per
+    activity.
     """
     subsets = 1 << n
     masks = subsets * _MASK.itemsize
@@ -793,11 +802,11 @@ def _search_bytes(n: int, na: int) -> int:
     prefixes = sum(comb(n, size) for size in range(1, na + 1))
     forward = max(comb(n, size) for size in range(1, na + 1))
     # per element of a block: parent ranks, as intp too, the gathered values, flags and the tight ones' ranks;
-    # above _SMALL_N, ranks made from each member's bit and two binomial terms each
+    # above _SMALL_N, ranks looked up from each child's mask, its bit per activity and a flag each
     if n <= _SMALL_N:
         per_rank = _parent_dtype(n).itemsize + 2 * _INTP.itemsize + _VALUE.itemsize + _FLAG.itemsize
     else:
-        per_rank = 8 * _INTP.itemsize + 4 * n
+        per_rank = 4 * _INTP.itemsize + 5 * n
     walk = (
         _INTP.itemsize * prefixes
         + (2 * _VALUE.itemsize + _MASK.itemsize + _FLAG.itemsize) * forward
@@ -807,8 +816,8 @@ def _search_bytes(n: int, na: int) -> int:
         columns = sum(size * comb(n, size) for size in range(1, max(na, m) + 1)) * _parent_dtype(n).itemsize
         widest = max(comb(n, size) for size in range(1, max(na, m) + 1))
         rows = _VALUE.itemsize * (prefixes + sum(comb(n, size) for size in range(1, m + 1)))
-        # the gains, one column's values and each suffix row's parents' complements
-        shared = 2 * _VALUE.itemsize * widest + _MASK.itemsize * sum(comb(n, size) for size in range(1, m))
+        # the scratch and each suffix row's parents' complements
+        shared = _VALUE.itemsize * widest + _MASK.itemsize * sum(comb(n, size) for size in range(1, m))
         objects += _PLAN_OBJECT * (sum(range(2, na + 1)) + sum(range(2, m + 1)) + 6 * n + 10)
         passing = max(buffers, _INTP.itemsize * widest, walk)
         return objects + masks + columns + cuts + outflows + rows + shared + passing
@@ -816,11 +825,12 @@ def _search_bytes(n: int, na: int) -> int:
     again = (1 << m) * (2 * _VALUE.itemsize + _MASK.itemsize) + _sweep_bytes(m, m, False)
     rank = _parent_dtype(n).itemsize
     newest = _VALUE.itemsize * comb(n, m)
-    indices = _INTP.itemsize * max(comb(n, size) for size in range(1, max(na, m) + 1))
+    widest = max(comb(n, size) for size in range(1, max(na, m) + 1))
+    held = (_INTP.itemsize + _VALUE.itemsize) * widest  # the gather indices and the scratch
     # while one search sweeps, the other holds its newest row's parent ranks, unless that row is its last
     kept = {last: max((size * comb(n, size) for size in range(2, last)), default=0) * rank for last in (na, m)}
     sweeps = max(_sweep_bytes(n, na, True) + kept[m], _sweep_bytes(n, m, False) + kept[na])
-    searching = _VALUE.itemsize * prefixes + newest + indices + max(sweeps, walk, again)
+    searching = _VALUE.itemsize * prefixes + newest + held + max(sweeps, walk, again)
     return objects + masks + cuts + max(outflows + buffers, searching)
 
 
@@ -831,13 +841,12 @@ def _sweep_bytes(n: int, last: int, forward: bool) -> int:
     of the row above and of the row swept, as many as any column holds at
     once (each column of the row above is dropped once read, and a last
     row keeps none), with the last column's ramp and each child's block
-    shift; and per child one column's values.  A prefix row's values are
-    counted with the prefix rows, the gather indices with the search, and
-    the gain added after a prefix sweep holds less than the sweep.
+    shift.  A prefix row's values are counted with the prefix rows, and the
+    gather indices and the scratch, which holds the gains and one column's
+    values, with the search.
     """
     rank = _parent_dtype(n).itemsize
     row = 0 if forward else _VALUE.itemsize
-    per_child = _VALUE.itemsize + row
     widest = 0
     for size in range(2, last + 1):
         parents, children = comb(n, size - 1), comb(n, size)
@@ -845,13 +854,8 @@ def _sweep_bytes(n: int, last: int, forward: bool) -> int:
         # kept; each holds the block shifts and one new column
         held = max((size - 1) * parents, parents + (size if size < last else 1) * children)
         ranks = (held + 2 * children) * rank
-        widest = max(widest, parents * row + children * per_child + ranks)
+        widest = max(widest, (parents + children) * row + ranks)
     return widest
-
-
-def _or_new(held: np.ndarray | None, count: int) -> np.ndarray:
-    """``held``, a kept plan's array, or, where the plan holds none, a new one of ``count`` values."""
-    return np.empty(count, dtype=_VALUE) if held is None else held
 
 
 class _Plan:
@@ -862,9 +866,10 @@ class _Plan:
     solve writes, since arrays freed at each solve's end would let the
     allocator hand their pages back, to be faulted in again by the next:
     the cut table and its build's views (``_CutViews``), each row's values,
-    and the gains and one column's values, which the rows share, the latter
-    with the pairing's sums.  Above, it holds no array: each is made where
-    it is used and dropped once read, as ``_search_bytes`` counts them.
+    and ``scratch``, as long as the widest row, which serves in turn a
+    row's gains, one column's values and the pairing's sums.  Above, it
+    holds no array: each is made where it is used and dropped once read,
+    as ``_search_bytes`` counts them, and the search makes its own scratch.
     ``combination_comparisons`` is what pairing would compare for
     ``no-hash``, with scan stores.
     """
@@ -881,14 +886,12 @@ class _Plan:
             if kept:
                 tables.parent_columns(size)
         self.widest = max(comb(n, size) for size in range(1, max(last.values()) + 1))
-        self.gain = np.empty(self.widest, dtype=_VALUE) if kept else None
-        self.values = np.empty(self.widest, dtype=_VALUE) if kept else None
-        self.pairing = self.values[: comb(n, na)] if kept else None
+        self.scratch = np.empty(self.widest, dtype=_VALUE) if kept else None
         self.steps = []
         sizes = {FORWARD: 1, BACKWARD: 1}
         for direction, workers in rounds:
             sizes[direction] += 1
-            self.steps.append(_Step(self, tables, direction, workers, sizes[direction], last, dense))
+            self.steps.append(_Step(tables, direction, workers, sizes[direction], last, dense, deadline))
         if variant == VARIANT_NO_HASH:
             self._count_scans(tables, deadline)
         self.cut = _CutViews(n) if kept else None  # made after the scan counts, so that they do not add to it
@@ -912,25 +915,25 @@ class _Step:
 
     ``index`` holds the masks the row's gains are read at: a prefix row's
     own or, read-only, a suffix row's parents' complements.  A kept plan's
-    ``columns`` are the row's parent columns, ``best`` its values, and
-    ``gain`` and ``values`` slices of the plan's buffers; above ``_SMALL_N``
-    those and a suffix row's ``index`` are None, made in each sweep, and
-    ``keep`` says whether the row keeps its grown columns for the next.
+    ``columns`` are the row's parent columns and ``best`` its values;
+    above ``_SMALL_N`` those and a suffix row's ``index`` are None, made in
+    each sweep, and ``keep`` says whether the row keeps its grown columns
+    for the next.
     ``transferred`` is what its chunks hand to a merge (``_handovers``),
     and ``comparisons``, for ``no-hash``, what scan stores would compare
     (``_scans``).
     """
 
     __slots__ = ("direction", "forward", "workers", "size", "chunks", "capacity", "expanded", "transferred",
-                 "comparisons", "keep", "columns", "index", "best", "gain", "values")
+                 "comparisons", "keep", "columns", "index", "best")
 
-    def __init__(self, plan: _Plan, tables: _Tables, direction: str, workers: int, size: int, last, dense) -> None:
-        n, kept = tables.n, plan.kept
+    def __init__(self, tables: _Tables, direction: str, workers: int, size: int, last, dense, deadline) -> None:
+        n, kept = tables.n, tables.kept
         parents, capacity = comb(n, size - 1), comb(n, size)
         self.direction, self.forward, self.workers, self.size = direction, direction == FORWARD, workers, size
         self.chunks = chunks = min(workers, parents)
         self.capacity, self.expanded = capacity, capacity * size
-        self.transferred = chunks * capacity if dense else _handovers(n, size, chunks)
+        self.transferred = chunks * capacity if dense else _handovers(n, size, chunks, deadline)
         self.comparisons = 0  # for no-hash, set by the plan
         self.keep = not kept and size < last[direction]
         self.columns = list(tables.parent_columns(size)) if kept else None
@@ -939,8 +942,6 @@ class _Step:
             self.index = np.bitwise_xor(tables.masks(size - 1), (1 << n) - 1)
             self.index.flags.writeable = False
         self.best = np.empty(capacity, dtype=_VALUE) if kept else None
-        self.gain = plan.gain[: capacity if self.forward else parents] if kept else None
-        self.values = plan.values[:capacity] if kept else None
 
 
 class _ArraySearch:
@@ -950,7 +951,11 @@ class _ArraySearch:
     every prefix row, so all are kept (``prefixes``); up to ``_SMALL_N`` the
     suffix witness reads every suffix row, so those are kept too
     (``suffixes``), and above, each is dropped once the next row is grown,
-    as is each row's parent ranks (``ranks``).
+    as is each row's parent ranks (``ranks``).  ``scratch``, the plan's
+    or, above ``_SMALL_N``, made once the cut table is built, is as long as
+    the widest row: it holds, one at a time, a row's gains, one column's
+    values and the pairing's sums, and the same for the suffix search run
+    again.
     """
 
     def __init__(self, dsm: Dsm, tables: _Tables, plan: _Plan, deadline: float | None) -> None:
@@ -958,6 +963,7 @@ class _ArraySearch:
         self.n, self.tables, self.plan, self.deadline = n, tables, plan, deadline
         matrix = np.fromiter(chain.from_iterable(dsm.d), dtype=_VALUE, count=n * n).reshape(n, n)
         self.cut = _cut_table(matrix, deadline, plan.cut)
+        self.scratch = plan.scratch if plan.kept else np.empty(plan.widest, dtype=_VALUE)
         empty = np.zeros(n, dtype=_parent_dtype(n))  # a lone activity's parent, the empty set, has rank 0
         first = {FORWARD: self.cut[tables.masks(1)], BACKWARD: np.zeros(n, dtype=_VALUE)}
         self.values = dict(first)  # each search's newest row
@@ -979,16 +985,16 @@ class _ArraySearch:
         """
         direction, size, capacity = step.direction, step.size, step.capacity
         value = self.values[direction]
-        best = _or_new(step.best, capacity)
+        best = np.empty(capacity, dtype=_VALUE) if step.best is None else step.best
         if not step.forward:
             complements = step.index if step.index is not None else self.tables.masks(size - 1) ^ ((1 << self.n) - 1)
-            value += self.cut.take(complements, out=step.gain, mode="wrap")
+            value += self.cut.take(complements, out=self.scratch[: len(value)], mode="wrap")
             del complements  # so that above _SMALL_N the sweep does not hold it
         grown = step.columns is None
         columns = _grown_columns(self.n, size, self.ranks[direction]) if grown else step.columns
-        ranks = self._sweep(columns, value, best, _or_new(step.values, capacity), step.keep, grown)
+        ranks = self._sweep(columns, value, best, step.keep, grown)
         if step.forward:
-            best += self.cut.take(step.index, out=step.gain, mode="wrap")
+            best += self.cut.take(step.index, out=self.scratch[:capacity], mode="wrap")
             self.prefixes.append(best)
         elif self.suffixes is not None:
             self.suffixes.append(best)
@@ -1000,20 +1006,20 @@ class _ArraySearch:
             comparisons=step.comparisons, seconds=0.0,
         )
 
-    def _sweep(self, columns: Iterable[np.ndarray], value, best, v, keep, grown=False) -> list:
+    def _sweep(self, columns: Iterable[np.ndarray], value, best, keep, grown=False) -> list:
         """Pull every child of the row after ``value``'s from its parents there, one column at a time, into ``best``.
 
         Each child's value is the least of its parents' in ``value``;
         column j of ``columns`` ranks each child's parent without its j-th
-        smallest activity, so no two children share any work; ``v`` holds
-        one column's values.  Grown columns (``_grown_columns``) are each
-        copied into one intp buffer, the gather's own index type, made once
-        per search as long as its widest row, and kept for the next row when
-        ``keep`` holds.  It counts nothing, so it is the same for any chunk
-        count: the plan's steps carry the hand-overs (``_handovers``).
+        smallest activity, so no two children share any work; the scratch
+        holds one column's values.  Grown columns (``_grown_columns``) are
+        each copied into one intp buffer, the gather's own index type, made
+        once per search as long as its widest row, and kept for the next row
+        when ``keep`` holds.  It counts nothing, so it is the same for any
+        chunk count: the plan's steps carry the hand-overs (``_handovers``).
         Returns the kept columns.
         """
-        indices = None
+        indices, v = None, self.scratch[: len(best)]
         if grown:
             if self.indices is None:
                 self.indices = np.empty(self.plan.widest, dtype=_INTP)
@@ -1045,8 +1051,7 @@ class _ArraySearch:
         """
         n = self.n
         prefixes = self.prefixes[-1]
-        fl = _or_new(self.plan.pairing, len(prefixes))
-        np.add(prefixes, self.values[BACKWARD][::-1], out=fl)
+        fl = np.add(prefixes, self.values[BACKWARD][::-1], out=self.scratch[: len(prefixes)])
         best = fl.min()
         prefix, rank = self._prefix_witness(np.flatnonzero(fl == best))
         rest = [a for a in range(1, n + 1) if a not in prefix]
@@ -1154,10 +1159,10 @@ class _ArraySearch:
         value = np.zeros(m, dtype=_VALUE)
         rows, ranks = [value], [np.zeros(m, dtype=_parent_dtype(m))]
         for size in range(2, m + 1):
-            value += inflow.take(self.tables.masks(size - 1)[: comb(m, size - 1)], mode="wrap")
+            value += inflow.take(self.tables.masks(size - 1)[: len(value)], out=self.scratch[: len(value)], mode="wrap")
             best = np.empty(comb(m, size), dtype=_VALUE)
             columns = _grown_columns(m, size, ranks)
-            ranks = self._sweep(columns, value, best, np.empty(len(best), _VALUE), size < m, grown=True)
+            ranks = self._sweep(columns, value, best, size < m, grown=True)
             rows.append(best)
             value = best
         return rows
@@ -1259,16 +1264,14 @@ def seed_rows(dsm: Dsm) -> tuple[RowStore, RowStore]:
     return rows[0], rows[1]
 
 
-def _part_bounds(count: int, workers: int) -> list[tuple[int, int]]:
-    """``workers`` contiguous [start, stop) ranges over ``count`` entries, sizes differing by one at most."""
+def _part_bounds(count: int, workers: int) -> Iterator[tuple[int, int]]:
+    """``workers`` contiguous [start, stop) ranges over ``count`` entries, sizes differing by one at most.
+
+    The first ``count % workers`` hold one more, so range i starts at
+    i * base + min(i, extra), with base, extra = divmod(count, workers).
+    """
     base, extra = divmod(count, workers)
-    bounds = []
-    start = 0
-    for i in range(workers):
-        stop = start + base + (1 if i < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
+    return ((i * base + min(i, extra), (i + 1) * base + min(i + 1, extra)) for i in range(workers))
 
 
 def partition_row(row: RowStore, workers: int) -> list[list]:

@@ -53,6 +53,7 @@ from dsmseq.solver import (
     _ArraySearch,
     _cut_table,
     _drop_ranks,
+    _grown_columns,
     _kept,
     _parent_dtype,
     _part_bounds,
@@ -484,6 +485,18 @@ def test_timeout_while_building_the_parent_columns(monkeypatch):
     _clear_caches()
 
 
+def test_timeout_while_counting_a_million_chunks():
+    # at cn = 10**6 a row splits into as many chunks as it has parents, and a fresh n = 17 plan counts the
+    # hand-overs around every chunk start, seconds of Python before the first row
+    dsm = generate_instance(17, 0.5, 4)
+    _clear_caches()
+    started = time.perf_counter()
+    with pytest.raises(SolveTimeout):
+        solve(dsm, SolverConfig(cn=10**6, time_limit=0.05))
+    assert time.perf_counter() - started < 0.5
+    _clear_caches()
+
+
 def test_a_kept_timeout_does_not_keep_the_search(monkeypatch):
     # n=22's cut table and rows take several times the limit; a caller holding the exception holds its traceback
     dsm = generate_instance(22, 0.5, 1)
@@ -580,6 +593,19 @@ def test_memory_cap_counts_bytes(n, na):
         assert tracemalloc.get_traced_memory()[1] < 64 * 1024
     finally:
         tracemalloc.stop()
+
+
+def test_a_million_chunks_stay_within_the_estimate():
+    # the chunks' bounds and starts are worked out one at a time, so a row of thousands of chunks holds none
+    dsm = generate_instance(12, 0.5, 4)
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        solve(dsm, SolverConfig(cn=10**6, na=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _search_bytes(12, 2)
 
 
 def _clear_caches() -> None:
@@ -1057,6 +1083,25 @@ def test_parent_ranks_grown_row_by_row_match_the_rank_map():
                 assert children == sorted(children)
 
 
+def test_every_row_of_masks_ascends():
+    # above _SMALL_N a parent's rank is looked up as the place its mask sorts in the row above
+    for n in range(1, 21):
+        tables = _Tables(n)
+        for size in range(1, n + 1):
+            assert (np.diff(tables.masks(size)) > 0).all()
+
+
+def test_parent_ranks_looked_up_above_the_small_n_match_the_grown_columns():
+    n = _SMALL_N + 1
+    tables = _Tables(n)
+    assert not tables.kept
+    columns = [np.zeros(n, dtype=_parent_dtype(n))]
+    for size in range(2, n + 1):
+        columns = list(_grown_columns(n, size, columns))
+        children = np.arange(math.comb(n, size))
+        assert np.array_equal(_drop_ranks(tables, size, children), columns)
+
+
 def test_parent_ranks_from_the_masks_match_the_cached_columns(monkeypatch):
     # above _SMALL_N the prefix witness and the suffix walk rank each child's parents from its mask
     monkeypatch.setattr(solver, "_SMALL_N", 3)
@@ -1211,6 +1256,11 @@ def test_warm_solves_reuse_one_workspace(monkeypatch):
     assert [views for views, _ in seen] == [cut, cut]
     assert all(table is cut.total for _, table in seen)
     assert [_outcome(report) for report in warm] == [_outcome(report) for report in fresh]
+    # one scratch buffer, as long as the widest row, serves the gains, a column's values and the pairing
+    rows = {id(step.best) for step in plan.steps}
+    cut_buffers = {id(cut.total), id(cut.outflow), id(cut.head), id(cut.others)}
+    scratch = [a for a in _plan_arrays(kept) if a.dtype == np.float64 and id(a) not in rows | cut_buffers]
+    assert len(scratch) == 1 and scratch[0] is plan.scratch and len(plan.scratch) == plan.widest
     # a change of na or cn builds a new plan, which solves as one laid out with nothing kept
     for config in (SolverConfig(cn=2, na=4), SolverConfig(cn=3, na=5), SolverConfig(cn=2, na=5)):
         before = kept.plan

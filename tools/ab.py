@@ -3,6 +3,7 @@
     python tools/ab.py A_REV B_REV [--n 16] [--densities 0.1,0.5,1.0] [--instances 3]
                                    [--cn 1] [--na 5] [--variant full] [--quarters] [--rounds 10]
     python tools/ab.py A_REV B_REV --cli 150 [--cn 1] [--na 5] [--rounds 10]
+    python tools/ab.py A_REV B_REV --cold --n 24 --densities 0.5 --instances 1 [--rounds 10]
 
 Each revision's ``src/dsmseq`` is exported with ``git archive`` into a
 temporary directory as a package of its own, ``dsmseq_a`` or ``dsmseq_b``;
@@ -20,9 +21,15 @@ and compares the reports' setup, rows (forward and backward), pairing and
 total seconds.  ``--cli FILES`` writes FILES matrix files like the
 benchmark's batch, n = 8..12, half of them with quarter degrees, and times
 ``cli.main(["solve", ...])`` on each, asserting equal solution files.
+``--cold`` makes each solve of the default mode the first of a fresh
+process, so that it builds everything it reads; besides the report's
+times it records the solve's wall time and, from ``getrusage``, the
+system time and minor page faults the solve adds and the process's peak
+RSS.
 
 For each measure it prints the median over rounds of each revision's
-round total, and of the ratio B/A with its quartiles and the rounds B won.
+round total (peak RSS: the largest of the round), and of the ratio B/A
+with its quartiles and the rounds B won.
 It is a tool, not a gate: it exits 1 only if the results differ.
 """
 
@@ -34,6 +41,7 @@ import importlib
 import io
 import json
 import math
+import resource
 import statistics
 import subprocess
 import sys
@@ -43,6 +51,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# what a fresh process runs for ``--cold``: ``cold_child`` of this file, importing the exported packages
+CHILD = "import sys; sys.path[:0] = sys.argv[1:3]; import ab; ab.cold_child(*sys.argv[3:])"
 SIDES = ("a", "b")
 QUARTERS = (0.25, 0.5, 0.75, 1.0)
 
@@ -86,6 +96,33 @@ def solve_once(package, rows, args):
     return times, result
 
 
+def cold_once(package, path: Path, workdir: Path, args):
+    """One solve of the matrix in ``path`` in a fresh process: its times and what both revisions must agree on."""
+    settings = json.dumps({"cn": args.cn, "na": args.na, "variant": args.variant})
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, str(Path(__file__).parent), str(workdir), package.__name__, str(path), settings],
+        check=True, capture_output=True, text=True,
+    )
+    times, result = json.loads(child.stdout)
+    return times, json.dumps(result)
+
+
+def cold_child(name: str, path: str, settings: str) -> None:
+    """Solve the matrix in ``path`` with package ``name`` and print the times and result as JSON."""
+    package = importlib.import_module(name)
+    args = argparse.Namespace(**json.loads(settings))
+    rows = json.loads(Path(path).read_text())
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    started = time.perf_counter()
+    times, result = solve_once(package, rows, args)
+    times["wall"] = time.perf_counter() - started
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    times["system"] = after.ru_stime - before.ru_stime
+    times["faults"] = after.ru_minflt - before.ru_minflt
+    times["rss_mb"] = after.ru_maxrss / 1024  # kilobytes on Linux
+    print(json.dumps([times, result]))
+
+
 def cli_once(package, path: Path, out: Path, args):
     """One ``cli.main`` solve of the file at ``path``: its time and the solution file it wrote."""
     argv = ["solve", "--input", str(path), "--cores", str(args.cn), "--na", str(args.na), "--output", str(out)]
@@ -113,10 +150,13 @@ def cases(packages, args, workdir: Path):
     instances = [
         generate(args.n, density, seed).d for density in args.densities for seed in range(1, args.instances + 1)
     ]
-    return [
-        lambda package, rows=quartered(rows) if args.quarters else rows: solve_once(package, rows, args)
-        for rows in instances
-    ]
+    instances = [quartered(rows) if args.quarters else rows for rows in instances]
+    if args.cold:
+        paths = [workdir / f"m{i}.json" for i in range(len(instances))]
+        for path, rows in zip(paths, instances):
+            path.write_text(json.dumps(rows))
+        return [lambda package, path=path: cold_once(package, path, workdir, args) for path in paths]
+    return [lambda package, rows=rows: solve_once(package, rows, args) for rows in instances]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quarters", action="store_true", help="round every degree up to a quarter")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--cli", type=int, default=0, metavar="FILES", help="time cli.main on FILES files instead")
+    parser.add_argument("--cold", action="store_true", help="solve each instance in a fresh process")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -152,14 +193,16 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"results differ: A {outcomes['a'][1]!r}, B {outcomes['b'][1]!r}", file=sys.stderr)
                     return 1
                 for side in SIDES:
-                    for measure, seconds in outcomes[side][0].items():
-                        sums[side][measure] = sums[side].get(measure, 0.0) + seconds
+                    for measure, amount in outcomes[side][0].items():
+                        held = sums[side].get(measure, 0.0)
+                        sums[side][measure] = max(held, amount) if measure == "rss_mb" else held + amount
             if round_:  # the first round warms both up
                 for side in SIDES:
                     totals[side].append(sums[side])
 
-    print(f"{len(calls)} calls per round, {args.rounds} rounds; A {args.a_rev}, B {args.b_rev}; seconds per round")
-    print(f"{'measure':<8} {'A median':>10} {'B median':>10} {'B/A':>6} {'quartiles':>13} {'B won':>6}")
+    print(f"{len(calls)} calls per round, {args.rounds} rounds; A {args.a_rev}, B {args.b_rev}; per round, "
+          "in seconds but faults and rss_mb")
+    print(f"{'measure':<8} {'A median':>11} {'B median':>11} {'B/A':>6} {'quartiles':>13} {'B won':>6}")
     for measure in totals["a"][0]:
         a = [t[measure] for t in totals["a"]]
         b = [t[measure] for t in totals["b"]]
@@ -167,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else (ratios[0],) * 3
         wins = sum(y < x for x, y in zip(a, b))
         print(
-            f"{measure:<8} {statistics.median(a):>10.5f} {statistics.median(b):>10.5f} "
+            f"{measure:<8} {statistics.median(a):>11.5g} {statistics.median(b):>11.5g} "
             f"{statistics.median(ratios):>6.3f} {q1:>6.3f}-{q3:<6.3f} {wins:>3}/{len(ratios)}"
         )
     return 0

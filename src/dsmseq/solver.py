@@ -32,16 +32,16 @@ addresses of ``subsets`` and the CLI stay lexicographic.
 
 What a solve does that depends on (n, na, cn, variant) alone is built
 once per key, as one plan that n's tables hold: the rows in round order,
-each with its counters, its parent-column views and the masks its gains
-are read at, and, up to n = 17, every array a solve writes, the cut
-table's and the views its build writes through among them.  One scratch
-array as long as the widest row holds, in turn, a row's gains, one
+each with its counters, its parent-column views and the view of n's masks
+its gains are read at, and, up to n = 17, every array a solve writes, the
+cut table's and the views its build writes through among them.  One
+scratch array as long as the widest row holds, in turn, a row's gains, one
 column's values and the pairing's sums; up to n = 17 the plan holds it,
 and above, each search makes its own once the cut table is built.  A
 solve claims n's tables and gives them back after pairing; up to n = 17
 they are kept, plan and all, so the next solve of n builds none of it
 again and allocates no row-sized array, and above, the plan holds no
-array and goes with its solve.
+array of its own and goes with its solve.
 
 ``cn`` splits each row's parents into chunks, contiguous in lexicographic
 order, whose counters report what each would hand to a merge: the chunks
@@ -60,15 +60,18 @@ Prefix values grow by cut(C), the dependence flowing out of the child set
 C to its complement, and suffix values by cut of the complement of the
 parent set, the dependence flowing into it.  So one cut table, built once
 per solve over all 2**n subsets, serves both directions, and every row
-reads it by mask.  It sums members ascending, each member's outflow over
-non-members ascending, from 0.0 and never by differences: the summation
-order of the scalar loop, so values equal by symmetry tie exactly.  Each
-outflow extends the outflow into the same set without its largest
-activity, so the whole table costs O(n 2**n) additions where summing each
-cut afresh would cost O(n**2 2**n).  A prefix child's gain is added once,
-to its least parent value: rounding to nearest is monotone, so that is the
-least of the rounded sums, bit for bit.  A suffix child's gain depends on
-its parent alone and is added to the parent row before the sweep.
+reads it by mask: a prefix row at its own masks, and suffix row k at its
+parents' complements, which in colexicographic order are n's row
+n - k + 1 read backwards, as pairing reads the suffixes.  It sums members
+ascending, each member's outflow over non-members ascending, from 0.0 and
+never by differences: the summation order of the scalar loop, so values
+equal by symmetry tie exactly.  Each outflow extends the outflow into the
+same set without its largest activity, so the whole table costs O(n 2**n)
+additions where summing each cut afresh would cost O(n**2 2**n).  A prefix
+child's gain is added once, to its least parent value: rounding to nearest
+is monotone, so that is the least of the rounded sums, bit for bit.  A
+suffix child's gain depends on its parent alone and is added to the parent
+row before the sweep.
 
 Ties go to the lexicographically smaller schedule: the smaller (parent's
 schedule, a) going forward, where children append ``a``, and the smaller
@@ -88,9 +91,9 @@ most; above, where keeping them would cost about 0.5 GB at n = 26, the
 suffix search runs again over the m = n - na activities the prefix leaves,
 2**m sets, under 1% of a cold solve, on the first C(m, k) masks of n's
 row k with its ranks grown, and the walk reads its rows.  The witnesses
-read parent ranks from the kept columns up to n = 17; above, they look
-each parent up in the row above, whose masks ascend, so a set's rank is
-the place its mask sorts there.
+read parent ranks by ``_drop_ranks``: from the kept columns up to n = 17;
+above, looking each parent up in the row above, whose masks ascend, so a
+set's rank is the place its mask sorts there.
 
 Three ablation switches degrade single strategies in the counters alone,
 and every variant returns the full solver's schedule and objective and
@@ -110,7 +113,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from itertools import accumulate, chain, islice
 from math import comb, isfinite
 from typing import Iterable, Iterator, Sequence
@@ -373,7 +376,6 @@ _HEAD_STEPS = 10  # outflow doublings the cut table builds for every member at o
 # up to this n every subset rank is an int16 (``_parent_dtype``), n's tables hold every row's parent columns,
 # 1.05 MB at n=16 and 2.2 MB at n=17, and a solve's every suffix row, and they are kept for the next solve of n
 _SMALL_N = 17
-_ESTIMATES_CACHED = 1024  # (n, na) memory estimates ``_search_bytes`` holds
 _WALK_BLOCK = 1 << 14  # parent ranks the prefix witness gathers at once, at most
 
 
@@ -626,8 +628,12 @@ def _handovers(n: int, size: int, chunks: int, deadline: float | None) -> int:
     adjacent starts, ``_spanned(B_i, B_(i+1))``, which the first sum counts
     twice (a pair around three starts, three times less twice).  The
     starts are streamed, so a row of a million chunks holds one or two.
+    When each range is one parent, it reaches that parent's n - size + 1
+    children, and no start is streamed.
     """
     k, table = size - 1, BinomialTable(n)
+    if chunks == comb(n, k):  # each range is one parent, which reaches all n - k of its children
+        return comb(n, size) * size
     count, before = comb(n, size), None
     for start, _ in islice(_part_bounds(comb(n, k), chunks), 1, None):
         _check(deadline)
@@ -760,7 +766,7 @@ def _check_size(n: int, na: int, table: BinomialTable, cap: int) -> None:
     raise ResourceLimitError(f"{widest} and the search {needed} bytes, over the cap of {cap} bytes")
 
 
-@lru_cache(maxsize=_ESTIMATES_CACHED)
+@cache
 def _search_bytes(n: int, na: int) -> int:
     """Bytes of the arrays an array-kernel solve holds at its peak, from their dtypes, with its tables built afresh.
 
@@ -774,9 +780,9 @@ def _search_bytes(n: int, na: int) -> int:
     small.  Every prefix row's values stay, for the prefix witness.  Up to
     ``_SMALL_N`` the tables and the plan keep all they hold, so the search
     holds every row's parent columns, the outflow and head, every suffix
-    row's values and parents' complements, and the scratch, a value per
-    child of the widest row; on top of that come, one at a time, the table
-    build's buffers, a sweep's gather indices or the prefix witness.  Above
+    row's values, and the scratch, a value per child of the widest row; on
+    top of that come, one at a time, the table build's buffers, a sweep's
+    gather indices or the prefix witness.  Above
     ``_SMALL_N`` the rows come after the build, with the scratch and an
     intp gather index per child of the widest row, both held from the
     first row to the end: the suffix search's last row and the widest
@@ -816,11 +822,10 @@ def _search_bytes(n: int, na: int) -> int:
         columns = sum(size * comb(n, size) for size in range(1, max(na, m) + 1)) * _parent_dtype(n).itemsize
         widest = max(comb(n, size) for size in range(1, max(na, m) + 1))
         rows = _VALUE.itemsize * (prefixes + sum(comb(n, size) for size in range(1, m + 1)))
-        # the scratch and each suffix row's parents' complements
-        shared = _VALUE.itemsize * widest + _MASK.itemsize * sum(comb(n, size) for size in range(1, m))
+        scratch = _VALUE.itemsize * widest
         objects += _PLAN_OBJECT * (sum(range(2, na + 1)) + sum(range(2, m + 1)) + 6 * n + 10)
         passing = max(buffers, _INTP.itemsize * widest, walk)
-        return objects + masks + columns + cuts + outflows + rows + shared + passing
+        return objects + masks + columns + cuts + outflows + rows + scratch + passing
     # the suffix search again: its rows, the inflow and the global masks it is read at, and its widest sweep
     again = (1 << m) * (2 * _VALUE.itemsize + _MASK.itemsize) + _sweep_bytes(m, m, False)
     rank = _parent_dtype(n).itemsize
@@ -861,14 +866,15 @@ def _sweep_bytes(n: int, last: int, forward: bool) -> int:
 class _Plan:
     """What a solve of n activities does that depends on (n, na, cn, variant) alone, made once per key.
 
-    ``steps`` are the rows both searches grow, in round order.  Up to
-    ``_SMALL_N`` the plan is kept with n's tables and holds every array a
-    solve writes, since arrays freed at each solve's end would let the
-    allocator hand their pages back, to be faulted in again by the next:
-    the cut table and its build's views (``_CutViews``), each row's values,
-    and ``scratch``, as long as the widest row, which serves in turn a
-    row's gains, one column's values and the pairing's sums.  Above, it
-    holds no array: each is made where it is used and dropped once read,
+    ``steps`` are the rows both searches grow, in round order, each reading
+    its gains at a view of n's masks.  Up to ``_SMALL_N`` the plan is kept
+    with n's tables and holds every array a solve writes, and no other,
+    since arrays freed at each solve's end would let the allocator hand
+    their pages back, to be faulted in again by the next: the cut table
+    and its build's views (``_CutViews``), each row's values, and
+    ``scratch``, as long as the widest row, which serves in turn a row's
+    gains, one column's values and the pairing's sums.  Above, it holds no
+    array of its own: each is made where it is used and dropped once read,
     as ``_search_bytes`` counts them, and the search makes its own scratch.
     ``combination_comparisons`` is what pairing would compare for
     ``no-hash``, with scan stores.
@@ -880,12 +886,13 @@ class _Plan:
         pairs = comb(n, na)  # each prefix's scan of the suffix store stops at its complement, at a position of its own
         self.combination_comparisons = pairs * (pairs + 1) // 2 if variant == VARIANT_NO_HASH else 0
         last = {FORWARD: na, BACKWARD: n - na}
-        for size in range(1, max(last.values()) + 1):
+        top = max(last.values())
+        for size in range(1, n):  # suffix gains are read at the rows past na, reversed
             _check(deadline)
             tables.masks(size)
-            if kept:
+            if kept and size <= top:
                 tables.parent_columns(size)
-        self.widest = max(comb(n, size) for size in range(1, max(last.values()) + 1))
+        self.widest = max(comb(n, size) for size in range(1, top + 1))
         self.scratch = np.empty(self.widest, dtype=_VALUE) if kept else None
         self.steps = []
         sizes = {FORWARD: 1, BACKWARD: 1}
@@ -913,12 +920,12 @@ class _Plan:
 class _Step:
     """One row a plan grows: its direction, size and chunks, its counters and what its sweep reads and writes.
 
-    ``index`` holds the masks the row's gains are read at: a prefix row's
-    own or, read-only, a suffix row's parents' complements.  A kept plan's
-    ``columns`` are the row's parent columns and ``best`` its values;
-    above ``_SMALL_N`` those and a suffix row's ``index`` are None, made in
-    each sweep, and ``keep`` says whether the row keeps its grown columns
-    for the next.
+    ``index`` is the view of n's masks the row's gains are read at: a prefix
+    row's own or, for a suffix row, its parents' complements, row
+    n - size + 1 reversed.  A kept plan's ``columns`` are the row's parent
+    columns and ``best`` its values; above ``_SMALL_N`` those are None,
+    made in each sweep, and ``keep`` says whether the row keeps its grown
+    columns for the next.
     ``transferred`` is what its chunks hand to a merge (``_handovers``),
     and ``comparisons``, for ``no-hash``, what scan stores would compare
     (``_scans``).
@@ -937,21 +944,20 @@ class _Step:
         self.comparisons = 0  # for no-hash, set by the plan
         self.keep = not kept and size < last[direction]
         self.columns = list(tables.parent_columns(size)) if kept else None
-        self.index = tables.masks(size) if self.forward else None
-        if kept and not self.forward:
-            self.index = np.bitwise_xor(tables.masks(size - 1), (1 << n) - 1)
-            self.index.flags.writeable = False
+        self.index = tables.masks(size) if self.forward else tables.masks(n - size + 1)[::-1]
         self.best = np.empty(capacity, dtype=_VALUE) if kept else None
 
 
 class _ArraySearch:
     """The array kernel: both searches' newest rows, every prefix row, and the witnesses.
 
-    Grows the rows of ``plan`` over ``tables``.  The prefix witness reads
-    every prefix row, so all are kept (``prefixes``); up to ``_SMALL_N`` the
-    suffix witness reads every suffix row, so those are kept too
-    (``suffixes``), and above, each is dropped once the next row is grown,
-    as is each row's parent ranks (``ranks``).  ``scratch``, the plan's
+    Grows the rows of ``plan`` over ``tables``, reading each row's gains
+    at its step's view of n's masks, where a complement is a reversed
+    row's entry, in pairing as in the suffix gains.  The prefix witness
+    reads every prefix row, so all are kept (``prefixes``); up to
+    ``_SMALL_N`` the suffix witness reads every suffix row, so those are
+    kept too (``suffixes``), and above, each is dropped once the next row
+    is grown, as is each row's parent ranks (``ranks``).  ``scratch``, the plan's
     or, above ``_SMALL_N``, made once the cut table is built, is as long as
     the widest row: it holds, one at a time, a row's gains, one column's
     values and the pairing's sums, and the same for the suffix search run
@@ -987,9 +993,7 @@ class _ArraySearch:
         value = self.values[direction]
         best = np.empty(capacity, dtype=_VALUE) if step.best is None else step.best
         if not step.forward:
-            complements = step.index if step.index is not None else self.tables.masks(size - 1) ^ ((1 << self.n) - 1)
-            value += self.cut.take(complements, out=self.scratch[: len(value)], mode="wrap")
-            del complements  # so that above _SMALL_N the sweep does not hold it
+            value += self.cut.take(step.index, out=self.scratch[: len(value)], mode="wrap")
         grown = step.columns is None
         columns = _grown_columns(self.n, size, self.ranks[direction]) if grown else step.columns
         ranks = self._sweep(columns, value, best, step.keep, grown)
@@ -1183,10 +1187,7 @@ def _suffix_walk(rows: list[np.ndarray], activities: list[int], tables: _Tables,
     m = len(activities)
     suffix = []
     for size in range(m, 1, -1):
-        if tables.kept:
-            parents = tables.parent_columns(size)[:, rank]
-        else:
-            parents = _drop_ranks(tables, size, np.array([rank]))[:, 0]
+        parents = _drop_ranks(tables, size, np.array([rank]))[:, 0]
         column = int(rows[size - 2].take(parents).argmin())
         suffix.append(activities.pop(column))
         rank = int(parents[column])

@@ -448,7 +448,7 @@ def test_timeout_while_building_the_cut_table():
 
 
 def test_timeout_while_building_the_row_masks():
-    # a cold build of n=25's rows 1..20 alone takes three to five times the limit (0.066-0.1 s on a 2-vCPU VM)
+    # a cold build of n=25's rows 1..24 alone takes two to seven times the limit (0.05-0.14 s on a 2-vCPU VM)
     dsm = generate_instance(25, 0.5, 4)
     _clear_caches()
     started = time.perf_counter()
@@ -485,16 +485,25 @@ def test_timeout_while_building_the_parent_columns(monkeypatch):
     _clear_caches()
 
 
-def test_timeout_while_counting_a_million_chunks():
-    # at cn = 10**6 a row splits into as many chunks as it has parents, and a fresh n = 17 plan counts the
-    # hand-overs around every chunk start, seconds of Python before the first row
+def test_timeout_while_counting_chunk_hand_overs():
+    # at cn = 20000 n = 17's suffix rows 9 and 10 split into 20000 chunks each, fewer than their 24310 parents,
+    # and a fresh plan counts the hand-overs around every chunk start, a second of Python before the first row
     dsm = generate_instance(17, 0.5, 4)
     _clear_caches()
     started = time.perf_counter()
     with pytest.raises(SolveTimeout):
-        solve(dsm, SolverConfig(cn=10**6, time_limit=0.05))
+        solve(dsm, SolverConfig(cn=20_000, time_limit=0.05))
     assert time.perf_counter() - started < 0.5
     _clear_caches()
+
+
+def test_a_chunk_per_parent_is_counted_without_its_starts():
+    # every row of n = 18 splits into as many chunks as it has parents, and no chunk start is streamed
+    dsm = generate_instance(18, 0.5, 4)
+    started = time.perf_counter()
+    report = solve(dsm, SolverConfig(cn=10**6, na=5))
+    assert time.perf_counter() - started < 0.5
+    assert all(row.chunks == math.comb(18, row.size - 1) for row in report.rows)
 
 
 def test_a_kept_timeout_does_not_keep_the_search(monkeypatch):
@@ -1177,6 +1186,13 @@ def test_chunk_counts_equal_a_direct_label_count():
                         assert step.transferred == _direct_handovers(n, size, step.chunks)
 
 
+def test_one_chunk_per_parent_counts_as_directly():
+    for n in range(4, 13):
+        for size in range(2, n + 1):
+            parents = math.comb(n, size - 1)
+            assert solver._handovers(n, size, parents, None) == _direct_handovers(n, size, parents)
+
+
 def test_cached_rows_are_read_only_and_unchanged_by_a_solve():
     n = 10
     dsm = generate_instance(n, 0.5, 3)
@@ -1283,6 +1299,22 @@ def test_warm_solves_reuse_one_workspace(monkeypatch):
     assert _kept[n] is kept
     solve(dsms[1], SolverConfig(cn=2, na=5))
     assert seen[-1] == (plan.cut, plan.cut.total) and kept.plan is plan and _kept[n] is kept
+
+
+def test_a_kept_plan_reads_its_gains_at_the_row_tables():
+    # a step's gains are read at n's masks: a prefix row's own, a suffix row's parents' complements reversed
+    n = 12
+    _kept.clear()
+    for na in (2, 5, 10):
+        solve(generate_instance(n, 0.5, 1), SolverConfig(cn=2, na=na))
+        tables = _kept[n]
+        for step in tables.plan.steps:
+            assert not step.index.flags.writeable
+            owner = step.index if step.forward else step.index.base
+            assert any(owner is row for row in tables.rows)
+            if not step.forward:
+                parents = tables.masks(step.size - 1)
+                assert (step.index == parents ^ ((1 << n) - 1)).all()
 
 
 def test_solves_at_varied_meeting_rows_keep_one_plans_arrays():
